@@ -16,8 +16,9 @@ Usage: python3 scripts/cocommutativity_minimality.py [--p P] [--N N]
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from steenrodgroup.algebra import AlgebraPresentation, Generator
 from steenrodgroup.hopf import (

@@ -2,17 +2,22 @@
 """Enumerate the finite truncated groups over the small quotient algebras and
 report orders, lower central series, derived series, and filtration bounds.
 
-Usage: python3 scripts/sweep_finite_groups.py [--p P] [--max-order N]
+The environment variable STEENROD_LIMIT caps the enumerated group sizes, as
+for the CLI; a group above it ends the run with exit 2.
+
+Usage: python3 scripts/sweep_finite_groups.py [--p P]
 """
 
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from steenrodgroup.grouptheory import (
+    SWEEP_GRID,
+    GroupTheoryError,
     check_filtration_bounds,
     derived_series,
     enumerate_group,
@@ -22,21 +27,14 @@ from steenrodgroup.grouptheory import (
 from steenrodgroup.hopf import milnor_quotient
 
 
-@dataclass
-class SweepConfig:
-    grid: list = field(default_factory=lambda: [(2, 1), (2, 2), (3, 0), (3, 1)])
-    prime: int | None = None
-    limit: int = 100_000
-
-
-def run(cfg: SweepConfig) -> int:
+def run(prime=None) -> int:
     failed = 0
-    for p, n in cfg.grid:
-        if cfg.prime and p != cfg.prime:
+    for p, n in SWEEP_GRID:
+        if prime and p != prime:
             continue
         hp = milnor_quotient(p, n)
         t0 = time.monotonic()
-        G = enumerate_group(hp.algebra, n, p, limit=cfg.limit)
+        G = enumerate_group(hp.algebra, n, p)
         lcs = lower_central_series(G)
         dser = derived_series(G)
         bounds_ok = check_filtration_bounds(G)
@@ -62,9 +60,12 @@ def run(cfg: SweepConfig) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=int, default=None, help="restrict to one prime")
-    ap.add_argument("--limit", type=int, default=100_000)
     args = ap.parse_args()
-    return run(SweepConfig(prime=args.p, limit=args.limit))
+    try:
+        return run(args.p)
+    except GroupTheoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

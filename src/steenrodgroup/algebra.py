@@ -4,8 +4,11 @@ An algebra is presented by an ordered list of generators, each carrying a
 degree and a nilpotency cap (the smallest exponent that vanishes).  All
 relations in play are monomial, so caps are the whole relation data: a monomial whose
 exponent reaches a cap is zero.  Elements are sparse maps from exponent
-vectors to nonzero residues mod p, which gives a canonical normal form and
-exact equality.
+vectors to residues in 1..p-1, which gives a canonical normal form and exact
+equality.  The same normal form, keyed by pairs of exponent vectors, serves
+the tensor square in `hopf`; both element classes share the additive
+operations defined here, and `accumulate` is the one way to add terms into a
+normal-form dict.
 
 The exterior variable eps (degree -1, square zero) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation degenerates to
@@ -179,6 +182,47 @@ def mono_mul(pres: AlgebraPresentation, m1: tuple[int, ...], m2: tuple[int, ...]
     return merged, sign
 
 
+# -- sparse normal form ---------------------------------------------------------
+
+
+def accumulate(terms: dict, pairs, p: int) -> dict:
+    """Add (key, coefficient) pairs into a normal-form dict in place; returns it."""
+    for key, c in pairs:
+        v = (terms.get(key, 0) + c) % p
+        if v:
+            terms[key] = v
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def _check_same(x, y):
+    if x.pres is not y.pres and x.pres != y.pres:
+        raise AlgebraError("elements of different presentations")
+
+
+def sparse_add(self, other):
+    _check_same(self, other)
+    return type(self)(self.pres, accumulate(dict(self.terms), other.terms.items(), self.pres.p))
+
+
+def sparse_neg(self):
+    p = self.pres.p
+    return type(self)(self.pres, {m: (-c) % p for m, c in self.terms.items()})
+
+
+def sparse_sub(self, other):
+    return sparse_add(self, sparse_neg(other))
+
+
+def sparse_scale(self, c: int):
+    p = self.pres.p
+    c %= p
+    if c == 0:
+        return type(self)(self.pres, {})
+    return type(self)(self.pres, {m: (v * c) % p for m, v in self.terms.items()})
+
+
 class AlgebraElement:
     """Sparse normal-form F_p-linear combination of monomials.
 
@@ -186,6 +230,11 @@ class AlgebraElement:
     """
 
     __slots__ = ("pres", "terms")
+
+    __add__ = sparse_add
+    __sub__ = sparse_sub
+    __neg__ = sparse_neg
+    scale = sparse_scale
 
     def __init__(self, pres: AlgebraPresentation, terms: dict):
         self.pres = pres
@@ -204,9 +253,6 @@ class AlgebraElement:
         if len(degs) > 1:
             raise AlgebraError("inhomogeneous element has no degree")
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({self.pres.mono_degree(m) for m in self.terms}) <= 1
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.pres.ngens, 0)
@@ -239,38 +285,8 @@ class AlgebraElement:
 
     # -- ring operations ------------------------------------------------------
 
-    def _check_same(self, other: "AlgebraElement"):
-        if self.pres != other.pres:
-            raise AlgebraError("elements of different presentations")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        p = self.pres.p
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (terms.get(m, 0) + c) % p
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return AlgebraElement(self.pres, terms)
-
-    def __neg__(self) -> "AlgebraElement":
-        p = self.pres.p
-        return AlgebraElement(self.pres, {m: (-c) % p for m, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        p = self.pres.p
-        c %= p
-        if c == 0:
-            return self.pres.zero()
-        return AlgebraElement(self.pres, {m: (v * c) % p for m, v in self.terms.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
+        _check_same(self, other)
         pres = self.pres
         p = pres.p
         terms: dict = {}
@@ -286,14 +302,6 @@ class AlgebraElement:
                 else:
                     terms.pop(mono, None)
         return AlgebraElement(pres, terms)
-
-    def pow(self, n: int) -> "AlgebraElement":
-        if n < 0:
-            raise AlgebraError("negative power")
-        result = self.pres.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
 
 def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
@@ -430,9 +438,6 @@ def monomials_up_to_degree(a: AlgebraPresentation, d: int) -> Iterator[tuple[int
     """All normal-form monomials of degree <= d (positive-degree presentations)."""
     if any(g.degree <= 0 for g in a.generators):
         raise EnumerationError("requires strictly positive generator degrees")
-    if any(g.cap is None for g in a.generators):
-        # positive degrees bound every exponent by d // degree
-        pass
     gens = a.generators
     n = len(gens)
     mono = [0] * n

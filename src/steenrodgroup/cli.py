@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, is_prime
 from .group import (
     GroupError,
     commutator,
@@ -24,6 +24,7 @@ from .group import (
     rho,
 )
 from .grouptheory import (
+    SWEEP_GRID,
     GroupTheoryError,
     SeriesReport,
     enumerate_group,
@@ -32,10 +33,8 @@ from .grouptheory import (
 )
 from .hopf import (
     HopfError,
-    antipode_defect,
-    coassociativity_defect,
+    axiom_counterexamples,
     cocommutativity_defect,
-    counit_defect,
     dual_mod_J,
     dual_steenrod,
     level_algebra,
@@ -150,11 +149,8 @@ def cmd_lcs(args) -> int:
     return 0 if rep.ok in (True, None) else 1
 
 
-DEFAULT_SWEEP = [(2, 1), (2, 2), (3, 0), (3, 1)]
-
-
 def cmd_sweep(args) -> int:
-    grid = DEFAULT_SWEEP
+    grid = SWEEP_GRID
     if args.p:
         grid = [(p, n) for p, n in grid if p == args.p]
     buf = io.StringIO()
@@ -187,18 +183,7 @@ def cmd_hopf(args) -> int:
         hp = PRESETS[args.preset](args)
     except KeyError:
         raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    counterexamples = []
-    alg = hp.algebra
-    for g in alg.generators:
-        x = alg.gen(g.name)
-        if coassociativity_defect(hp, x):
-            counterexamples.append({"law": "coassociativity", "generator": g.name})
-        l, r = counit_defect(hp, x)
-        if not (l.is_zero() and r.is_zero()):
-            counterexamples.append({"law": "counit", "generator": g.name})
-        l, r = antipode_defect(hp, x)
-        if not (l.is_zero() and r.is_zero()):
-            counterexamples.append({"law": "antipode", "generator": g.name})
+    counterexamples = list(axiom_counterexamples(hp))
     defects = [
         {"generator": name, "defect": repr(t)}
         for name, t in cocommutativity_defect(hp)
@@ -218,16 +203,8 @@ def cmd_hopf(args) -> int:
     return 0 if not counterexamples else 1
 
 
-def _parse_seq(raw: str):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(v) for v in raw.split(","))
-
-
 def cmd_milnor(args) -> int:
-    E = _parse_seq(args.E)
-    R = _parse_seq(args.R)
+    E, R = args.E, args.R
     if args.action == "in-j":
         verdict = in_J_basis(E, R, args.k, args.p)
     else:
@@ -248,6 +225,33 @@ def cmd_verify(args) -> int:
     }
     _emit(args, payload)
     return 0 if payload["ok"] else 1
+
+
+# argument types: a bad value is a usage error (exit 2) before any work starts
+
+
+def prime(raw: str) -> int:
+    p = int(raw)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
+
+
+def non_negative(raw: str) -> int:
+    v = int(raw)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{v} is negative")
+    return v
+
+
+def int_list(raw: str) -> tuple:
+    raw = raw.strip()
+    if not raw:
+        return ()
+    try:
+        return tuple(int(v) for v in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a comma-separated list of integers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,26 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run the finite-group grid, emit CSV")
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--format", choices=["csv"], default="csv")
     common(sp)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("hopf", help="Hopf-axiom report for a named preset")
     sp.add_argument("--preset", required=True)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--N", type=int, default=4)
+    sp.add_argument("--p", type=prime, default=2)
+    sp.add_argument("--k", type=non_negative, default=0)
+    sp.add_argument("--n", type=non_negative, default=2)
+    sp.add_argument("--N", type=non_negative, default=4)
     sp.add_argument("--D", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_hopf)
 
     sp = sub.add_parser("milnor", help="basis membership predicates")
     sp.add_argument("action", choices=["in-j", "in-span"])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--E", default="")
-    sp.add_argument("--R", default="")
+    sp.add_argument("--p", type=prime, required=True)
+    sp.add_argument("--k", type=non_negative, default=0)
+    sp.add_argument("--E", type=int_list, default="")
+    sp.add_argument("--R", type=int_list, default="")
     common(sp)
     sp.set_defaults(fn=cmd_milnor)
 

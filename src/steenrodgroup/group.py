@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
-    AlgebraError,
     AlgebraPresentation,
     eps_part,
     eps_reduce,

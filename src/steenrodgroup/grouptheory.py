@@ -34,6 +34,9 @@ from .group import (
 DEFAULT_LIMIT = 100_000
 LIMIT_ENV = "STEENROD_LIMIT"
 
+# (p, n) of the finite groups swept by the CLI and the sweep script
+SWEEP_GRID = ((2, 1), (2, 2), (3, 0), (3, 1))
+
 
 class GroupTheoryError(Exception):
     pass

@@ -26,10 +26,15 @@ from .algebra import (
     AlgebraError,
     AlgebraPresentation,
     Generator,
+    accumulate,
     adjoin_epsilon,
     frobenius,
     mono_mul,
     monomials_up_to_degree,
+    sparse_add,
+    sparse_neg,
+    sparse_scale,
+    sparse_sub,
     times_eps,
 )
 from .group import GroupElement, GroupError, rho
@@ -185,9 +190,18 @@ def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
 
 
 class TensorElement:
-    """Sparse element of the two-fold tensor square, with Koszul signs."""
+    """Sparse element of the two-fold tensor square, with Koszul signs.
+
+    Terms are keyed by pairs of exponent vectors, in the normal form of
+    `algebra`, whose additive operations are shared with AlgebraElement.
+    """
 
     __slots__ = ("pres", "terms")
+
+    __add__ = sparse_add
+    __sub__ = sparse_sub
+    __neg__ = sparse_neg
+    scale = sparse_scale
 
     def __init__(self, pres: AlgebraPresentation, terms: dict):
         self.pres = pres
@@ -218,24 +232,6 @@ class TensorElement:
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        p = self.pres.p
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            v = (terms.get(key, 0) + c) % p
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-        return TensorElement(self.pres, terms)
-
-    def __neg__(self) -> "TensorElement":
-        p = self.pres.p
-        return TensorElement(self.pres, {k: (-c) % p for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         pres = self.pres
@@ -272,18 +268,11 @@ class TensorElement:
 def switch(t: TensorElement) -> TensorElement:
     """The switching map x(x)y -> (-1)^(|x||y|) y(x)x."""
     pres = t.pres
-    p = pres.p
-    terms = {}
+    pairs = []
     for (m1, m2), c in t.terms.items():
-        if pres.mono_degree(m1) % 2 == 1 and pres.mono_degree(m2) % 2 == 1:
-            c = -c % p
-        key = (m2, m1)
-        v = (terms.get(key, 0) + c) % p
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-    return TensorElement(pres, terms)
+        odd = pres.mono_degree(m1) % 2 == 1 and pres.mono_degree(m2) % 2 == 1
+        pairs.append(((m2, m1), -c if odd else c))
+    return TensorElement(pres, accumulate({}, pairs, pres.p))
 
 
 # -- structure maps ------------------------------------------------------------
@@ -343,8 +332,7 @@ def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> T
             mg = coproduct_gen(hp, g.name)
             for _ in range(e):
                 term = term * mg
-        scaled = TensorElement(alg, {k: v * c % alg.p for k, v in term.terms.items() if v * c % alg.p})
-        acc = acc + scaled
+        acc = acc + term.scale(c)
     return acc
 
 
@@ -403,21 +391,11 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     alg = hp.algebra
     mu = coproduct(hp, x)
     terms: dict = {}
-
-    def bump(key, c):
-        v = (terms.get(key, 0) + c) % alg.p
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-
     for (m1, m2), c in mu.terms.items():
         inner = coproduct(hp, AlgebraElement(alg, {m1: 1}), check_cap=False)
-        for (a, b), c2 in inner.terms.items():
-            bump((a, b, m2), c * c2)
+        accumulate(terms, (((a, b, m2), c * c2) for (a, b), c2 in inner.terms.items()), alg.p)
         inner = coproduct(hp, AlgebraElement(alg, {m2: 1}), check_cap=False)
-        for (a, b), c2 in inner.terms.items():
-            bump((m1, a, b), -c * c2)
+        accumulate(terms, (((m1, a, b), -c * c2) for (a, b), c2 in inner.terms.items()), alg.p)
     return terms
 
 
@@ -449,6 +427,22 @@ def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElemen
         right = right + e1 * antipode(hp, e2)
     target = alg.scalar(counit(x))
     return left - target, right - target
+
+
+def axiom_counterexamples(hp: HopfPresentation):
+    """The Hopf laws each generator breaks, as {"law", "generator"} dicts.
+
+    Lazy, so a caller that wants only the first failure stops there.
+    """
+    alg = hp.algebra
+    for g in alg.generators:
+        x = alg.gen(g.name)
+        if coassociativity_defect(hp, x):
+            yield {"law": "coassociativity", "generator": g.name}
+        if not all(v.is_zero() for v in counit_defect(hp, x)):
+            yield {"law": "counit", "generator": g.name}
+        if not all(v.is_zero() for v in antipode_defect(hp, x)):
+            yield {"law": "antipode", "generator": g.name}
 
 
 def cocommutativity_defect(hp: HopfPresentation, d: Optional[int] = None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraPresentation, Generator
+from .algebra import AlgebraElement, AlgebraPresentation, Generator, accumulate
 from .group import BOTTOM, TOP, GroupElement
 
 
@@ -47,10 +47,11 @@ def element_to_obj(x: AlgebraElement) -> list:
 
 def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
     try:
-        acc = pres.zero()
+        terms: dict = {}
         for term in obj:
-            acc = acc + pres.monomial(term["exponents"], term["coeff"])
-        return acc
+            monomial = pres.monomial(term["exponents"], term["coeff"])
+            accumulate(terms, monomial.terms.items(), pres.p)
+        return AlgebraElement(pres, terms)
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed element: {exc}") from exc
 

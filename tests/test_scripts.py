@@ -1,0 +1,38 @@
+"""The experiment scripts run from any working directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd, env=None):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd,
+        env={**os.environ, **(env or {})},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_sweep_script_outside_repo(tmp_path):
+    done = run_script("sweep_finite_groups.py", "--p", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "order=     8" in done.stdout
+
+
+def test_sweep_script_limit_is_usage_error(tmp_path):
+    done = run_script("sweep_finite_groups.py", "--p", "3", cwd=tmp_path, env={"STEENROD_LIMIT": "5"})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_cocommutativity_script_outside_repo(tmp_path):
+    done = run_script("cocommutativity_minimality.py", "--p", "2", "--N", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "chain complete" in done.stdout

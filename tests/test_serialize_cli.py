@@ -196,3 +196,20 @@ def test_cli_limit_env_respected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STEENROD_LIMIT", "5")
     code, _ = run_cli(capsys, "lcs", "--p", "3", "--n", "1")
     assert code == USAGE_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["milnor", "in-j", "--p", "2", "--R", "a,b"],
+        ["milnor", "in-j", "--p", "2", "--k", "-1", "--R", "1"],
+        ["milnor", "in-span", "--p", "4", "--R", "1"],
+        ["hopf", "--preset", "A_angle", "--p", "2", "--k", "-1", "--N", "2"],
+    ],
+)
+def test_cli_bad_input_is_usage_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == USAGE_ERROR
+    assert "error:" in captured.err
+    assert captured.out == ""
