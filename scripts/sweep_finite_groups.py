@@ -30,7 +30,7 @@ from steenrodgroup.hopf import milnor_quotient
 def run(prime=None) -> int:
     failed = 0
     for p, n in SWEEP_GRID:
-        if prime and p != prime:
+        if prime not in (None, p):
             continue
         hp = milnor_quotient(p, n)
         t0 = time.monotonic()
@@ -59,7 +59,8 @@ def run(prime=None) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--p", type=int, default=None, help="restrict to one prime")
+    primes = sorted({p for p, _ in SWEEP_GRID})
+    ap.add_argument("--p", type=int, choices=primes, help="restrict to one prime")
     args = ap.parse_args()
     try:
         return run(args.p)

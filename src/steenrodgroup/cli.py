@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .algebra import AlgebraError, is_prime
+from .algebra import AlgebraError, eps_reduce, is_prime
 from .group import (
     GroupError,
     commutator,
@@ -80,11 +80,19 @@ def _emit(args, payload, is_csv: bool = False):
         sys.stdout.write(text)
 
 
+def _element(obj):
+    """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs."""
+    g = group_from_obj(obj)
+    if not g.coeffs or eps_reduce(g.coeffs[0]) != g.algebra.one():
+        raise CliError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
+    return g
+
+
 def _load_pair(args):
     obj = _load_json(args.infile)
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise CliError('expected {"a": <group element>, "b": <group element>}')
-    return group_from_obj(obj["a"]), group_from_obj(obj["b"])
+    return _element(obj["a"]), _element(obj["b"])
 
 
 def cmd_compose(args) -> int:
@@ -94,7 +102,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    g = group_from_obj(_load_json(args.infile))
+    g = _element(_load_json(args.infile))
     fn = {"recursive": invert_recursive, "closed": invert_closed, "split": invert_split}[args.method]
     _emit(args, group_to_obj(fn(g)))
     return 0
@@ -107,13 +115,13 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_filtration(args) -> int:
-    g = group_from_obj(_load_json(args.infile))
+    g = _element(_load_json(args.infile))
     _emit(args, {"level": filtration_to_str(filtration_level(g))})
     return 0
 
 
 def cmd_rho(args) -> int:
-    g = group_from_obj(_load_json(args.infile))
+    g = _element(_load_json(args.infile))
     _emit(args, group_to_obj(rho(g)))
     return 0
 
@@ -150,9 +158,7 @@ def cmd_lcs(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = SWEEP_GRID
-    if args.p:
-        grid = [(p, n) for p, n in grid if p == args.p]
+    grid = [(p, n) for p, n in SWEEP_GRID if args.p in (None, p)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "n", "algebra", "order", "class", "bound", "ok"])
@@ -244,6 +250,13 @@ def non_negative(raw: str) -> int:
     return v
 
 
+def positive(raw: str) -> int:
+    v = int(raw)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{v} is not positive")
+    return v
+
+
 def int_list(raw: str) -> tuple:
     raw = raw.strip()
     if not raw:
@@ -293,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_partitions)
 
     sp = sub.add_parser("lcs", help="lower central series of an enumerated finite group")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--p", type=prime, default=2)
+    sp.add_argument("--n", type=non_negative, default=1)
     sp.add_argument("--ev", action="store_true", help="also report the eps-free subgroup series")
     common(sp)
     sp.set_defaults(fn=cmd_lcs)
 
     sp = sub.add_parser("sweep", help="run the finite-group grid, emit CSV")
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=prime, default=None, choices=sorted({p for p, _ in SWEEP_GRID}))
     common(sp)
     sp.set_defaults(fn=cmd_sweep)
 
@@ -324,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_milnor)
 
     sp = sub.add_parser("verify", help="run all property suites")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--p", type=prime, default=2)
+    sp.add_argument("--k", type=non_negative, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=positive, default=50)
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -358,3 +371,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

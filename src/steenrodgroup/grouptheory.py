@@ -1,10 +1,13 @@
-"""Exhaustive finite-group computations: Cayley tables and subgroup series.
+"""Finite-group computations: closure from filtration generators, subgroup series.
 
 Over a finite coefficient algebra the truncated subgroup cut out by the
 Frobenius-nilpotency conditions (alpha_i^(p^(n-i+1)) = 0 for i <= n,
-alpha_i = 0 beyond) is a finite group.  This module enumerates it, builds the
-composition table, and computes lower central and derived series by
-breadth-first closure over the table.
+alpha_i = 0 beyond) is a finite p-group.  The layers of its filtration by
+coefficient index are elementary abelian, so one generator per basis monomial
+of each layer generates it.  This module closes those generators, remembers
+each product and inverse on first use, and takes lower central and derived
+series as normal closures of generator commutators (Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 from .algebra import (
     AlgebraPresentation,
     adjoin_epsilon,
-    enumerate_component,
+    component_monomials,
     eps_reduce,
     frobenius,
     times_eps,
@@ -28,7 +31,6 @@ from .group import (
     filtration_level,
     identity,
     invert_recursive,
-    pi_ev,
 )
 
 DEFAULT_LIMIT = 100_000
@@ -53,57 +55,49 @@ def size_limit() -> int:
 
 
 @dataclass
-class FiniteGroupTable:
-    """A finite group of stunted series, closed under compose and invert."""
+class FiniteGroup:
+    """A finite group of stunted series, closed from its generators.
+
+    elements are sorted by key(); gens are the indices of the filtration-layer
+    generators.  Products and inverses are composed on first use and kept.
+    """
 
     p: int
     n: int
     algebra: AlgebraPresentation
     elements: list[GroupElement]
-    table: list[list[int]]
+    gens: list[int]
     identity_index: int
-    inverse: list[int]
-    index: dict = field(repr=False, default_factory=dict)
+    index: dict = field(repr=False)
+    products: dict = field(repr=False, default_factory=dict)
+    inverses: dict = field(repr=False, default_factory=dict)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def _find(self, g: GroupElement) -> int:
+        i = self.index.get(g.key())
+        if i is None:
+            raise GroupTheoryError("a product left the enumerated group")
+        return i
+
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        k = self.products.get((i, j))
+        if k is None:
+            k = self.products[i, j] = self._find(compose(self.elements[i], self.elements[j]))
+        return k
 
     def inv(self, i: int) -> int:
-        return self.inverse[i]
+        k = self.inverses.get(i)
+        if k is None:
+            k = self.inverses[i] = self._find(invert_recursive(self.elements[i]))
+        return k
 
     def comm(self, i: int, j: int) -> int:
         """Index of the commutator (i^-1 j^-1)(i j)."""
         left = self.mul(self.inv(i), self.inv(j))
         return self.mul(left, self.mul(i, j))
-
-    def verify_latin_square(self) -> bool:
-        m = self.order
-        full = set(range(m))
-        for row in self.table:
-            if set(row) != full:
-                return False
-        for j in range(m):
-            if {self.table[i][j] for i in range(m)} != full:
-                return False
-        return True
-
-    def subtable(self, indices: frozenset[int]) -> "FiniteGroupTable":
-        """The subgroup on a closed index set, reindexed."""
-        order = sorted(indices)
-        remap = {old: new for new, old in enumerate(order)}
-        elements = [self.elements[i] for i in order]
-        table = [[remap[self.table[i][j]] for j in order] for i in order]
-        inverse = [remap[self.inverse[i]] for i in order]
-        tab = FiniteGroupTable(
-            self.p, self.n, self.algebra, elements, table,
-            remap[self.identity_index], inverse,
-        )
-        tab.index = {e.key(): i for i, e in enumerate(elements)}
-        return tab
 
 
 @dataclass
@@ -123,118 +117,113 @@ class SeriesReport:
     ok: Optional[bool] = None
 
 
-def _coefficient_candidates(p: int, n: int, base: AlgebraPresentation):
-    """Per-index candidate coefficient lists for the order-n truncated group."""
-    galg = base if p == 2 or base.has_epsilon else adjoin_epsilon(base)
-    one = galg.one()
-    if p == 2:
-        heads = [one]
-    else:
-        # alpha_0 = 1 + b*eps with b of degree 1 in the eps-free part
-        degree_one = [
-            b for b in enumerate_component(galg, 1) if eps_reduce(b) == b
-        ]
-        heads = [one + times_eps(b) for b in degree_one]
-    slots = [heads]
+def _bfs(start, gens, mul, key=lambda x: x) -> dict:
+    """key -> member of the closure of start under right multiplication by gens."""
+    found = {key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = mul(g, s)
+                k = key(h)
+                if k not in found:
+                    found[k] = h
+                    nxt.append(h)
+        frontier = nxt
+    return found
+
+
+def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool) -> list:
+    """One generator per basis monomial of each filtration layer.
+
+    Layer 0 (odd p): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
+    Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
+    m^(p^(n-i+1)) = 0.  With eps_free, only the generators of the eps-free
+    subgroup: no layer 0 and no monomial containing eps.
+    """
+    one, zero = galg.one(), galg.zero()
+
+    def element(i, c):
+        coeffs = [one] + [zero] * n
+        coeffs[i] = c
+        return GroupElement(p, n, 0, galg, tuple(coeffs))
+
+    def basis(d, only_eps_free):
+        monos = (galg.monomial(m) for m in component_monomials(galg, d))
+        return [m for m in monos if not only_eps_free or eps_reduce(m) == m]
+
+    gens = []
+    if p != 2 and not eps_free:
+        gens += [element(0, one + times_eps(m)) for m in basis(1, True)]
     for i in range(1, n + 1):
         d = 2**i - 1 if p == 2 else 2 * (p**i - 1)
-        cands = [c for c in enumerate_component(galg, d) if frobenius(c, n - i + 1).is_zero()]
-        slots.append(cands)
-    return galg, slots
+        gens += [element(i, m) for m in basis(d, eps_free) if frobenius(m, n - i + 1).is_zero()]
+    return gens
 
 
-def enumerate_group(
-    A: AlgebraPresentation, n: int, p: int, limit: Optional[int] = None
-) -> FiniteGroupTable:
-    """Enumerate the full order-n truncated group over a finite algebra."""
+def _close(A: AlgebraPresentation, n: int, p: int, limit, eps_free: bool) -> FiniteGroup:
     if p != A.p:
         raise GroupTheoryError("prime does not match the algebra")
     if n < 0:
         raise GroupTheoryError("n must be >= 0")
     cap = size_limit() if limit is None else limit
-    galg, slots = _coefficient_candidates(p, n, A)
-
-    total = 1
-    for s in slots:
-        total *= len(s)
-        if total > cap:
-            raise GroupTheoryError(f"group size {total}+ exceeds limit {cap}")
-
-    elements: list[GroupElement] = []
-    index: dict = {}
-
-    def emit(coeffs):
-        g = GroupElement(p, n, 0, galg, tuple(coeffs))
-        key = g.key()
-        if key not in index:
-            index[key] = len(elements)
-            elements.append(g)
-
-    def build(i, coeffs):
-        if i == len(slots):
-            emit(coeffs)
-            return
-        for c in slots[i]:
-            build(i + 1, coeffs + [c])
-
-    build(0, [])
-    elements.sort(key=lambda g: g.key())
-    index = {g.key(): i for i, g in enumerate(elements)}
-
-    m = len(elements)
-    table = [[0] * m for _ in range(m)]
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            c = compose(a, b)
-            ci = index.get(c.key())
-            if ci is None:
-                raise GroupTheoryError("composition left the enumerated set")
-            table[i][j] = ci
-    ident = index[identity(p, n, galg).key()]
-    inverse = [0] * m
-    for i, a in enumerate(elements):
-        v = index.get(invert_recursive(a).key())
-        if v is None:
-            raise GroupTheoryError("inverse left the enumerated set")
-        inverse[i] = v
-
-    tab = FiniteGroupTable(p, n, galg, elements, table, ident, inverse, index)
-    if not tab.verify_latin_square():
-        raise GroupTheoryError("composition table is not a Latin square")
-    return tab
+    galg = A if p == 2 or A.has_epsilon else adjoin_epsilon(A)
+    gens = _layer_generators(p, n, galg, eps_free)
+    predicted = p ** len(gens)
+    if predicted > cap:
+        raise GroupTheoryError(f"group size {predicted} exceeds limit {cap}")
+    one = identity(p, n, galg)
+    found = _bfs(one, gens, compose, GroupElement.key)
+    # the layers hold p^len(gens) elements in all: a closure of any other size
+    # means the law or the generating set is wrong
+    if len(found) != predicted:
+        raise GroupTheoryError(f"generators closed to {len(found)} elements, not {predicted}")
+    index = {k: i for i, k in enumerate(sorted(found))}
+    elements = [found[k] for k in index]
+    return FiniteGroup(p, n, galg, elements, [index[g.key()] for g in gens], index[one.key()], index)
 
 
-def subgroup_closure(G: FiniteGroupTable, seed) -> frozenset[int]:
+def enumerate_group(
+    A: AlgebraPresentation, n: int, p: int, limit: Optional[int] = None
+) -> FiniteGroup:
+    """The full order-n truncated group over a finite algebra."""
+    return _close(A, n, p, limit, eps_free=False)
+
+
+def subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
     """Indices of the subgroup generated by the seed, by breadth-first closure."""
-    members = {G.identity_index}
-    frontier = [G.identity_index]
-    for s in set(seed):
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    gens = list(members)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                for prod in (G.mul(g, h), G.mul(h, g), G.inv(g)):
-                    if prod not in members:
-                        members.add(prod)
-                        nxt.append(prod)
-        gens = list(members)
-        frontier = nxt
-    return frozenset(members)
+    return frozenset(_bfs(G.identity_index, set(seed) - {G.identity_index}, G.mul))
 
 
-def _commutator_span(G: FiniteGroupTable, H: frozenset[int], K: frozenset[int]) -> frozenset[int]:
-    comms = {G.comm(h, k) for h in H for k in K}
-    return subgroup_closure(G, comms)
+def _normal_closure(G: FiniteGroup, seed) -> tuple[list[int], frozenset[int]]:
+    """Generators and members of the normal closure of seed in G = <G.gens>."""
+    gens = [x for x in dict.fromkeys(seed) if x != G.identity_index]
+    members = subgroup_closure(G, gens)
+    for x in gens:  # visits the conjugates appended below as well
+        for y in G.gens:
+            c = G.mul(G.mul(G.inv(y), x), y)
+            if c not in members:
+                gens.append(c)
+                members = subgroup_closure(G, gens)
+    return gens, members
 
 
-def _series(G: FiniteGroupTable, step, kind: str, bound: Optional[int]) -> SeriesReport:
-    chain = [frozenset(range(G.order))]
+def _commutators(G: FiniteGroup, X, Y) -> list[int]:
+    """[x, y] for x in X and y in Y, one per unordered pair, without [x, x]."""
+    pairs = {(min(x, y), max(x, y)) for x in X for y in Y if x != y}
+    return [G.comm(x, y) for x, y in sorted(pairs)]
+
+
+def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> SeriesReport:
+    """G = H_0 > H_1 > ..., H_{k+1} = [<X>, <Y>] for H_k = <X> and Y = partners(X).
+
+    [<X>, <Y>] is the normal closure of the [x, y] in <X, Y>; for both series
+    it is normal in G, so the closure is taken in G.
+    """
+    gens, chain = G.gens, [frozenset(range(G.order))]
     while True:
-        nxt = step(chain[-1])
+        gens, nxt = _normal_closure(G, _commutators(G, gens, partners(gens)))
         if nxt == chain[-1]:
             break
         chain.append(nxt)
@@ -247,61 +236,43 @@ def _series(G: FiniteGroupTable, step, kind: str, bound: Optional[int]) -> Serie
     return SeriesReport(kind, chain, [len(h) for h in chain], length, bound, ok)
 
 
-def lower_central_series(G: FiniteGroupTable) -> SeriesReport:
+def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    whole = frozenset(range(G.order))
-    return _series(
-        G, lambda H: _commutator_span(G, H, whole), "lower_central", G.n + 1
-    )
+    return _series(G, lambda X: G.gens, "lower_central", G.n + 1)
 
 
-def derived_series(G: FiniteGroupTable) -> SeriesReport:
+def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _series(G, lambda H: _commutator_span(G, H, H), "derived", None)
+    return _series(G, lambda X: X, "derived", None)
 
 
-def check_filtration_bounds(G: FiniteGroupTable) -> bool:
+def check_filtration_bounds(G: FiniteGroup) -> bool:
     """Elementwise filtration bounds for both series.
 
     Every element of Gamma_{k+1} must sit at filtration >= k + 1/2, every
     element of D_1 at >= 1/2, and of D_{k+1} (k >= 1) at >= 2k.
     """
-    gamma = lower_central_series(G)
-    for k1, H in enumerate(gamma.chain[1:], start=1):
-        need = Fraction(k1 - 1) + Fraction(1, 2)
-        for i in H:
-            if i != G.identity_index and filtration_level(G.elements[i]) < need:
-                return False
-    dser = derived_series(G)
-    for k1, H in enumerate(dser.chain[1:], start=1):
-        need = Fraction(1, 2) if k1 == 1 else Fraction(2 * (k1 - 1))
-        for i in H:
-            if i != G.identity_index and filtration_level(G.elements[i]) < need:
-                return False
-    return True
 
+    def holds(series, need):
+        return all(
+            i == G.identity_index or filtration_level(G.elements[i]) >= need(k)
+            for k, H in enumerate(series(G).chain[1:])
+            for i in H
+        )
 
-def ev_subgroup(G: FiniteGroupTable) -> FiniteGroupTable:
-    """The subgroup of eps-free elements (odd p): alpha_0 = 1 and pi_ev fixes them."""
-    if G.p == 2:
-        raise GroupTheoryError("the eps-free subgroup split needs odd p")
-    keep = []
-    for i, g in enumerate(G.elements):
-        if pi_ev(g) == g and g.coeffs[0] == g.algebra.one():
-            keep.append(i)
-    return G.subtable(frozenset(keep))
+    return holds(lower_central_series, lambda k: k + Fraction(1, 2)) and holds(
+        derived_series, lambda k: Fraction(1, 2) if k == 0 else Fraction(2 * k)
+    )
 
 
 def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     """Lower central series of the eps-free order-n truncated group.
 
-    The expected vanishing stage drops by one relative to the full group.
+    Only the eps-free generators are closed, so STEENROD_LIMIT bounds this
+    subgroup and the chain indexes its elements in key order.  The expected
+    vanishing stage drops by one relative to the full group.
     """
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
-    G = enumerate_group(A, n, p)
-    H = ev_subgroup(G)
-    whole = frozenset(range(H.order))
-    return _series(
-        H, lambda S: _commutator_span(H, S, whole), "ev_lower_central", max(n, 0)
-    )
+    H = _close(A, n, p, None, eps_free=True)
+    return _series(H, lambda X: H.gens, "ev_lower_central", n)

@@ -6,6 +6,10 @@ here; a change of output that is meant must record new hashes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ GOLDEN = {
     "verify --p 5 --k 4 --seed 0 --samples 20": (0, "ee54a37a68c216d0d051e213b128a07fd6d5a66b4c636d110880ee5e58e9c791"),
     "sweep": (0, "d848cd5d45eaa7aed5dea3ff91615a92b2ec7d787cc4a893e7158a90cbac466b"),
     "lcs --p 3 --n 1 --ev": (0, "50149437090b865a01c7b454977819077c567c67760f54a6df8e22cec5ff343b"),
+    "lcs --p 5 --n 1 --ev": (0, "385a9e7ee86b58f7c4601bb94a6fb31fd87407bcfa0caaedf6075b6ba06cbf28"),
     "hopf --preset A_dual --p 3 --k 1 --N 3": (0, "f6f3045be34b457ae1a8579e75e178b826c31d81f4131dfe670733bdf2f34d88"),
     "hopf --preset A --p 3 --k 1 --N 3": (0, "75dd311d1416dcbc02a0cd357209222b42ca211db0f541090758826578407bda"),
     "hopf --preset A_ev --p 3 --k 1 --N 3": (0, "715f1d75f9e326a6ab3bb1c89707022bb256082001d6d92645a61408c30d22c3"),
@@ -32,3 +37,15 @@ def test_cli_output_bytes(capsys, command):
     code = run(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+def test_module_entry_point_prints_golden_sweep():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "steenrodgroup.cli", "sweep"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=300,
+    )
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) == GOLDEN["sweep"]

@@ -1,13 +1,13 @@
 import pytest
 
-from steenrodgroup.algebra import eps_part, eps_reduce, mk_algebra
-from steenrodgroup.group import compose, is_identity
+from steenrodgroup import grouptheory
+from steenrodgroup.algebra import eps_reduce, mk_algebra
+from steenrodgroup.group import GroupElement, compose, identity, invert_recursive, is_identity, pi_ev
 from steenrodgroup.grouptheory import (
     GroupTheoryError,
     check_filtration_bounds,
     derived_series,
     enumerate_group,
-    ev_subgroup,
     ev_subgroup_series,
     lower_central_series,
     size_limit,
@@ -73,15 +73,106 @@ def test_coefficient_constraints_g22():
         assert (g.coeffs[2] * g.coeffs[2]).is_zero()
 
 
-# -- table structure -----------------------------------------------------------
+# -- Cayley-table oracle ---------------------------------------------------------
+
+# (algebra, p, n, order) of the groups checked against a brute-force Cayley
+# table: the sweep groups, the order-128 group, and one of class 3 whose lower
+# central and derived series differ (sizes 64, 4, 2, 1 and 64, 4, 1)
+ORACLE_GROUPS = [
+    pytest.param(milnor_quotient(p, n).algebra, p, n, order, id=f"p{p}-n{n}")
+    for p, n, order in [(2, 1, 2), (2, 2, 8), (3, 0, 3), (3, 1, 81), (2, 3, 128)]
+]
+ORACLE_GROUPS.append(
+    pytest.param(mk_algebra(2, [("a", 1, 2), ("b", 1, 8)]), 2, 3, 64, id="p2-n3-class3")
+)
 
 
-def test_latin_square_and_inverses():
-    G = G31()
-    assert G.verify_latin_square()
-    for i in range(G.order):
-        assert G.mul(i, G.inv(i)) == G.identity_index
-        assert G.mul(G.identity_index, i) == i
+def brute_lower_central(table, inverse, members):
+    """Lower central series of the group on members, from its Cayley table."""
+
+    def comm(i, j):
+        return table[table[inverse[i]][inverse[j]]][table[i][j]]
+
+    def closure(seed):
+        out = set(seed)
+        while True:
+            more = {table[a][b] for a in out for b in out} - out
+            if not more:
+                return out
+            out |= more
+
+    one = table[0][inverse[0]]
+    chain = [set(members)]
+    while len(chain[-1]) > 1:
+        nxt = closure({one} | {comm(h, g) for h in chain[-1] for g in members})
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain, comm, closure
+
+
+@pytest.mark.parametrize("A, p, n, order", ORACLE_GROUPS)
+def test_series_match_cayley_table_oracle(A, p, n, order):
+    G = enumerate_group(A, n, p)
+    assert G.order == order
+    els = G.elements
+    at = {g.key(): i for i, g in enumerate(els)}
+    table = [[at[compose(a, b).key()] for b in els] for a in els]
+    inverse = [at[invert_recursive(g).key()] for g in els]
+    one = at[identity(p, n, G.algebra).key()]
+    every = set(range(order))
+    assert all(set(row) == every for row in table)
+    assert all({row[j] for row in table} == every for j in range(order))
+    assert all(table[i][inverse[i]] == one == table[inverse[i]][i] for i in every)
+    assert G.identity_index == one
+    assert [G.inv(i) for i in range(order)] == inverse
+
+    def keys(S, elements=els):
+        return {elements[i].key() for i in S}
+
+    lcs, comm, closure = brute_lower_central(table, inverse, every)
+    assert [keys(H) for H in lower_central_series(G).chain] == [keys(H) for H in lcs]
+
+    derived = [every]
+    while len(derived[-1]) > 1:
+        nxt = closure({one} | {comm(h, k) for h in derived[-1] for k in derived[-1]})
+        if nxt == derived[-1]:
+            break
+        derived.append(nxt)
+    assert [keys(H) for H in derived_series(G).chain] == [keys(H) for H in derived]
+
+    if p != 2:
+        ev = {i for i, g in enumerate(els) if pi_ev(g) == g and g.coeffs[0] == G.algebra.one()}
+        # the eps-free series indexes the eps-free elements in key order
+        ev_elements = [els[i] for i in sorted(ev)]
+        brute = brute_lower_central(table, inverse, ev)[0]
+        rep = ev_subgroup_series(A, n, p)
+        assert keys(rep.chain[0], ev_elements) == keys(ev)
+        assert [keys(H, ev_elements) for H in rep.chain] == [keys(H) for H in brute]
+
+
+def test_order_check_catches_a_wrong_law(monkeypatch):
+    def lossy(a, b):
+        c = compose(a, b)
+        top = c.coeffs[:-1] + (c.algebra.zero(),)
+        return GroupElement(c.p, c.k, c.level, c.algebra, top)
+
+    monkeypatch.setattr(grouptheory, "compose", lossy)
+    with pytest.raises(GroupTheoryError):
+        enumerate_group(milnor_quotient(2, 2).algebra, 2, 2)
+
+
+def test_enumeration_composes_each_element_with_each_generator_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    monkeypatch.setattr(grouptheory, "compose", counted)
+    G = enumerate_group(milnor_quotient(2, 3).algebra, 3, 2)
+    assert G.order == 128 and len(G.gens) == 7
+    assert len(calls) <= G.order * len(G.gens)
 
 
 def test_table_matches_compose():
@@ -120,11 +211,6 @@ def test_filtration_bounds_hold():
 
 
 def test_ev_subgroup_order_and_series():
-    G = G31()
-    H = ev_subgroup(G)
-    assert H.order == 3
-    for g in H.elements:
-        assert eps_part(g.coeffs[1]).is_zero()
     rep = ev_subgroup_series(milnor_quotient(3, 1).algebra, 1, 3)
     assert rep.sizes == [3, 1]
     assert rep.length == 1
@@ -133,9 +219,19 @@ def test_ev_subgroup_order_and_series():
 
 def test_ev_subgroup_requires_odd_prime():
     with pytest.raises(GroupTheoryError):
-        ev_subgroup(G22())
-    with pytest.raises(GroupTheoryError):
         ev_subgroup_series(milnor_quotient(2, 2).algebra, 2, 2)
+
+
+def test_ev_subgroup_series_is_limited_by_its_own_order(monkeypatch):
+    # only the order-3 eps-free subgroup is built, not the order-81 group
+    monkeypatch.setenv("STEENROD_LIMIT", "4")
+    A = milnor_quotient(3, 1).algebra
+    assert ev_subgroup_series(A, 1, 3).sizes == [3, 1]
+    with pytest.raises(GroupTheoryError):
+        enumerate_group(A, 1, 3)
+    monkeypatch.setenv("STEENROD_LIMIT", "2")
+    with pytest.raises(GroupTheoryError):
+        ev_subgroup_series(A, 1, 3)
 
 
 def test_level_zero_odd_group_is_elementary_abelian():

@@ -36,3 +36,9 @@ def test_cocommutativity_script_outside_repo(tmp_path):
     done = run_script("cocommutativity_minimality.py", "--p", "2", "--N", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "chain complete" in done.stdout
+
+
+def test_sweep_script_prime_outside_grid_is_usage_error(tmp_path):
+    done = run_script("sweep_finite_groups.py", "--p", "5", cwd=tmp_path)
+    assert done.returncode == 2
+    assert "choose from 2, 3" in done.stderr

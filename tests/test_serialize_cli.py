@@ -151,6 +151,16 @@ def test_cli_lcs(capsys):
     assert payload["ev"]["sizes"] == [3, 1]
 
 
+def test_cli_lcs_order_2401(capsys):
+    code, out = run_cli(capsys, "lcs", "--p", "7", "--n", "1", "--ev")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 2401
+    assert payload["sizes"] == [2401, 7, 1]
+    assert payload["class"] == 2 <= payload["bound"] == 2
+    assert payload["ev"]["sizes"] == [7, 1]
+
+
 def test_cli_sweep_csv(capsys):
     code, out = run_cli(capsys, "sweep", "--p", "2")
     assert code == 0
@@ -205,10 +215,47 @@ def test_cli_limit_env_respected(tmp_path, capsys, monkeypatch):
         ["milnor", "in-j", "--p", "2", "--k", "-1", "--R", "1"],
         ["milnor", "in-span", "--p", "4", "--R", "1"],
         ["hopf", "--preset", "A_angle", "--p", "2", "--k", "-1", "--N", "2"],
+        ["sweep", "--p", "5"],
+        ["sweep", "--p", "4"],
+        ["verify", "--samples", "-3"],
+        ["verify", "--samples", "0"],
+        ["verify", "--p", "4"],
+        ["verify", "--k", "-1"],
+        ["lcs", "--p", "4"],
+        ["lcs", "--n", "-1"],
     ],
 )
 def test_cli_bad_input_is_usage_error(capsys, argv):
     code = run(argv)
+    captured = capsys.readouterr()
+    assert code == USAGE_ERROR
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sweep_names_the_grid_primes(capsys):
+    assert run(["sweep", "--p", "5"]) == USAGE_ERROR
+    assert "choose from 2, 3" in capsys.readouterr().err
+
+
+# p = 2 series without a unit head: alpha_0 = 0, and no coefficient at all
+NON_UNIT_HEAD = {
+    "p": 2,
+    "k": 2,
+    "flavor": 0,
+    "algebra": {"p": 2, "generators": [{"name": "z1", "degree": 1, "cap": 4}]},
+    "coeffs": [[], [{"coeff": 1, "exponents": [1]}], []],
+}
+NO_HEAD = dict(NON_UNIT_HEAD, k=-1, coeffs=[])
+
+
+@pytest.mark.parametrize("g", [NON_UNIT_HEAD, NO_HEAD], ids=["zero-head", "no-head"])
+@pytest.mark.parametrize("command", ["invert", "compose", "commutator", "filtration", "rho"])
+def test_cli_non_unit_head_is_usage_error(tmp_path, capsys, command, g):
+    path = tmp_path / "g.json"
+    pair = command in ("compose", "commutator")
+    path.write_text(json.dumps({"a": g, "b": g} if pair else g))
+    code = run([command, "--in", str(path)])
     captured = capsys.readouterr()
     assert code == USAGE_ERROR
     assert "error:" in captured.err
