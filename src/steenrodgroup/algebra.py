@@ -3,12 +3,24 @@
 An algebra is presented by an ordered list of generators, each carrying a
 degree and a nilpotency cap (the smallest exponent that vanishes).  All
 relations in play are monomial, so caps are the whole relation data: a monomial whose
-exponent reaches a cap is zero.  Elements are sparse maps from exponent
-vectors to residues in 1..p-1, which gives a canonical normal form and exact
-equality.  The same normal form, keyed by pairs of exponent vectors, serves
-the tensor square in `hopf`; both element classes share the additive
-operations defined here, and `accumulate` is the one way to add terms into a
-normal-form dict.
+exponent reaches a cap is zero.  Elements are sparse maps from monomials to
+residues in 1..p-1, which gives a canonical normal form and exact equality.
+The same normal form, keyed by pairs of monomials, serves the tensor square
+in `hopf`; both element classes share the additive operations defined here,
+and `accumulate` is the one way to add terms into a normal-form dict.
+
+A monomial is a packed exponent vector (Monagan & Pearce, CASC 2007): one int
+with a bit field per generator and a guard bit above each field, generator 0
+in the most significant field, so integer order is the lexicographic order of
+exponent vectors.  The presentation fixes the layout once.  Multiplying
+monomials is one integer add; adding the cap bias sets a guard bit iff some
+exponent reached its cap; the Koszul sign is the parity of a mask of
+odd-generator bits (`koszul_mask`).  A capless generator gets a wide field,
+and an exponent that outgrows it raises AlgebraError instead of vanishing.
+Exponent vectors go in through `AlgebraPresentation.monomial` (or `pack`) and
+come back out through `AlgebraPresentation.exponents` only where a monomial
+is handed out: `repr`, the wire format, `component_monomials` and the
+boundaries of `hopf` and `milnor`.
 
 The exterior variable eps (degree -1, square zero) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation degenerates to
@@ -17,12 +29,12 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
-
-NO_CAP: Optional[int] = None
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 EPSILON = "eps"
+
+CAPLESS_BITS = 32  # value bits of a capless generator's field
 
 
 class AlgebraError(Exception):
@@ -31,6 +43,10 @@ class AlgebraError(Exception):
 
 class EnumerationError(AlgebraError):
     """Raised when a graded component cannot be enumerated finitely."""
+
+
+def capless_overflow():
+    raise AlgebraError(f"exponent of a capless generator reaches 2^{CAPLESS_BITS}")
 
 
 def is_prime(n: int) -> bool:
@@ -51,10 +67,26 @@ class Generator:
     cap: Optional[int]  # smallest vanishing exponent, None = no cap
 
 
+def _layout():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class AlgebraPresentation:
     p: int
     generators: tuple[Generator, ...]
+    # packed-monomial layout, set once in __post_init__: (shift, value mask)
+    # of each generator's field; the bias whose add sets a field's guard bit
+    # iff its exponent reaches the cap; the guard bits (those of capless
+    # fields again in `wide`); the value bits of the odd generators (none for
+    # p = 2, where signs vanish); the value field of eps (0 when absent)
+    fields: tuple = _layout()
+    bias: int = _layout()
+    guard: int = _layout()
+    wide: int = _layout()
+    odd: int = _layout()
+    eps: int = _layout()
+    _frobenius_bias: dict = _layout()  # q -> bias for exponents times q
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -62,14 +94,27 @@ class AlgebraPresentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator names")
-        for g in self.generators:
-            if g.cap is not None and g.cap < 1:
-                raise AlgebraError(f"cap of {g.name} must be >= 1")
+        fields, bias, guard, wide, odd, eps, shift = [], 0, 0, 0, 0, 0, 0
+        for g in reversed(self.generators):
+            if g.cap is not None and (type(g.cap) is not int or g.cap < 1):
+                raise AlgebraError(f"cap of {g.name} must be an integer >= 1")
+            if self.p != 2 and g.degree % 2 == 1 and (g.cap is None or g.cap > 2):
+                raise AlgebraError(f"odd generator {g.name} must have cap <= 2 (use mk_algebra)")
+            width = CAPLESS_BITS if g.cap is None else max(1, (g.cap - 1).bit_length())
+            guard |= 1 << (shift + width)
+            if g.cap is None:
+                wide |= 1 << (shift + width)
+            else:
+                bias |= ((1 << width) - g.cap) << shift
             if self.p != 2 and g.degree % 2 == 1:
-                if g.cap is None or g.cap > 2:
-                    raise AlgebraError(
-                        f"odd generator {g.name} must have cap <= 2 (use mk_algebra)"
-                    )
+                odd |= 1 << shift
+            if g.name == EPSILON:
+                eps = ((1 << width) - 1) << shift
+            fields.insert(0, (shift, (1 << width) - 1))
+            shift += width + 1
+        layout = (tuple(fields), bias, guard, wide, odd, eps, {})
+        for name, value in zip(("fields", "bias", "guard", "wide", "odd", "eps", "_frobenius_bias"), layout):
+            object.__setattr__(self, name, value)
 
     @property
     def ngens(self) -> int:
@@ -83,14 +128,44 @@ class AlgebraPresentation:
 
     @property
     def has_epsilon(self) -> bool:
-        return any(g.name == EPSILON for g in self.generators)
+        return self.eps != 0
 
     @property
     def epsilon_index(self) -> int:
         return self.index(EPSILON)
 
-    def is_odd(self, i: int) -> bool:
-        return self.generators[i].degree % 2 == 1
+    # -- packed monomials -----------------------------------------------------
+
+    def pack(self, exponents: Iterable[int]) -> Optional[int]:
+        """The packed monomial of an exponent vector; None if a cap kills it."""
+        mono = tuple(exponents)
+        if len(mono) != self.ngens:
+            raise AlgebraError("exponent vector has wrong length")
+        m = 0
+        for e, g, (shift, mask) in zip(mono, self.generators, self.fields):
+            if e < 0 or (g.cap is not None and e >= g.cap):
+                return None
+            if e > mask:
+                capless_overflow()
+            m |= e << shift
+        return m
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent vector of a packed monomial."""
+        return tuple([(m >> shift) & mask for shift, mask in self.fields])
+
+    def mono_degree(self, m: int) -> int:
+        return sum(e * g.degree for e, g in zip(self.exponents(m), self.generators))
+
+    def frobenius_bias(self, q: int) -> int:
+        """The bias whose add sets a guard bit iff some exponent times q reaches
+        its cap (2^CAPLESS_BITS for a capless generator)."""
+        if q not in self._frobenius_bias:
+            self._frobenius_bias[q] = sum(  # per field: mask + 1 - ceil(cap / q)
+                (mask + 1 + -(g.cap or mask + 1) // q) << shift
+                for g, (shift, mask) in zip(self.generators, self.fields)
+            )
+        return self._frobenius_bias[q]
 
     # -- element constructors -------------------------------------------------
 
@@ -104,36 +179,18 @@ class AlgebraPresentation:
         c %= self.p
         if c == 0:
             return self.zero()
-        return AlgebraElement(self, {(0,) * self.ngens: c})
+        return AlgebraElement(self, {0: c})
 
     def gen(self, name: str, exp: int = 1) -> "AlgebraElement":
         i = self.index(name)
-        cap = self.generators[i].cap
-        if cap is not None and exp >= cap:
-            return self.zero()
-        mono = [0] * self.ngens
-        mono[i] = exp
-        return AlgebraElement(self, {tuple(mono): 1})
+        return self.monomial(exp if j == i else 0 for j in range(self.ngens))
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "AlgebraElement":
-        mono = tuple(exponents)
-        if len(mono) != self.ngens:
-            raise AlgebraError("exponent vector has wrong length")
+        m = self.pack(exponents)
         coeff %= self.p
-        if coeff == 0 or not self.mono_in_caps(mono):
+        if coeff == 0 or m is None:
             return self.zero()
-        return AlgebraElement(self, {mono: coeff})
-
-    def mono_in_caps(self, mono: tuple[int, ...]) -> bool:
-        for e, g in zip(mono, self.generators):
-            if e < 0:
-                return False
-            if g.cap is not None and e >= g.cap:
-                return False
-        return True
-
-    def mono_degree(self, mono: tuple[int, ...]) -> int:
-        return sum(e * g.degree for e, g in zip(mono, self.generators))
+        return AlgebraElement(self, {m: coeff})
 
 
 def mk_algebra(p: int, generators: Iterable[tuple[str, int, Optional[int]]]) -> AlgebraPresentation:
@@ -158,28 +215,18 @@ def adjoin_epsilon(a: AlgebraPresentation) -> AlgebraPresentation:
 # -- monomial arithmetic ------------------------------------------------------
 
 
-def mono_mul(pres: AlgebraPresentation, m1: tuple[int, ...], m2: tuple[int, ...]):
-    """Merge two exponent vectors; returns (mono, sign) or None if a cap kills it."""
-    merged = tuple(a + b for a, b in zip(m1, m2))
-    if not pres.mono_in_caps(merged):
-        return None
-    if pres.p == 2:
-        return merged, 1
-    # Koszul sign: move each odd factor of m2 left past the odd factors of m1
-    # sitting at later positions.  Odd exponents are 0 or 1 by the cap rule.
-    inversions = 0
-    n = pres.ngens
-    odd_after = [0] * n  # odd factors of m1 strictly after position i
-    count = 0
-    for i in range(n - 1, -1, -1):
-        odd_after[i] = count
-        if pres.is_odd(i) and m1[i] % 2 == 1:
-            count += 1
-    for j in range(n):
-        if pres.is_odd(j) and m2[j] % 2 == 1:
-            inversions += odd_after[j]
-    sign = -1 if inversions % 2 == 1 else 1
-    return merged, sign
+def koszul_mask(odd: int, m: int) -> int:
+    """The odd-generator bits with an odd number of odd factors of m below them.
+
+    An odd factor of m2 moves left past the odd factors of m1 in the fields
+    below its own, so m1 * m2 has sign (-1)^popcount(koszul_mask(odd, m1) & m2).
+    """
+    o, mask = m & odd, 0
+    while o:
+        low = o & -o
+        mask ^= -(low << 1)  # every bit above low
+        o ^= low
+    return mask & odd
 
 
 # -- sparse normal form ---------------------------------------------------------
@@ -203,6 +250,8 @@ def _check_same(x, y):
 
 def sparse_add(self, other):
     _check_same(self, other)
+    if not other.terms:
+        return self
     return type(self)(self.pres, accumulate(dict(self.terms), other.terms.items(), self.pres.p))
 
 
@@ -255,7 +304,7 @@ class AlgebraElement:
         return degs.pop()
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.pres.ngens, 0)
+        return self.terms.get(0, 0)
 
     def key(self):
         """Canonical hashable form, usable for dedup and golden comparison."""
@@ -264,7 +313,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.pres == other.pres and self.terms == other.terms
+        return (self.pres is other.pres or self.pres == other.pres) and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
@@ -276,7 +325,7 @@ class AlgebraElement:
         for mono, c in sorted(self.terms.items()):
             factors = [
                 g.name + (f"^{e}" if e > 1 else "")
-                for g, e in zip(self.pres.generators, mono)
+                for g, e in zip(self.pres.generators, self.pres.exponents(mono))
                 if e
             ]
             body = "*".join(factors) if factors else "1"
@@ -288,19 +337,24 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
         pres = self.pres
-        p = pres.p
+        if not other.terms:
+            return other
+        p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
         terms: dict = {}
         for m1, c1 in self.terms.items():
+            passed = koszul_mask(odd, m1)
             for m2, c2 in other.terms.items():
-                hit = mono_mul(pres, m1, m2)
-                if hit is None:
+                m = m1 + m2
+                if (m + bias) & guard:
+                    if m & wide:
+                        capless_overflow()
                     continue
-                mono, sign = hit
-                v = (terms.get(mono, 0) + sign * c1 * c2) % p
+                c = -c1 * c2 if (passed & m2).bit_count() & 1 else c1 * c2
+                v = (terms.get(m, 0) + c) % p
                 if v:
-                    terms[mono] = v
+                    terms[m] = v
                 else:
-                    terms.pop(mono, None)
+                    del terms[m]
         return AlgebraElement(pres, terms)
 
 
@@ -308,29 +362,29 @@ def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
     """x ** (p**j), computed termwise (freshman's dream in characteristic p)."""
     if j < 0:
         raise AlgebraError("negative Frobenius power")
-    if j == 0:
+    if j == 0 or not x.terms:
         return x
     pres = x.pres
     q = pres.p ** j
+    bias, guard, wide = pres.frobenius_bias(q), pres.guard, pres.wide
     terms: dict = {}
-    for mono, c in x.terms.items():
-        scaled = tuple(e * q for e in mono)
-        if not pres.mono_in_caps(scaled):
+    for m, c in x.terms.items():
+        if (m + bias) & guard:
+            if (m + bias) & wide:
+                capless_overflow()
             continue
-        # c^q = c mod p; no Koszul sign: odd generators die under q >= 2
-        terms[scaled] = (terms.get(scaled, 0) + c) % pres.p
-        if terms[scaled] == 0:
-            del terms[scaled]
+        # m * q scales every field and keeps monomials apart; c^q = c mod p;
+        # no Koszul sign: odd generators die under q >= 2
+        terms[m * q] = c
     return AlgebraElement(pres, terms)
 
 
 def eps_reduce(x: AlgebraElement) -> AlgebraElement:
     """Delete every monomial containing eps (identity when eps is absent)."""
-    pres = x.pres
-    if not pres.has_epsilon:
+    eps = x.pres.eps
+    if not eps:
         return x
-    i = pres.epsilon_index
-    return AlgebraElement(pres, {m: c for m, c in x.terms.items() if m[i] == 0})
+    return AlgebraElement(x.pres, {m: c for m, c in x.terms.items() if not m & eps})
 
 
 def eps_part(x: AlgebraElement) -> AlgebraElement:
@@ -338,16 +392,9 @@ def eps_part(x: AlgebraElement) -> AlgebraElement:
     pres = x.pres
     if not pres.has_epsilon:
         return pres.zero()
-    i = pres.epsilon_index
-    terms = {}
-    for m, c in x.terms.items():
-        if m[i] == 0:
-            continue
-        stripped = m[:i] + (0,) + m[i + 1 :]
-        # x = a + b*eps with monomials written eps-last, so the coefficient
-        # transfers without sign
-        terms[stripped] = c
-    return AlgebraElement(pres, terms)
+    # x = a + b*eps with monomials written eps-last, so the coefficient
+    # transfers without sign
+    return AlgebraElement(pres, {m & ~pres.eps: c for m, c in x.terms.items() if m & pres.eps})
 
 
 def times_eps(x: AlgebraElement) -> AlgebraElement:
@@ -432,26 +479,3 @@ def enumerate_component(a: AlgebraPresentation, d: int) -> list[AlgebraElement]:
                 new.append(x + a.monomial(mono, c))
         out.extend(new)
     return out
-
-
-def monomials_up_to_degree(a: AlgebraPresentation, d: int) -> Iterator[tuple[int, ...]]:
-    """All normal-form monomials of degree <= d (positive-degree presentations)."""
-    if any(g.degree <= 0 for g in a.generators):
-        raise EnumerationError("requires strictly positive generator degrees")
-    gens = a.generators
-    n = len(gens)
-    mono = [0] * n
-
-    def walk(i: int, budget: int):
-        if i == n:
-            yield tuple(mono)
-            return
-        g = gens[i]
-        e = 0
-        while e * g.degree <= budget and (g.cap is None or e < g.cap):
-            mono[i] = e
-            yield from walk(i + 1, budget - e * g.degree)
-            mono[i] = 0
-            e += 1
-
-    yield from walk(0, d)

@@ -45,6 +45,8 @@ class GroupElement:
     coeffs: tuple[AlgebraElement, ...]
 
     def __post_init__(self):
+        if self.k < 0:
+            raise GroupError("truncation k must be >= 0")
         if len(self.coeffs) != self.k + 1:
             raise GroupError("coefficient list must have length k+1")
         if self.level < 0:

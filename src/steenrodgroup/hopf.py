@@ -25,12 +25,14 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     AlgebraPresentation,
+    EnumerationError,
     Generator,
     accumulate,
     adjoin_epsilon,
+    capless_overflow,
+    component_monomials,
     frobenius,
-    mono_mul,
-    monomials_up_to_degree,
+    koszul_mask,
     sparse_add,
     sparse_neg,
     sparse_scale,
@@ -76,12 +78,18 @@ def default_degree_cap(p: int, N: int = 4) -> int:
     return 2 * (p**N - 1)
 
 
-def _synthetic_cap(degree: int, D: int) -> int:
-    # smallest cap that keeps every monomial of degree <= D representable
-    return D // degree + 1
+def _synthetic(name: str, degree: int, D: int) -> Generator:
+    # the smallest cap that keeps every monomial of degree <= D representable
+    return Generator(name, degree, D // degree + 1)
 
 
-def _build(p, N, D, shift, gens, label) -> HopfPresentation:
+def _exterior(p: int, indices) -> list[Generator]:
+    return [Generator(f"t{i}", 2 * p**i - 1, 2) for i in indices]
+
+
+def _build(p, N, shift, gens, label, D=None) -> HopfPresentation:
+    if D is None:  # a finite quotient: its top degree
+        D = max(sum((g.cap - 1) * g.degree for g in gens), 0)
     return HopfPresentation(p, N, D, shift, AlgebraPresentation(p, tuple(gens)), label)
 
 
@@ -89,44 +97,29 @@ def dual_steenrod(p: int, N: int = 4, D: Optional[int] = None) -> HopfPresentati
     """The full dual algebra, truncated at generator bound N and degree D."""
     if D is None:
         D = default_degree_cap(p, N)
-    gens = []
     if p == 2:
-        for i in range(1, N + 1):
-            deg = 2**i - 1
-            gens.append(Generator(f"z{i}", deg, _synthetic_cap(deg, D)))
+        gens = [_synthetic(f"z{i}", 2**i - 1, D) for i in range(1, N + 1)]
     else:
-        for i in range(0, N + 1):
-            gens.append(Generator(f"t{i}", 2 * p**i - 1, 2))
-        for i in range(1, N + 1):
-            deg = 2 * (p**i - 1)
-            gens.append(Generator(f"x{i}", deg, _synthetic_cap(deg, D)))
-    return _build(p, N, D, 0, gens, f"A_dual(p={p})")
+        gens = _exterior(p, range(N + 1))
+        gens += [_synthetic(f"x{i}", 2 * (p**i - 1), D) for i in range(1, N + 1)]
+    return _build(p, N, 0, gens, f"A_dual(p={p})", D)
 
 
 def milnor_quotient(p: int, n: int) -> HopfPresentation:
     """The finite quotient dual to the length-n subalgebra of operations."""
-    gens = []
     if p == 2:
-        for i in range(1, n + 1):
-            gens.append(Generator(f"z{i}", 2**i - 1, 2 ** (n - i + 1)))
+        gens = [Generator(f"z{i}", 2**i - 1, 2 ** (n - i + 1)) for i in range(1, n + 1)]
     else:
-        for i in range(0, n + 1):
-            gens.append(Generator(f"t{i}", 2 * p**i - 1, 2))
-        for i in range(1, n + 1):
-            gens.append(Generator(f"x{i}", 2 * (p**i - 1), p ** (n - i + 1)))
-    D = sum((g.cap - 1) * g.degree for g in gens)
-    return _build(p, n, max(D, 0), 0, gens, f"A({n})")
+        gens = _exterior(p, range(n + 1)) + list(milnor_quotient_ev(p, n).algebra.generators)
+    return _build(p, n, 0, gens, f"A({n})")
 
 
 def milnor_quotient_ev(p: int, n: int) -> HopfPresentation:
     """Polynomial part of milnor_quotient (odd p)."""
     if p == 2:
         raise HopfError("the even subalgebra split is an odd-p notion")
-    gens = [
-        Generator(f"x{i}", 2 * (p**i - 1), p ** (n - i + 1)) for i in range(1, n + 1)
-    ]
-    D = sum((g.cap - 1) * g.degree for g in gens)
-    return _build(p, n, max(D, 0), 0, gens, f"A_ev({n})")
+    gens = [Generator(f"x{i}", 2 * (p**i - 1), p ** (n - i + 1)) for i in range(1, n + 1)]
+    return _build(p, n, 0, gens, f"A_ev({n})")
 
 
 def level_algebra(p: int, k: int, N: int = 4, D: Optional[int] = None) -> HopfPresentation:
@@ -135,55 +128,34 @@ def level_algebra(p: int, k: int, N: int = 4, D: Optional[int] = None) -> HopfPr
         return dual_steenrod(p, N, D)
     if D is None:
         D = default_degree_cap(p, N) * p**k
-    gens = []
     if p == 2:
-        for i in range(1, N + 1):
-            deg = 2**k * (2**i - 1)
-            gens.append(Generator(f"z{i}", deg, _synthetic_cap(deg, D)))
+        gens = [_synthetic(f"z{i}", 2**k * (2**i - 1), D) for i in range(1, N + 1)]
     else:
-        if k == 1:
-            gens.append(Generator("t0", 1, 2))
-        for i in range(1, N + 1):
-            deg = 2 * p**k * (p**i - 1)
-            gens.append(Generator(f"x{i}", deg, _synthetic_cap(deg, D)))
-    return _build(p, N, D, k, gens, f"A_angle({k})")
+        gens = _exterior(p, [0] if k == 1 else [])
+        gens += [_synthetic(f"x{i}", 2 * p**k * (p**i - 1), D) for i in range(1, N + 1)]
+    return _build(p, N, k, gens, f"A_angle({k})", D)
 
 
 def level_mod_I(p: int, k: int, N: int = 4) -> HopfPresentation:
     """Quotient of the level-k algebra by the minimal cocommutativity ideal."""
-    gens = []
     if p == 2:
-        for i in range(1, N + 1):
-            gens.append(Generator(f"z{i}", 2**k * (2**i - 1), 2))
-    elif k == 0:
-        for i in range(1, N + 1):
-            gens.append(Generator(f"t{i}", 2 * p**i - 1, 2))
-        for i in range(1, N + 1):
-            gens.append(Generator(f"x{i}", 2 * (p**i - 1), p))
+        gens = [Generator(f"z{i}", 2**k * (2**i - 1), 2) for i in range(1, N + 1)]
     else:
-        if k == 1:
-            gens.append(Generator("t0", 1, 2))
-        for i in range(1, N + 1):
-            gens.append(Generator(f"x{i}", 2 * p**k * (p**i - 1), p))
-    D = sum((g.cap - 1) * g.degree for g in gens)
-    return _build(p, N, max(D, 0), k, gens, f"A_mod_I({k})")
+        gens = _exterior(p, range(1, N + 1) if k == 0 else [0] if k == 1 else [])
+        gens += [Generator(f"x{i}", 2 * p**k * (p**i - 1), p) for i in range(1, N + 1)]
+    return _build(p, N, k, gens, f"A_mod_I({k})")
 
 
 def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
     """Quotient of the full dual algebra by the extended level-k ideal."""
-    gens = []
     if p == 2:
-        for i in range(1, N + 1):
-            gens.append(Generator(f"z{i}", 2**i - 1, 2 ** (k + 1)))
+        gens = [Generator(f"z{i}", 2**i - 1, 2 ** (k + 1)) for i in range(1, N + 1)]
     elif k == 0:
         return level_mod_I(p, 0, N)
     else:
-        for i in range(0, N + 1):
-            gens.append(Generator(f"t{i}", 2 * p**i - 1, 2))
-        for i in range(1, N + 1):
-            gens.append(Generator(f"x{i}", 2 * (p**i - 1), p ** (k + 1)))
-    D = sum((g.cap - 1) * g.degree for g in gens)
-    return _build(p, N, max(D, 0), 0, gens, f"A_mod_J({k})")
+        gens = _exterior(p, range(N + 1))
+        gens += [Generator(f"x{i}", 2 * (p**i - 1), p ** (k + 1)) for i in range(1, N + 1)]
+    return _build(p, N, 0, gens, f"A_mod_J({k})")
 
 
 # -- tensor square -------------------------------------------------------------
@@ -192,7 +164,7 @@ def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
 class TensorElement:
     """Sparse element of the two-fold tensor square, with Koszul signs.
 
-    Terms are keyed by pairs of exponent vectors, in the normal form of
+    Terms are keyed by pairs of packed monomials, in the normal form of
     `algebra`, whose additive operations are shared with AlgebraElement.
     """
 
@@ -228,51 +200,51 @@ class TensorElement:
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self.pres == other.pres and self.terms == other.terms
+        return (self.pres is other.pres or self.pres == other.pres) and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         pres = self.pres
-        p = pres.p
+        p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
         terms: dict = {}
         for (a1, b1), c1 in self.terms.items():
-            deg_b1 = pres.mono_degree(b1)
+            # a2 moves left past b1, then each side takes its Koszul sign
+            pa = koszul_mask(odd, a1) ^ (odd if (b1 & odd).bit_count() & 1 else 0)
+            pb = koszul_mask(odd, b1)
             for (a2, b2), c2 in other.terms.items():
-                left = mono_mul(pres, a1, a2)
-                if left is None:
+                a = a1 + a2
+                b = b1 + b2
+                if ((a + bias) | (b + bias)) & guard:
+                    if (a | b) & wide:
+                        capless_overflow()
                     continue
-                right = mono_mul(pres, b1, b2)
-                if right is None:
-                    continue
-                sign = left[1] * right[1]
-                if deg_b1 % 2 == 1 and pres.mono_degree(a2) % 2 == 1:
-                    sign = -sign
-                key = (left[0], right[0])
-                v = (terms.get(key, 0) + sign * c1 * c2) % p
+                c = -c1 * c2 if ((pa & a2).bit_count() + (pb & b2).bit_count()) & 1 else c1 * c2
+                v = (terms.get((a, b), 0) + c) % p
                 if v:
-                    terms[key] = v
+                    terms[a, b] = v
                 else:
-                    terms.pop(key, None)
+                    del terms[a, b]
         return TensorElement(pres, terms)
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        exps = self.pres.exponents
         return " + ".join(
-            f"{c}*{m1}(x){m2}" for (m1, m2), c in sorted(self.terms.items())
+            f"{c}*{exps(m1)}(x){exps(m2)}" for (m1, m2), c in sorted(self.terms.items())
         )
 
 
 def switch(t: TensorElement) -> TensorElement:
     """The switching map x(x)y -> (-1)^(|x||y|) y(x)x."""
-    pres = t.pres
-    pairs = []
-    for (m1, m2), c in t.terms.items():
-        odd = pres.mono_degree(m1) % 2 == 1 and pres.mono_degree(m2) % 2 == 1
-        pairs.append(((m2, m1), -c if odd else c))
-    return TensorElement(pres, accumulate({}, pairs, pres.p))
+    odd = t.pres.odd
+    pairs = (
+        ((m2, m1), -c if (m1 & odd).bit_count() & (m2 & odd).bit_count() & 1 else c)
+        for (m1, m2), c in t.terms.items()
+    )
+    return TensorElement(t.pres, accumulate({}, pairs, t.pres.p))
 
 
 # -- structure maps ------------------------------------------------------------
@@ -282,7 +254,7 @@ def _gen_kind_index(name: str) -> tuple[str, int]:
     return name[0], int(name[1:])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
     """Coproduct of one generator; quotient caps kill the out-of-range terms."""
     alg = hp.algebra
@@ -309,24 +281,20 @@ def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
 
 def _maybe_gen(hp: HopfPresentation, name: str, exp: int = 1) -> AlgebraElement:
     """gen(name)^exp, or zero when the quotient presentation lacks the generator."""
-    if not hp.has_gen(name):
-        return hp.algebra.zero()
-    return hp.algebra.gen(name, exp)
+    return hp.algebra.gen(name, exp) if hp.has_gen(name) else hp.algebra.zero()
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> TensorElement:
     """Multiplicative extension of the generator coproducts."""
     alg = hp.algebra
-    if check_cap:
-        cap = hp.degree_cap
-        for mono in x.terms:
-            if alg.mono_degree(mono) > cap:
-                raise HopfError(f"degree {alg.mono_degree(mono)} exceeds cap D={hp.D}")
+    top = max(map(alg.mono_degree, x.terms), default=0) if check_cap else 0
+    if top > hp.degree_cap:
+        raise HopfError(f"degree {top} exceeds cap D={hp.D}")
     acc = TensorElement.zero(alg)
     one = TensorElement.of(alg.one(), alg.one())
     for mono, c in x.terms.items():
         term = one
-        for g, e in zip(alg.generators, mono):
+        for g, e in zip(alg.generators, alg.exponents(mono)):
             if e == 0:
                 continue
             mg = coproduct_gen(hp, g.name)
@@ -336,7 +304,7 @@ def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> T
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
     """Conjugation on one generator, by the defining recursions."""
     alg = hp.algebra
@@ -369,7 +337,7 @@ def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     acc = alg.zero()
     for mono, c in x.terms.items():
         term = alg.scalar(c)
-        for g, e in zip(alg.generators, mono):
+        for g, e in zip(alg.generators, alg.exponents(mono)):
             if e == 0:
                 continue
             ig = antipode_gen(hp, g.name)
@@ -390,12 +358,17 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     """(mu (x) id) mu(x) - (id (x) mu) mu(x) as a sparse triple-tensor."""
     alg = hp.algebra
     mu = coproduct(hp, x)
+    memo: dict = {}  # monomial -> its coproduct's terms, for this call only
+
+    def delta(m):
+        if m not in memo:
+            memo[m] = coproduct(hp, AlgebraElement(alg, {m: 1}), check_cap=False).terms
+        return memo[m].items()
+
     terms: dict = {}
     for (m1, m2), c in mu.terms.items():
-        inner = coproduct(hp, AlgebraElement(alg, {m1: 1}), check_cap=False)
-        accumulate(terms, (((a, b, m2), c * c2) for (a, b), c2 in inner.terms.items()), alg.p)
-        inner = coproduct(hp, AlgebraElement(alg, {m2: 1}), check_cap=False)
-        accumulate(terms, (((m1, a, b), -c * c2) for (a, b), c2 in inner.terms.items()), alg.p)
+        accumulate(terms, (((a, b, m2), c * c2) for (a, b), c2 in delta(m1)), alg.p)
+        accumulate(terms, (((m1, a, b), -c * c2) for (a, b), c2 in delta(m2)), alg.p)
     return terms
 
 
@@ -403,13 +376,11 @@ def counit_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement,
     """((counit (x) id) mu(x) - x, (id (x) counit) mu(x) - x)."""
     alg = hp.algebra
     mu = coproduct(hp, x)
-    left = alg.zero()
-    right = alg.zero()
-    empty = (0,) * alg.ngens
+    left = right = alg.zero()
     for (m1, m2), c in mu.terms.items():
-        if m1 == empty:
+        if m1 == 0:
             left = left + AlgebraElement(alg, {m2: c})
-        if m2 == empty:
+        if m2 == 0:
             right = right + AlgebraElement(alg, {m1: c})
     return left - x, right - x
 
@@ -418,8 +389,7 @@ def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElemen
     """(m(iota (x) id) mu(x) - counit(x) 1,  m(id (x) iota) mu(x) - counit(x) 1)."""
     alg = hp.algebra
     mu = coproduct(hp, x)
-    left = alg.zero()
-    right = alg.zero()
+    left = right = alg.zero()
     for (m1, m2), c in mu.terms.items():
         e1 = AlgebraElement(alg, {m1: c})
         e2 = AlgebraElement(alg, {m2: 1})
@@ -485,23 +455,27 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
             raise HopfError("ideal generators must be single monomials")
         gen_monos.append(next(iter(g.terms)))
 
-    def in_ideal(mono) -> bool:
-        return any(all(a >= b for a, b in zip(mono, gm)) for gm in gen_monos)
+    def in_ideal(m) -> bool:
+        # m divisible by gm: no field of m | guard borrows when gm is subtracted
+        return any(((m | alg.guard) - gm) & alg.guard == alg.guard for gm in gen_monos)
 
-    for mono in monomials_up_to_degree(alg, d):
-        if not in_ideal(mono):
+    if any(g.degree <= 0 for g in alg.generators):
+        raise EnumerationError("requires strictly positive generator degrees")
+    for mono in (mono for deg in range(d + 1) for mono in component_monomials(alg, deg)):
+        m = alg.pack(mono)
+        if not in_ideal(m):
             continue
-        x = AlgebraElement(alg, {mono: 1})
+        x = AlgebraElement(alg, {m: 1})
         if counit(x) != 0:
             return False, (mono, "counit")
         mu = coproduct(hp, x, check_cap=False)
         for (m1, m2), c in mu.terms.items():
             if not in_ideal(m1) and not in_ideal(m2):
-                return False, (mono, "coproduct", (m1, m2, c))
+                return False, (mono, "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
         conj = antipode(hp, x)
         for m in conj.terms:
             if not in_ideal(m):
-                return False, (mono, "antipode", m)
+                return False, (mono, "antipode", alg.exponents(m))
     return True, None
 
 
@@ -533,7 +507,8 @@ class GeneratorAssignment:
 
     def eval_monomial(self, mono) -> AlgebraElement:
         out = self.target.one()
-        for g, e in zip(self.hopf.algebra.generators, mono):
+        alg = self.hopf.algebra
+        for g, e in zip(alg.generators, alg.exponents(mono)):
             for _ in range(e):
                 out = out * self.value(g.name)
         return out
@@ -590,7 +565,8 @@ def embed(x: AlgebraElement, big: AlgebraPresentation) -> AlgebraElement:
     extra = big.ngens - x.pres.ngens
     if extra < 0 or big.generators[: x.pres.ngens] != x.pres.generators:
         raise AlgebraError("not an append-only extension")
-    return AlgebraElement(big, {m + (0,) * extra: c for m, c in x.terms.items()})
+    exps = x.pres.exponents
+    return AlgebraElement(big, {big.pack(exps(m) + (0,) * extra): c for m, c in x.terms.items()})
 
 
 def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:

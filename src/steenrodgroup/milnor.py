@@ -179,7 +179,7 @@ def kronecker_pair_element(sym: DualSymbol, x: AlgebraElement, hp: HopfPresentat
     for mono, c in x.terms.items():
         E = [0] * (hp.N + 1)
         R = [0] * hp.N
-        for g, e in zip(alg.generators, mono):
+        for g, e in zip(alg.generators, alg.exponents(mono)):
             if e == 0:
                 continue
             kind, i = g.name[0], int(g.name[1:])

@@ -26,9 +26,10 @@ from .hopf import GeneratorAssignment, HopfPresentation
 SPARSE_TERMS = 3
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _monos(pres: AlgebraPresentation, d: int) -> tuple:
-    return tuple(component_monomials(pres, d))
+    """The packed basis monomials of the degree-d component."""
+    return tuple(pres.pack(m) for m in component_monomials(pres, d))
 
 
 def random_homogeneous(
@@ -42,9 +43,8 @@ def random_homogeneous(
         monos = _monos(pres, d)
     except EnumerationError:
         return _random_sparse(rng, pres, d, eps_free)
-    if eps_free and pres.has_epsilon:
-        i = pres.epsilon_index
-        monos = tuple(m for m in monos if m[i] == 0)
+    if eps_free:
+        monos = tuple(m for m in monos if not m & pres.eps)
     terms = {}
     for m in monos:
         c = rng.randrange(pres.p)
@@ -63,12 +63,12 @@ def _random_sparse(rng, pres, d, eps_free):
         for g in pres.generators:
             hi = (g.cap - 1) if g.cap is not None else 3
             mono.append(rng.randint(0, hi))
-        m = tuple(mono)
+        m = pres.pack(mono)
         if pres.mono_degree(m) != d:
             continue
-        if eps_free and pres.has_epsilon and m[pres.epsilon_index] != 0:
+        if eps_free and m & pres.eps:
             continue
-        acc = acc + pres.monomial(m, rng.randrange(1, pres.p))
+        acc = acc + pres.monomial(mono, rng.randrange(1, pres.p))
     return acc
 
 

@@ -41,7 +41,7 @@ def presentation_from_obj(obj: dict) -> AlgebraPresentation:
 
 def element_to_obj(x: AlgebraElement) -> list:
     return [
-        {"coeff": c, "exponents": list(m)} for m, c in sorted(x.terms.items())
+        {"coeff": c, "exponents": list(x.pres.exponents(m))} for m, c in sorted(x.terms.items())
     ]
 
 

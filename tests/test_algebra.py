@@ -43,6 +43,12 @@ def test_non_prime_rejected():
         mk_algebra(4, [("a", 1, 2)])
 
 
+def test_non_integer_cap_rejected():
+    # a cap is a field width of the packed monomial, so 4.0 cannot stand in for 4
+    with pytest.raises(AlgebraError):
+        mk_algebra(2, [("a", 1, 4.0)])
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(AlgebraError):
         mk_algebra(2, [("a", 1, 2), ("a", 3, 2)])

@@ -91,6 +91,13 @@ def test_split_inverse_requires_odd_base():
         invert_split(g)
 
 
+def test_negative_truncation_is_rejected():
+    # k = -1 with no coefficients passed the length check, and
+    # invert_recursive then failed with IndexError on the missing head
+    with pytest.raises(GroupError):
+        GroupElement(3, -1, 0, alg3(), ())
+
+
 # -- group laws ----------------------------------------------------------------
 
 

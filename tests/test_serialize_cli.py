@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +211,29 @@ def test_cli_limit_env_respected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STEENROD_LIMIT", "5")
     code, _ = run_cli(capsys, "lcs", "--p", "3", "--n", "1")
     assert code == USAGE_ERROR
+
+
+def test_cli_hopf_work_is_bounded_before_any_coproduct(capsys, monkeypatch):
+    # A_dual at p = 3, N = 9 multiplies out x1^6561 and ran for minutes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "steenrodgroup.cli", "hopf", "--preset", "A_dual", "--p", "3", "--N", "9"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == USAGE_ERROR and done.stdout == ""
+    assert "error:" in done.stderr and "STEENROD_LIMIT" in done.stderr
+    assert time.monotonic() - started < 10
+    # the bound is the same limit as for group sizes, so it can be raised
+    monkeypatch.setenv("STEENROD_LIMIT", "197")
+    assert run(["hopf", "--preset", "A_dual", "--p", "3", "--N", "3"]) == USAGE_ERROR
+    monkeypatch.setenv("STEENROD_LIMIT", "198")
+    assert run(["hopf", "--preset", "A_dual", "--p", "3", "--N", "3"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
