@@ -79,14 +79,17 @@ class AlgebraPresentation:
     # of each generator's field; the bias whose add sets a field's guard bit
     # iff its exponent reaches the cap; the guard bits (those of capless
     # fields again in `wide`); the value bits of the odd generators (none for
-    # p = 2, where signs vanish); the value field of eps (0 when absent)
+    # p = 2, where signs vanish); the value field of eps (0 when absent); the
+    # bit width of a monomial
     fields: tuple = _layout()
     bias: int = _layout()
     guard: int = _layout()
     wide: int = _layout()
     odd: int = _layout()
     eps: int = _layout()
+    width: int = _layout()
     _frobenius_bias: dict = _layout()  # q -> bias for exponents times q
+    _square: list = _layout()  # the tensor square, once built
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -112,8 +115,9 @@ class AlgebraPresentation:
                 eps = ((1 << width) - 1) << shift
             fields.insert(0, (shift, (1 << width) - 1))
             shift += width + 1
-        layout = (tuple(fields), bias, guard, wide, odd, eps, {})
-        for name, value in zip(("fields", "bias", "guard", "wide", "odd", "eps", "_frobenius_bias"), layout):
+        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, {}, [])
+        names = ("fields", "bias", "guard", "wide", "odd", "eps", "width", "_frobenius_bias", "_square")
+        for name, value in zip(names, layout):
             object.__setattr__(self, name, value)
 
     @property
@@ -166,6 +170,19 @@ class AlgebraPresentation:
                 for g, (shift, mask) in zip(self.generators, self.fields)
             )
         return self._frobenius_bias[q]
+
+    def square(self) -> "AlgebraPresentation":
+        """A (x) A, built on first use: the generators in the high fields, then
+        a primed copy below them, so a (x) b is the monomial (a << width) | b.
+
+        Its caps are A's caps on each side, and its Koszul sign is the tensor
+        sign: (a1 (x) b1)(a2 (x) b2) takes (-1)^(|b1||a2|) as a2 moves left
+        past b1.
+        """
+        if not self._square:
+            right = tuple(Generator(g.name + "'", g.degree, g.cap) for g in self.generators)
+            self._square.append(AlgebraPresentation(self.p, self.generators + right))
+        return self._square[0]
 
     # -- element constructors -------------------------------------------------
 
@@ -355,7 +372,7 @@ class AlgebraElement:
                     terms[m] = v
                 else:
                     del terms[m]
-        return AlgebraElement(pres, terms)
+        return type(self)(pres, terms)
 
 
 def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
@@ -392,9 +409,13 @@ def eps_part(x: AlgebraElement) -> AlgebraElement:
     pres = x.pres
     if not pres.has_epsilon:
         return pres.zero()
-    # x = a + b*eps with monomials written eps-last, so the coefficient
-    # transfers without sign
-    return AlgebraElement(pres, {m & ~pres.eps: c for m, c in x.terms.items() if m & pres.eps})
+    # m = (-1)^s m' * eps for m' = m without eps, where s counts the odd
+    # factors in the fields below eps, which eps moves left past
+    p, eps = pres.p, pres.eps
+    below = pres.odd & ((eps & -eps) - 1)
+    return AlgebraElement(
+        pres, {m & ~eps: -c % p if (m & below).bit_count() & 1 else c for m, c in x.terms.items() if m & eps}
+    )
 
 
 def times_eps(x: AlgebraElement) -> AlgebraElement:

@@ -83,10 +83,15 @@ def _emit(args, payload, is_csv: bool = False):
 
 
 def _element(obj):
-    """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs."""
+    """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs,
+    and whose alpha_i are homogeneous of degree coeff_degree(i)."""
     g = group_from_obj(obj)
     if not g.coeffs or eps_reduce(g.coeffs[0]) != g.algebra.one():
         raise CliError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
+    for i, c in enumerate(g.coeffs):
+        d = g.coeff_degree(i)
+        if any(g.algebra.mono_degree(m) != d for m in c.terms):
+            raise CliError(f"coefficient alpha_{i} is not homogeneous of degree {d}")
     return g
 
 

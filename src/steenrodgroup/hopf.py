@@ -29,10 +29,8 @@ from .algebra import (
     Generator,
     accumulate,
     adjoin_epsilon,
-    capless_overflow,
     component_monomials,
     frobenius,
-    koszul_mask,
     sparse_add,
     sparse_neg,
     sparse_scale,
@@ -161,90 +159,60 @@ def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
 # -- tensor square -------------------------------------------------------------
 
 
-class TensorElement:
+class TensorElement(AlgebraElement):
     """Sparse element of the two-fold tensor square, with Koszul signs.
 
-    Terms are keyed by pairs of packed monomials, in the normal form of
-    `algebra`, whose additive operations are shared with AlgebraElement.
+    An AlgebraElement over `base.square()`: the term a (x) b is keyed by the
+    packed monomial (a << base.width) | b, so its product is the algebra
+    product.  `pairs` splits the keys again.
     """
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ()
 
+    # bound on the class itself, not inherited: perfbench/tracing.py wraps
+    # each class's own bindings, to count tensor and algebra arithmetic apart
+    __mul__ = AlgebraElement.__mul__
     __add__ = sparse_add
     __sub__ = sparse_sub
     __neg__ = sparse_neg
     scale = sparse_scale
 
-    def __init__(self, pres: AlgebraPresentation, terms: dict):
-        self.pres = pres
-        self.terms = terms
-
     @classmethod
-    def zero(cls, pres) -> "TensorElement":
-        return cls(pres, {})
+    def zero(cls, base: AlgebraPresentation) -> "TensorElement":
+        return cls(base.square(), {})
 
     @classmethod
     def of(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        pres = x.pres
+        p, w = x.pres.p, x.pres.width
         terms = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                c = c1 * c2 % pres.p
+                c = c1 * c2 % p
                 if c:
-                    terms[(m1, m2)] = c
-        return cls(pres, terms)
+                    terms[m1 << w | m2] = c
+        return cls(x.pres.square(), terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.pres is other.pres or self.pres == other.pres) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        pres = self.pres
-        p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
-        terms: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            # a2 moves left past b1, then each side takes its Koszul sign
-            pa = koszul_mask(odd, a1) ^ (odd if (b1 & odd).bit_count() & 1 else 0)
-            pb = koszul_mask(odd, b1)
-            for (a2, b2), c2 in other.terms.items():
-                a = a1 + a2
-                b = b1 + b2
-                if ((a + bias) | (b + bias)) & guard:
-                    if (a | b) & wide:
-                        capless_overflow()
-                    continue
-                c = -c1 * c2 if ((pa & a2).bit_count() + (pb & b2).bit_count()) & 1 else c1 * c2
-                v = (terms.get((a, b), 0) + c) % p
-                if v:
-                    terms[a, b] = v
-                else:
-                    del terms[a, b]
-        return TensorElement(pres, terms)
+    def pairs(self):
+        """The terms as ((a, b), c) for c * a (x) b, a and b packed monomials."""
+        w = self.pres.width >> 1
+        low = (1 << w) - 1
+        return (((m >> w, m & low), c) for m, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        exps = self.pres.exponents
-        return " + ".join(
-            f"{c}*{exps(m1)}(x){exps(m2)}" for (m1, m2), c in sorted(self.terms.items())
-        )
+        n = self.pres.ngens >> 1
+        exps = [(self.pres.exponents(m), c) for m, c in sorted(self.terms.items())]
+        return " + ".join(f"{c}*{e[:n]}(x){e[n:]}" for e, c in exps)
 
 
 def switch(t: TensorElement) -> TensorElement:
     """The switching map x(x)y -> (-1)^(|x||y|) y(x)x."""
-    odd = t.pres.odd
-    pairs = (
-        ((m2, m1), -c if (m1 & odd).bit_count() & (m2 & odd).bit_count() & 1 else c)
-        for (m1, m2), c in t.terms.items()
-    )
-    return TensorElement(t.pres, accumulate({}, pairs, t.pres.p))
+    p, odd, w = t.pres.p, t.pres.odd, t.pres.width >> 1
+    return TensorElement(t.pres, {
+        m2 << w | m1: -c % p if (m1 & odd).bit_count() & (m2 & odd).bit_count() & 1 else c
+        for (m1, m2), c in t.pairs()
+    })
 
 
 # -- structure maps ------------------------------------------------------------
@@ -291,17 +259,21 @@ def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> T
     if top > hp.degree_cap:
         raise HopfError(f"degree {top} exceeds cap D={hp.D}")
     acc = TensorElement.zero(alg)
-    one = TensorElement.of(alg.one(), alg.one())
+    one, image = TensorElement.of(alg.one(), alg.one()), functools.partial(coproduct_gen, hp)
     for mono, c in x.terms.items():
-        term = one
-        for g, e in zip(alg.generators, alg.exponents(mono)):
-            if e == 0:
-                continue
-            mg = coproduct_gen(hp, g.name)
-            for _ in range(e):
-                term = term * mg
-        acc = acc + term.scale(c)
+        acc = acc + extend(alg, mono, image, one).scale(c)
     return acc
+
+
+def extend(alg: AlgebraPresentation, mono: int, image, out: AlgebraElement) -> AlgebraElement:
+    """out * image(g)^e for each g^e in mono, in generator order: the
+    multiplicative extension of a map given on generator names."""
+    for g, e in zip(alg.generators, alg.exponents(mono)):
+        if e:
+            y = image(g.name)
+            for _ in range(e):
+                out = out * y
+    return out
 
 
 @functools.lru_cache(maxsize=128)
@@ -334,16 +306,9 @@ def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     """Multiplicative extension; legitimate because the algebra is graded-commutative."""
     alg = hp.algebra
-    acc = alg.zero()
+    acc, image = alg.zero(), functools.partial(antipode_gen, hp)
     for mono, c in x.terms.items():
-        term = alg.scalar(c)
-        for g, e in zip(alg.generators, alg.exponents(mono)):
-            if e == 0:
-                continue
-            ig = antipode_gen(hp, g.name)
-            for _ in range(e):
-                term = term * ig
-        acc = acc + term
+        acc = acc + extend(alg, mono, image, alg.scalar(c))
     return acc
 
 
@@ -355,8 +320,10 @@ def counit(x: HopfElement) -> int:
 
 
 def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
-    """(mu (x) id) mu(x) - (id (x) mu) mu(x) as a sparse triple-tensor."""
+    """(mu (x) id) mu(x) - (id (x) mu) mu(x) as a sparse triple tensor: the
+    term a (x) b (x) c is keyed by (a << 2w) | (b << w) | c, w = the width."""
     alg = hp.algebra
+    w = alg.width
     mu = coproduct(hp, x)
     memo: dict = {}  # monomial -> its coproduct's terms, for this call only
 
@@ -366,9 +333,9 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
         return memo[m].items()
 
     terms: dict = {}
-    for (m1, m2), c in mu.terms.items():
-        accumulate(terms, (((a, b, m2), c * c2) for (a, b), c2 in delta(m1)), alg.p)
-        accumulate(terms, (((m1, a, b), -c * c2) for (a, b), c2 in delta(m2)), alg.p)
+    for (m1, m2), c in mu.pairs():
+        accumulate(terms, ((ab << w | m2, c * c2) for ab, c2 in delta(m1)), alg.p)
+        accumulate(terms, ((m1 << 2 * w | bc, -c * c2) for bc, c2 in delta(m2)), alg.p)
     return terms
 
 
@@ -377,7 +344,7 @@ def counit_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement,
     alg = hp.algebra
     mu = coproduct(hp, x)
     left = right = alg.zero()
-    for (m1, m2), c in mu.terms.items():
+    for (m1, m2), c in mu.pairs():
         if m1 == 0:
             left = left + AlgebraElement(alg, {m2: c})
         if m2 == 0:
@@ -390,7 +357,7 @@ def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElemen
     alg = hp.algebra
     mu = coproduct(hp, x)
     left = right = alg.zero()
-    for (m1, m2), c in mu.terms.items():
+    for (m1, m2), c in mu.pairs():
         e1 = AlgebraElement(alg, {m1: c})
         e2 = AlgebraElement(alg, {m2: 1})
         left = left + antipode(hp, e1) * e2
@@ -469,7 +436,7 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
         if counit(x) != 0:
             return False, (mono, "counit")
         mu = coproduct(hp, x, check_cap=False)
-        for (m1, m2), c in mu.terms.items():
+        for (m1, m2), c in mu.pairs():
             if not in_ideal(m1) and not in_ideal(m2):
                 return False, (mono, "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
         conj = antipode(hp, x)
@@ -506,12 +473,7 @@ class GeneratorAssignment:
         return self.values.get(name, self.target.zero())
 
     def eval_monomial(self, mono) -> AlgebraElement:
-        out = self.target.one()
-        alg = self.hopf.algebra
-        for g, e in zip(alg.generators, alg.exponents(mono)):
-            for _ in range(e):
-                out = out * self.value(g.name)
-        return out
+        return extend(self.hopf.algebra, mono, self.value, self.target.one())
 
     def eval(self, x: HopfElement) -> AlgebraElement:
         acc = self.target.zero()
@@ -533,7 +495,7 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
     for g in hp.algebra.generators:
         mu = coproduct(hp, hp.algebra.gen(g.name), check_cap=False)
         acc = phi.target.zero()
-        for (m1, m2), c in mu.terms.items():
+        for (m1, m2), c in mu.pairs():
             acc = acc + (psi.eval_monomial(m1) * phi.eval_monomial(m2)).scale(c)
         if not acc.is_zero():
             values[g.name] = acc

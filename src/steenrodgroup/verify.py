@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraPresentation, adjoin_epsilon, eps_part, times_eps
+from .algebra import AlgebraPresentation, adjoin_epsilon, component_monomials, eps_part, times_eps
 from .group import (
     GroupElement,
     commutator,
@@ -124,18 +124,23 @@ def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -
     alg = group_test_algebra(p)
     k = max(k, 3)
     per_case = max(samples // 3, 1)
+    # a zero prefix m needs a non-zero alpha_(m+1): draw m only below the
+    # first empty alpha_(m+1) component of alg
+    probe, top = identity(p, k, alg), 1
+    while top < k - 2 and component_monomials(alg, probe.coeff_degree(top + 2)):
+        top += 1
     for case in (1, 2, 3):
         for _ in range(per_case):
             if case == 1:
                 a = random_group_element(rng, p, k, alg)
                 b = random_group_element(rng, p, k, alg)
             elif case == 2:
-                kk = rng.randint(1, k - 2)
+                kk = rng.randint(1, top)
                 a = _sample_with_prefix(rng, p, k, alg, kk)
                 b = _sample_with_prefix(rng, p, k, alg, 0)
             else:
-                ll = rng.randint(1, k - 2)
-                kk = rng.randint(ll, k - 2)
+                ll = rng.randint(1, top)
+                kk = rng.randint(ll, top)
                 a = _sample_with_prefix(rng, p, k, alg, kk)
                 b = _sample_with_prefix(rng, p, k, alg, ll)
             kk, c1, c2 = commutator_leading(a, b, case)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrodgroup.algebra import (
+    EPSILON,
     AlgebraError,
     EnumerationError,
     adjoin_epsilon,
@@ -164,6 +165,14 @@ def test_eps_split_reassembles(seed):
     a = A3()
     r = random.Random(seed)
     x = random_homogeneous(r, a, r.randint(0, 6))
+    assert eps_reduce(x) + times_eps(eps_part(x)) == x
+
+
+def test_eps_split_reassembles_with_eps_first():
+    # eps * t is -(t * eps): eps moves left past the odd t to reach the front
+    a = mk_algebra(3, [(EPSILON, -1, 2), ("t", 1, 2)])
+    x = a.gen(EPSILON) * a.gen("t")
+    assert eps_part(x) == -a.gen("t")
     assert eps_reduce(x) + times_eps(eps_part(x)) == x
 
 

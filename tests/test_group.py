@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steenrodgroup.algebra import adjoin_epsilon, mk_algebra, times_eps
+from steenrodgroup.algebra import EPSILON, adjoin_epsilon, mk_algebra, times_eps
 from steenrodgroup.group import (
     BOTTOM,
     TOP,
@@ -126,6 +126,15 @@ def test_inverse_oracles_agree(seed, p):
     assert invert_closed(g) == r
     if p != 2:
         assert invert_split(g) == r
+
+
+@given(st.integers(0, 10**6))
+def test_inverse_oracles_agree_with_eps_first(seed):
+    # the eps-split inverse reads eps_part, which must not assume eps is last
+    gens = [(g.name, g.degree, g.cap) for g in milnor_quotient(3, 2).algebra.generators]
+    alg = mk_algebra(3, [(EPSILON, -1, 2)] + gens)
+    g = random_group_element(random.Random(seed), 3, 4, alg)
+    assert invert_split(g) == invert_recursive(g)
 
 
 # -- commutators ---------------------------------------------------------------

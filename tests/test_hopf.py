@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from steenrodgroup import hopf
 from steenrodgroup.algebra import frobenius
 from steenrodgroup.group import GroupElement, compose, rho
 from steenrodgroup.hopf import (
@@ -13,6 +14,7 @@ from steenrodgroup.hopf import (
     antipode,
     antipode_assignment,
     antipode_defect,
+    axiom_counterexamples,
     check_hopf_ideal,
     coassociativity_defect,
     cocommutativity_defect,
@@ -196,6 +198,24 @@ def test_hopf_axioms_on_generators(p):
         assert l.is_zero() and r.is_zero()
 
 
+def test_dropped_coproduct_term_breaks_coassociativity(monkeypatch):
+    # without z2 (x) 1, mu(z2) = z1^2 (x) z1 + 1 (x) z2, and (mu (x) id) mu(z2)
+    # misses the z1^2 (x) z1 (x) 1 that (id (x) mu) mu(z2) has
+    hp = H2()
+    alg = hp.algebra
+    full = hopf.coproduct_gen
+    dropped = TensorElement.of(alg.gen("z2"), alg.one())
+    monkeypatch.setattr(
+        hopf, "coproduct_gen", lambda hp_, name: full(hp_, name) - dropped if name == "z2" else full(hp_, name)
+    )
+    w = alg.width
+    z1, z1sq = (alg.pack((e, 0, 0)) for e in (1, 2))
+    assert coassociativity_defect(hp, alg.gen("z2")) == {z1sq << 2 * w | z1 << w: 1}
+    assert coassociativity_defect(hp, alg.gen("z1")) == {}
+    laws = [(c["law"], c["generator"]) for c in axiom_counterexamples(hp)]
+    assert ("coassociativity", "z2") in laws and ("coassociativity", "z1") not in laws
+
+
 def test_not_cocommutative_p2():
     hp = H2()
     alg = hp.algebra
@@ -246,6 +266,14 @@ def test_principal_generator_ideal_is_not_hopf():
     assert not ok
     mono, axiom, (m1, m2, _) = witness
     assert axiom == "coproduct"
+
+
+def test_non_hopf_ideal_witness_holds_exponent_tuples():
+    # z2 is the first ideal monomial; z1^2 (x) z1 in mu(z2) leaves the ideal
+    hp = H2()
+    ok, witness = check_hopf_ideal(hp, [hp.algebra.gen("z2")], 10)
+    assert not ok
+    assert witness == ((0, 1, 0), "coproduct", ((2, 0, 0), (1, 0, 0), 1))
 
 
 def test_tau_ideal_must_take_enough_generators():

@@ -199,6 +199,14 @@ def test_cli_verify_deterministic(capsys):
     assert len(payload["suites"]) == 14
 
 
+@pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
+def test_cli_verify_beyond_the_sample_algebras_top_degree(capsys, p, k):
+    # alpha_(m+1) has no monomials for large m, so no element has zero prefix m
+    code, out = run_cli(capsys, "verify", "--p", str(p), "--k", str(k))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_cli_out_file(tmp_path, capsys):
     dest = tmp_path / "parts.json"
     code, out = run_cli(capsys, "partitions", "2", "--out", str(dest))
@@ -275,11 +283,23 @@ NON_UNIT_HEAD = {
     "coeffs": [[], [{"coeff": 1, "exponents": [1]}], []],
 }
 NO_HEAD = dict(NON_UNIT_HEAD, k=-1, coeffs=[])
+# alpha_1 must have degree 2^1 - 1 = 1, and z1^2 has degree 2
+WRONG_DEGREE = dict(NON_UNIT_HEAD, k=1, coeffs=[[{"coeff": 1, "exponents": [0]}], [{"coeff": 1, "exponents": [2]}]])
 
 
 @pytest.mark.parametrize("g", [NON_UNIT_HEAD, NO_HEAD], ids=["zero-head", "no-head"])
 @pytest.mark.parametrize("command", ["invert", "compose", "commutator", "filtration", "rho"])
 def test_cli_non_unit_head_is_usage_error(tmp_path, capsys, command, g):
+    assert_refused(tmp_path, capsys, command, g)
+
+
+@pytest.mark.parametrize("command", ["invert", "compose", "commutator", "filtration", "rho"])
+def test_cli_wrong_degree_coefficient_is_usage_error(tmp_path, capsys, command):
+    err = assert_refused(tmp_path, capsys, command, WRONG_DEGREE)
+    assert "alpha_1 is not homogeneous of degree 1" in err
+
+
+def assert_refused(tmp_path, capsys, command, g):
     path = tmp_path / "g.json"
     pair = command in ("compose", "commutator")
     path.write_text(json.dumps({"a": g, "b": g} if pair else g))
@@ -288,3 +308,4 @@ def test_cli_non_unit_head_is_usage_error(tmp_path, capsys, command, g):
     assert code == USAGE_ERROR
     assert "error:" in captured.err
     assert captured.out == ""
+    return captured.err
