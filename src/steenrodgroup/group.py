@@ -11,6 +11,17 @@ composition
 with the eps-drop applied to positive-index coefficients at level 1 (odd p).
 For odd p elements always live over an algebra with eps adjoined; for p = 2
 eps does not exist and the eps operations are identities.
+
+Evaluation builds each output coefficient in one normal-form dict: the terms
+of every product are added into it with `algebra.accumulate`, so no partial
+sum is ever materialised as an element.  `compose` and `invert_recursive`
+take one Frobenius power and one product per (i, j) pair.  The two
+partition-sum inverses share the Frobenius powers alpha_m^(p^s) within a call
+(m >= 1 and m + s <= k: at most k(k+1)/2 of them), walk each composition's parts with a running shift
+sigma, and stop a composition's product at its first zero partial product;
+`invert_split` multiplies the common tail of a composition once for its even
+and its eps term, and applies eps to the summed odd terms once per
+coefficient.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
+    accumulate,
     eps_part,
     eps_reduce,
     frobenius,
@@ -89,81 +101,131 @@ def is_identity(a: GroupElement) -> bool:
     return a.coeffs[0] == a.algebra.one() and all(c.is_zero() for c in a.coeffs[1:])
 
 
+def _signed(x: AlgebraElement, negate: bool):
+    """The (monomial, coefficient) pairs of x or of -x, for `accumulate`."""
+    if negate:
+        return ((m, -c) for m, c in x.terms.items())
+    return x.terms.items()
+
+
+class _Powers(dict):
+    """(m, s) -> coeffs[m]^(p^s), each Frobenius power taken on first use."""
+
+    def __init__(self, coeffs):
+        super().__init__()
+        self.coeffs = coeffs
+
+    def __missing__(self, key):
+        m, s = key
+        x = self[key] = frobenius(self.coeffs[m], s)
+        return x
+
+
+def _shifted_product(powers: _Powers, parts, shift: int) -> AlgebraElement:
+    """prod_j coeffs[parts[j]]^(p^(shift + parts[0] + ... + parts[j-1])) for
+    non-empty parts, cut short at the first zero partial product."""
+    prod = None
+    for m in parts:
+        factor = powers[m, shift]
+        prod = factor if prod is None else prod * factor
+        if not prod.terms:
+            break
+        shift += m
+    return prod
+
+
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a(X).b(X) = b(a(X))."""
     _check_compatible(a, b)
+    alg, p = a.algebra, a.p
     out = []
-    drop = a.level == 1 and a.p != 2
+    drop = a.level == 1 and p != 2
     for i in range(a.k + 1):
-        acc = a.algebra.zero()
+        terms: dict = {}
         for j in range(i + 1):
-            acc = acc + frobenius(a.coeffs[i - j], j) * b.coeffs[j]
+            accumulate(terms, (frobenius(a.coeffs[i - j], j) * b.coeffs[j]).terms.items(), p)
+        acc = AlgebraElement(alg, terms)
         if drop and i >= 1:
             acc = eps_reduce(acc)
         out.append(acc)
-    return GroupElement(a.p, a.k, a.level, a.algebra, tuple(out))
+    return GroupElement(a.p, a.k, a.level, alg, tuple(out))
 
 
 def invert_recursive(a: GroupElement) -> GroupElement:
     """Inverse by solving sum_j alpha_{i-j}^(p^j) beta_j = 0 coefficient by coefficient."""
-    alg = a.algebra
-    drop = a.level == 1 and a.p != 2
+    alg, p = a.algebra, a.p
+    drop = a.level == 1 and p != 2
     betas = [alg.scalar(2) - a.coeffs[0]]  # alpha_0^{-1} = 2 - alpha_0
     for i in range(1, a.k + 1):
-        acc = alg.zero()
+        terms: dict = {}
         for j in range(i):
-            acc = acc + frobenius(a.coeffs[i - j], j) * betas[j]
-        acc = -acc  # alpha_0^(p^i) = 1 for i >= 1
+            accumulate(terms, (frobenius(a.coeffs[i - j], j) * betas[j]).terms.items(), p)
+        # alpha_0^(p^i) = 1 for i >= 1, so beta_i is minus the sum
+        acc = AlgebraElement(alg, {m: p - c for m, c in terms.items()})
         if drop:
             acc = eps_reduce(acc)
         betas.append(acc)
-    return GroupElement(a.p, a.k, a.level, a.algebra, tuple(betas))
+    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
 
 
 def invert_closed(a: GroupElement) -> GroupElement:
-    """Inverse by the closed partition-sum formula."""
-    alg = a.algebra
+    """Inverse by the closed partition-sum formula
+
+        beta_i = alpha_0^{-1} sum_nu (-1)^l(nu) prod_j alpha_{nu(j)}^(p^sigma(nu)(j))
+
+    over the compositions nu of i."""
+    alg, p = a.algebra, a.p
     inv0 = alg.scalar(2) - a.coeffs[0]
-    drop = a.level == 1 and a.p != 2
+    drop = a.level == 1 and p != 2
+    powers = _Powers(a.coeffs)
     betas = [inv0]
     for i in range(1, a.k + 1):
-        acc = alg.zero()
+        terms: dict = {}
         for nu in enumerate_compositions(i):
-            prod = alg.one()
-            for j in range(1, nu.length + 1):
-                prod = prod * frobenius(a.coeffs[nu.parts[j - 1]], nu.sigma(j))
-            acc = acc + prod.scale((-1) ** nu.length)
-        beta = inv0 * acc
+            prod = _shifted_product(powers, nu.parts, 0)
+            accumulate(terms, _signed(prod, len(nu.parts) % 2 == 1), p)
+        beta = inv0 * AlgebraElement(alg, terms)
         if drop:
             beta = eps_reduce(beta)
         betas.append(beta)
-    return GroupElement(a.p, a.k, a.level, a.algebra, tuple(betas))
+    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
 
 
 def invert_split(a: GroupElement) -> GroupElement:
-    """Inverse via the eps-split formula (odd p, base flavor only)."""
+    """Inverse via the eps-split formula (odd p, base flavor only).
+
+    With alpha_m = e_m + o_m eps, the term of a composition nu is
+    e_{nu(1)} t + (o_{nu(1)} t) eps for the tail
+    t = prod_{j >= 2} e_{nu(j)}^(p^sigma(nu)(j)) (t = 1 for length 1).
+    """
     if a.p == 2:
         raise GroupError("eps-split inverse requires odd p")
     if a.level != 0:
         raise GroupError("eps-split inverse is for the base flavor")
-    alg = a.algebra
+    alg, p = a.algebra, a.p
+    one = alg.one()
     even = [eps_reduce(c) for c in a.coeffs]
     odd = [eps_part(c) for c in a.coeffs]
-    inv0 = alg.one() - times_eps(odd[0])  # (1 - alpha_{10} eps)
+    inv0 = one - times_eps(odd[0])  # (1 - alpha_{10} eps)
+    powers = _Powers(even)
     betas = [inv0]
     for i in range(1, a.k + 1):
-        acc = alg.zero()
+        terms: dict = {}
+        odd_terms: dict = {}
         for nu in enumerate_compositions(i):
-            prod_even = alg.one()
-            for j in range(1, nu.length + 1):
-                prod_even = prod_even * frobenius(even[nu.parts[j - 1]], nu.sigma(j))
-            tail = alg.one()
-            for j in range(2, nu.length + 1):
-                tail = tail * frobenius(even[nu.parts[j - 1]], nu.sigma(j))
-            term = prod_even + times_eps(odd[nu.parts[0]] * tail)
-            acc = acc + term.scale((-1) ** nu.length)
-        betas.append(inv0 * acc)
-    return GroupElement(a.p, a.k, a.level, a.algebra, tuple(betas))
+            head = nu.parts[0]
+            if not (even[head].terms or odd[head].terms):
+                continue
+            tail = _shifted_product(powers, nu.parts[1:], head) if len(nu.parts) > 1 else one
+            if not tail.terms:
+                continue
+            negate = len(nu.parts) % 2 == 1
+            accumulate(terms, _signed(even[head] * tail, negate), p)
+            accumulate(odd_terms, _signed(odd[head] * tail, negate), p)
+        if odd_terms:
+            accumulate(terms, times_eps(AlgebraElement(alg, odd_terms)).terms.items(), p)
+        betas.append(inv0 * AlgebraElement(alg, terms))
+    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:

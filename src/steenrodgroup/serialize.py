@@ -5,10 +5,16 @@ Presentations: {"p": 2, "generators": [{"name": "z1", "degree": 1, "cap": 4}]}
 by exponent vector.  Group elements carry their presentation inline so a file
 is self-contained:
 {"p", "k", "flavor", "algebra": <presentation>, "coeffs": [<element>, ...]}.
+
+Every number on the wire is a JSON integer: a float such as 4.0 or a boolean
+is refused with SerializeError, as is a generator name that is not a string.
+Each distinct presentation is decoded once (a bounded cache), so the elements
+of one request share one `AlgebraPresentation` object.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraPresentation, Generator, accumulate
@@ -28,13 +34,29 @@ def presentation_to_obj(a: AlgebraPresentation) -> dict:
     }
 
 
+def _int(value, what: str) -> int:
+    """value itself if it is a JSON integer (bool excluded)."""
+    if type(value) is not int:
+        raise SerializeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+@functools.lru_cache(maxsize=64)
+def _presentation(p: int, gens: tuple) -> AlgebraPresentation:
+    """The presentation of checked (name, degree, cap) triples; the key holds
+    only str names and exact ints, so equal keys mean equal inputs."""
+    return AlgebraPresentation(p, tuple(Generator(*g) for g in gens))
+
+
 def presentation_from_obj(obj: dict) -> AlgebraPresentation:
     try:
-        gens = tuple(
-            Generator(g["name"], g["degree"], g.get("cap"))
-            for g in obj["generators"]
-        )
-        return AlgebraPresentation(obj["p"], gens)
+        gens = []
+        for g in obj["generators"]:
+            name, cap = g["name"], g.get("cap")
+            if type(name) is not str:
+                raise SerializeError(f"generator name must be a string, not {name!r}")
+            gens.append((name, _int(g["degree"], "degree"), None if cap is None else _int(cap, "cap")))
+        return _presentation(_int(obj["p"], "p"), tuple(gens))
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed presentation: {exc}") from exc
 
@@ -47,11 +69,15 @@ def element_to_obj(x: AlgebraElement) -> list:
 
 def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
     try:
-        terms: dict = {}
+        pairs = []
         for term in obj:
-            monomial = pres.monomial(term["exponents"], term["coeff"])
-            accumulate(terms, monomial.terms.items(), pres.p)
-        return AlgebraElement(pres, terms)
+            exponents, coeff = term["exponents"], _int(term["coeff"], "coeff")
+            if not set(map(type, exponents)) <= {int}:
+                raise SerializeError(f"exponents must be integers, not {exponents!r}")
+            m = pres.pack(exponents)
+            if m is not None:
+                pairs.append((m, coeff))
+        return AlgebraElement(pres, accumulate({}, pairs, pres.p))
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed element: {exc}") from exc
 
@@ -70,7 +96,9 @@ def group_from_obj(obj: dict) -> GroupElement:
     try:
         pres = presentation_from_obj(obj["algebra"])
         coeffs = tuple(element_from_obj(pres, c) for c in obj["coeffs"])
-        return GroupElement(obj["p"], obj["k"], obj.get("flavor", 0), pres, coeffs)
+        return GroupElement(
+            _int(obj["p"], "p"), _int(obj["k"], "k"), _int(obj.get("flavor", 0), "flavor"), pres, coeffs
+        )
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed group element: {exc}") from exc
 

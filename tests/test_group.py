@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrodgroup.algebra import EPSILON, adjoin_epsilon, mk_algebra, times_eps
+from steenrodgroup import group
+from steenrodgroup.algebra import EPSILON, adjoin_epsilon, component_monomials, mk_algebra, times_eps
 from steenrodgroup.group import (
     BOTTOM,
     TOP,
@@ -135,6 +136,79 @@ def test_inverse_oracles_agree_with_eps_first(seed):
     alg = mk_algebra(3, [(EPSILON, -1, 2)] + gens)
     g = random_group_element(random.Random(seed), 3, 4, alg)
     assert invert_split(g) == invert_recursive(g)
+
+
+# the benchmark's dense coefficient algebras: A(4) at p = 2, A(3)[eps] at p = 3
+DENSE = {2: milnor_quotient(2, 4).algebra, 3: adjoin_epsilon(milnor_quotient(3, 3).algebra)}
+
+
+def dense_element(seed, p, k, level, zeros):
+    """alpha_i uniform over its whole graded component, and 0 for i in zeros;
+    the head is 1 + b*eps (1 at p = 2 and from level 2 on), and at level 1 the
+    alpha_i (i >= 1) are eps-free, as the eps-drop leaves them."""
+    rng = random.Random(seed)
+    alg = DENSE[p]
+    probe = identity(p, k, alg, level)
+    coeffs = []
+    for i in range(k + 1):
+        monos = component_monomials(alg, probe.coeff_degree(i))
+        if i == 0 and (p == 2 or level >= 2):
+            monos = []
+        elif i >= 1 and level >= 1 and alg.has_epsilon:
+            monos = [m for m in monos if not m[alg.epsilon_index]]
+        c = alg.one() if i == 0 else alg.zero()
+        if i not in zeros:
+            for m in monos:
+                if any(m):
+                    c = c + alg.monomial(m, rng.randrange(p))
+        coeffs.append(c)
+    return GroupElement(p, k, level, alg, tuple(coeffs))
+
+
+@settings(max_examples=6)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.sampled_from([6, 7, 8]),
+    st.sets(st.integers(1, 5), max_size=3),
+)
+def test_inverse_oracles_agree_on_dense_algebras(seed, p, k, zeros):
+    g = dense_element(seed, p, k, 0, zeros)
+    r = invert_recursive(g)
+    assert is_identity(compose(g, r))
+    assert invert_closed(g) == r
+    if p != 2:
+        assert invert_split(g) == r
+
+
+@settings(max_examples=6)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.sampled_from([6, 7, 8]),
+    st.sets(st.integers(1, 4), max_size=2),
+)
+def test_closed_inverse_agrees_at_level_one(seed, p, k, zeros):
+    g = dense_element(seed, p, k, 1, zeros)
+    r = invert_recursive(g)
+    assert is_identity(compose(g, r))
+    assert invert_closed(g) == r
+
+
+@pytest.mark.parametrize("invert", [invert_closed, invert_split])
+def test_partition_inverses_take_each_frobenius_power_once(monkeypatch, invert):
+    calls = []
+    frobenius = group.frobenius
+
+    def counting(x, j):
+        calls.append(j)
+        return frobenius(x, j)
+
+    monkeypatch.setattr(group, "frobenius", counting)
+    k = 8
+    invert(dense_element(0, 3, k, 0, ()))
+    # alpha_m^(p^s) is needed for m >= 1 and m + s <= k only
+    assert 0 < len(calls) <= k * (k + 1) // 2
 
 
 # -- commutators ---------------------------------------------------------------

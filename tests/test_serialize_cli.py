@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from steenrodgroup import serialize
+from steenrodgroup.algebra import AlgebraPresentation
 from steenrodgroup.cli import USAGE_ERROR, run
-from steenrodgroup.group import BOTTOM, TOP, invert_closed, invert_recursive
+from steenrodgroup.group import BOTTOM, TOP, commutator, compose, invert_closed, invert_recursive
 from steenrodgroup.serialize import (
     SerializeError,
     element_from_obj,
@@ -52,6 +54,48 @@ def test_malformed_objects_raise():
         presentation_from_obj({"p": 2})
     with pytest.raises(SerializeError):
         group_from_obj({"p": 2, "k": 1})
+
+
+def test_equal_presentations_decode_to_one_object():
+    obj = presentation_to_obj(group_test_algebra(3))
+    first = presentation_from_obj(json.loads(json.dumps(obj)))
+    assert presentation_from_obj(json.loads(json.dumps(obj))) is first
+    assert serialize._presentation.cache_info().maxsize is not None
+
+
+def test_separately_decoded_elements_skip_presentation_equality(monkeypatch):
+    g = random_group_element(random.Random(3), 3, 4, group_test_algebra(3))
+    h = random_group_element(random.Random(4), 3, 4, group_test_algebra(3))
+    a = group_from_obj(json.loads(json.dumps(group_to_obj(g))))
+    b = group_from_obj(json.loads(json.dumps(group_to_obj(h))))
+    calls = []
+    eq = AlgebraPresentation.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    monkeypatch.setattr(AlgebraPresentation, "__eq__", counting)
+    assert compose(a, b) == compose(g, h)
+    assert commutator(a, b) == commutator(g, h)
+    calls.clear()
+    compose(a, b)
+    commutator(a, b)
+    assert calls == []
+
+
+def test_presentation_cache_keeps_the_type_checks():
+    obj = {"p": 2, "generators": [{"name": "z1", "degree": 1, "cap": 4}]}
+    presentation_from_obj(obj)
+    for bad in (
+        dict(obj, generators=[{"name": "z1", "degree": 1, "cap": 4.0}]),
+        dict(obj, generators=[{"name": "z1", "degree": 1.0, "cap": 4}]),
+        dict(obj, generators=[{"name": "z1", "degree": True, "cap": 4}]),
+        dict(obj, p=2.0),
+        dict(obj, p=True),
+    ):
+        with pytest.raises(SerializeError):
+            presentation_from_obj(bad)
 
 
 def test_filtration_to_str():
@@ -297,6 +341,53 @@ def test_cli_non_unit_head_is_usage_error(tmp_path, capsys, command, g):
 def test_cli_wrong_degree_coefficient_is_usage_error(tmp_path, capsys, command):
     err = assert_refused(tmp_path, capsys, command, WRONG_DEGREE)
     assert "alpha_1 is not homogeneous of degree 1" in err
+
+
+# a valid p = 2 element: alpha_0 = 1, alpha_1 = z1
+UNIT = dict(NON_UNIT_HEAD, k=1, coeffs=[[{"coeff": 1, "exponents": [0]}], [{"coeff": 1, "exponents": [1]}]])
+
+
+def _with(path, value):
+    """A deep copy of UNIT with the entry at path replaced by value."""
+    g = json.loads(json.dumps(UNIT))
+    *outer, last = path
+    target = g
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return g
+
+
+# every number on the wire must be a JSON integer (not a float, not a bool),
+# and every generator name a string
+NON_INTEGER = {
+    "coeff-1.5": (("coeffs", 1, 0, "coeff"), 1.5),
+    "coeff-true": (("coeffs", 1, 0, "coeff"), True),
+    "algebra-p-2.0": (("algebra", "p"), 2.0),
+    "p-2.0": (("p",), 2.0),
+    "k-1.0": (("k",), 1.0),
+    "k-true": (("k",), True),
+    "flavor-0.0": (("flavor",), 0.0),
+    "exponent-true": (("coeffs", 1, 0, "exponents"), [True]),
+    "exponent-1.0": (("coeffs", 1, 0, "exponents"), [1.0]),
+    "degree-1.0": (("algebra", "generators", 0, "degree"), 1.0),
+    "cap-4.0": (("algebra", "generators", 0, "cap"), 4.0),
+    "name-1": (("algebra", "generators", 0, "name"), 1),
+}
+
+
+def test_unit_element_is_accepted(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(UNIT))
+    assert run(["invert", "--in", str(path)]) == 0
+
+
+@pytest.mark.parametrize("where,value", NON_INTEGER.values(), ids=NON_INTEGER.keys())
+def test_non_integer_numbers_are_refused(tmp_path, capsys, where, value):
+    g = _with(where, value)
+    with pytest.raises(SerializeError):
+        group_from_obj(g)
+    assert_refused(tmp_path, capsys, "invert", g)
 
 
 def assert_refused(tmp_path, capsys, command, g):
