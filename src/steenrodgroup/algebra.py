@@ -147,7 +147,9 @@ class AlgebraPresentation:
             raise AlgebraError("exponent vector has wrong length")
         m = 0
         for e, g, (shift, mask) in zip(mono, self.generators, self.fields):
-            if e < 0 or (g.cap is not None and e >= g.cap):
+            if e < 0:
+                raise AlgebraError(f"exponent {e} of {g.name} is negative")
+            if g.cap is not None and e >= g.cap:
                 return None
             if e > mask:
                 capless_overflow()

@@ -482,10 +482,6 @@ class GeneratorAssignment:
         return acc
 
 
-def trivial_assignment(hp: HopfPresentation, target: AlgebraPresentation) -> GeneratorAssignment:
-    return GeneratorAssignment(hp, target, {})
-
-
 def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> GeneratorAssignment:
     """The point-group product: x -> m(psi (x) phi)(mu(x)) on each generator."""
     if phi.hopf != psi.hopf or phi.target != psi.target:
@@ -499,17 +495,6 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
             acc = acc + (psi.eval_monomial(m1) * phi.eval_monomial(m2)).scale(c)
         if not acc.is_zero():
             values[g.name] = acc
-    return GeneratorAssignment(hp, phi.target, values)
-
-
-def antipode_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:
-    """phi precomposed with the conjugation."""
-    hp = phi.hopf
-    values = {}
-    for g in hp.algebra.generators:
-        v = phi.eval(antipode_gen(hp, g.name))
-        if not v.is_zero():
-            values[g.name] = v
     return GeneratorAssignment(hp, phi.target, values)
 
 

@@ -5,13 +5,18 @@ sequence R = (r_1, r_2, ...) of polynomial exponents and, for odd p, a 0/1
 sequence E = (e_0, e_1, ...) of exterior exponents.  Dual symbols are the
 formal duals Sq(R) (p = 2) and Q(E)P(R) (odd p); no product is implemented on
 the dual side, only the Kronecker pairing against basis monomials.
+
+The public predicates validate each index sequence in one pass and build no
+stripped copy where trailing zeros cannot change the answer.  The level-k
+clauses behind them, `j_clause` (the ideal basis) and `span_clause` (the dual
+spanning set), are written independently from their two descriptions, so each
+is an oracle for the other: they must exactly complement each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import AlgebraElement
 from .hopf import HopfElement, HopfPresentation
 
 
@@ -19,31 +24,37 @@ class MilnorError(Exception):
     pass
 
 
-def normalize_seq(r) -> tuple[int, ...]:
-    """Drop trailing zeros; reject negative entries."""
+def _exponents(r) -> tuple[int, ...]:
+    """r as a tuple; MilnorError on a negative entry."""
     r = tuple(r)
-    if any(v < 0 for v in r):
-        raise MilnorError("sequence entries must be non-negative")
-    while r and r[-1] == 0:
-        r = r[:-1]
+    for v in r:  # a loop: min(r) costs more at these lengths
+        if v < 0:
+            raise MilnorError("sequence entries must be non-negative")
     return r
 
 
-def normalize_seqb(e) -> tuple[int, ...]:
+def _exterior(e) -> tuple[int, ...]:
+    """e as a tuple; MilnorError on an entry other than 0 or 1."""
     e = tuple(e)
-    if any(v not in (0, 1) for v in e):
+    if e.count(0) + e.count(1) != len(e):
         raise MilnorError("exterior exponents must be 0 or 1")
-    while e and e[-1] == 0:
-        e = e[:-1]
     return e
 
 
-def seq_add(r, s) -> tuple[int, ...]:
-    r, s = normalize_seq(r), normalize_seq(s)
-    n = max(len(r), len(s))
-    r += (0,) * (n - len(r))
-    s += (0,) * (n - len(s))
-    return normalize_seq(a + b for a, b in zip(r, s))
+def _strip(r: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(r)
+    while n and r[n - 1] == 0:
+        n -= 1
+    return r[:n]
+
+
+def normalize_seq(r) -> tuple[int, ...]:
+    """Drop trailing zeros; reject negative entries."""
+    return _strip(_exponents(r))
+
+
+def normalize_seqb(e) -> tuple[int, ...]:
+    return _strip(_exterior(e))
 
 
 def seq_leq(r, s) -> bool:
@@ -55,30 +66,31 @@ def seq_leq(r, s) -> bool:
     return all(a <= b for a, b in zip(r, s))
 
 
-def unit_seq(n: int, c: int = 1) -> tuple[int, ...]:
-    """c times the sequence E_n with a single nonzero entry at position n (1-based)."""
-    if n < 1:
-        raise MilnorError("position must be >= 1")
-    return (0,) * (n - 1) + (c,)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DualSymbol:
     """Formal dual-basis symbol: Sq(R) for p = 2, Q(E)P(R) for odd p."""
 
     p: int
     R: tuple[int, ...]
-    E: tuple[int, ...] = field(default=())
+    E: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "R", normalize_seq(self.R))
-        object.__setattr__(self, "E", normalize_seqb(self.E))
-        if self.p == 2 and self.E:
+    def __init__(self, p: int, R, E=()):
+        R = normalize_seq(R)
+        E = normalize_seqb(E)
+        if p == 2 and E:
             raise MilnorError("p = 2 symbols carry no exterior part")
+        _set_p(self, p)
+        _set_R(self, R)
+        _set_E(self, E)
 
     @property
     def kind(self) -> str:
         return "Sq" if self.p == 2 else "QP"
+
+
+# the slot setters, which a frozen instance's __setattr__ would refuse; calling
+# them directly skips the attribute lookup object.__setattr__ makes each time
+_set_p, _set_R, _set_E = (DualSymbol.__dict__[f].__set__ for f in ("p", "R", "E"))
 
 
 def monomial_of(E, R, hp: HopfPresentation) -> HopfElement:
@@ -119,17 +131,16 @@ def j_clause(E, R, k: int, p: int) -> bool:
     """The ideal-basis clause: p = 2: some r_n >= 2^(k+1); odd p, k = 0:
     e_0 = 1 or some r_n >= p; odd p, k >= 1: some r_n >= p^(k+1).
 
-    Hot path for exhaustive sweeps; inputs are trusted raw sequences.
+    Hot path for exhaustive sweeps; inputs are trusted raw sequences, and
+    trailing zeros do not change the verdict.
     """
-    if p == 2:
-        t = 2 << k
-        return any(r >= t for r in R)
-    if k == 0:
-        if len(E) >= 1 and E[0] == 1:
-            return True
-        return any(r >= p for r in R)
+    if k == 0 and p != 2 and E and E[0] == 1:
+        return True
     t = p ** (k + 1)
-    return any(r >= t for r in R)
+    for r in R:
+        if r >= t:
+            return True
+    return False
 
 
 def span_clause(E, R, k: int, p: int) -> bool:
@@ -138,22 +149,19 @@ def span_clause(E, R, k: int, p: int) -> bool:
 
     Written from the spanning-set description, independently of j_clause.
     """
-    if p == 2:
-        t = 2 << k
-        return all(r < t for r in R)
-    if k == 0:
-        if len(E) >= 1 and E[0] == 1:
+    bound = p ** (k + 1)
+    for r in R:
+        if not r < bound:
             return False
-        return all(r < p for r in R)
-    t = p ** (k + 1)
-    return all(r < t for r in R)
+    # at odd p and level 0 the spanning set also asks for e_0 = 0
+    return p == 2 or k > 0 or not E or E[0] != 1
 
 
 def in_J_basis(E, R, k: int, p: int) -> bool:
     """Monomial membership in the level-k Hopf ideal of the dual algebra."""
-    E = normalize_seqb(E)
-    R = normalize_seq(R)
-    if p == 2 and E:
+    E = _exterior(E)
+    R = _exponents(R)
+    if p == 2 and 1 in E:
         raise MilnorError("p = 2 monomials carry no exterior part")
     return j_clause(E, R, k, p)
 
@@ -170,22 +178,3 @@ def kronecker_pair(sym: DualSymbol, E, R) -> int:
     if sym.p == 2 and E:
         raise MilnorError("p = 2 monomials carry no exterior part")
     return 1 if (sym.E, sym.R) == (E, R) else 0
-
-
-def kronecker_pair_element(sym: DualSymbol, x: AlgebraElement, hp: HopfPresentation) -> int:
-    """Pairing extended linearly over a sum of basis monomials."""
-    alg = hp.algebra
-    total = 0
-    for mono, c in x.terms.items():
-        E = [0] * (hp.N + 1)
-        R = [0] * hp.N
-        for g, e in zip(alg.generators, alg.exponents(mono)):
-            if e == 0:
-                continue
-            kind, i = g.name[0], int(g.name[1:])
-            if kind == "t":
-                E[i] = e
-            else:
-                R[i - 1] = e
-        total += c * kronecker_pair(sym, normalize_seqb(E), normalize_seq(R))
-    return total % hp.p

@@ -1,8 +1,9 @@
 """CLI output pinned byte for byte across changes to the program.
 
-Each case is the exit code and the sha256 of stdout of one command, as
-recorded from a reference run.  A rewrite that changes any output byte fails
-here; a change of output that is meant must record new hashes.
+Each case is the exit code and the sha256 of stdout of one command, or the
+stderr text of a refused command, as recorded from a reference run.  A rewrite
+that changes any output byte fails here; a change of output that is meant must
+record new hashes.
 """
 
 import hashlib
@@ -29,6 +30,26 @@ GOLDEN = {
     "hopf --preset A_angle --p 3 --k 1 --N 3": (0, "c78fa62a968f05474066dedb13f0c329987f67ff7594da3304478d682b06e603"),
     "hopf --preset A_mod_I --p 3 --k 1 --N 3": (0, "e7e97c85ed303b5ddeedfa6e9b2d66807b8dd74ccde0d4c4a23f98775307234c"),
     "hopf --preset A_mod_J --p 3 --k 1 --N 3": (0, "d4576220a595ea96cd8cb1e0808145cc8ba45ff5b99a64b613542b2726b61f43"),
+    "milnor in-j --p 2 --k 0 --R 1,1,1": (0, "6b9c06976b243775ad18e56981ed7534fab3185484e139563b2ed7309c1dad46"),
+    "milnor in-j --p 2 --k 1 --R 4": (0, "bbbd6123e6f97debf0d7b6a8d4229ff7bc7187e1aa51596342ce7e1f89530594"),
+    "milnor in-span --p 2 --k 1 --R 3,3": (0, "97eecba783d2832446f581e02d098758009ce017eef2d0709f68593686a7bbc2"),
+    "milnor in-span --p 2 --k 0 --R 0,2": (0, "b27841632047ea30ad1a63ed2e1a8d38a7f722062581ba284a5b7c3b81904ead"),
+    "milnor in-j --p 3 --k 0 --E 1": (0, "2c805b3bebde8dd20ee7d427a31bab659460321e51485f3c54518a92eb36dae5"),
+    "milnor in-j --p 3 --k 0 --E 0,1,1 --R 2,2": (0, "0c3f138a263a688447583fa4d4a98ebeb04cd58e4524934fbc7b1b2e411e090c"),
+    "milnor in-span --p 3 --k 0 --E 0,1 --R 2,2": (0, "48159337ed6ca40ed3a679b0f6500034e24564f95e8a87f56f12d0df5647853e"),
+    "milnor in-span --p 3 --k 0 --E 1 --R 1": (0, "5bfbfdbd4df8d4509013c3048e9ce047563b791c6b90dda5b915d37aacc30e22"),
+    "milnor in-j --p 3 --k 2 --R 0,27": (0, "d343b52b3d9b0883f97905213baf2b49381e96830487a2859755cc45ef5ded85"),
+    "milnor in-j --p 3 --k 1 --E 1,1 --R 8,8,0,0": (0, "3e4d1f56cb18fafd46d1a89f60c7551d26031a835fd7febafe66aaa81fff5609"),
+    "milnor in-span --p 3 --k 1 --E 1,1 --R 8,8,0,0": (0, "95585ef933362efe88e1de0b176ca7fabdd2337b3e7599494fc11f492f7f263d"),
+    "milnor in-span --p 3 --k 2 --R 26,27": (0, "7783da626f0dabe2605c7f0fe44f2bb9c7d47793fda91b579e4cb32eb1565664"),
+}
+
+# command -> stderr of a refusal: exit 2 and nothing on stdout
+REFUSED = {
+    "milnor in-j --p 3 --R=-1,2": "error: sequence entries must be non-negative\n",
+    "milnor in-span --p 3 --E 2 --R 1": "error: exterior exponents must be 0 or 1\n",
+    "milnor in-j --p 2 --E 1 --R 1": "error: p = 2 monomials carry no exterior part\n",
+    "milnor in-span --p 2 --E 1 --R 1": "error: p = 2 symbols carry no exterior part\n",
 }
 
 
@@ -37,6 +58,13 @@ def test_cli_output_bytes(capsys, command):
     code = run(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(REFUSED))
+def test_cli_refusal_bytes(capsys, command):
+    code = run(command.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", REFUSED[command])
 
 
 def test_module_entry_point_prints_golden_sweep():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from steenrodgroup import serialize
-from steenrodgroup.algebra import AlgebraPresentation
+from steenrodgroup.algebra import AlgebraError, AlgebraPresentation
 from steenrodgroup.cli import USAGE_ERROR, run
 from steenrodgroup.group import BOTTOM, TOP, commutator, compose, invert_closed, invert_recursive
 from steenrodgroup.serialize import (
@@ -388,6 +388,22 @@ def test_non_integer_numbers_are_refused(tmp_path, capsys, where, value):
     with pytest.raises(SerializeError):
         group_from_obj(g)
     assert_refused(tmp_path, capsys, "invert", g)
+
+
+# alpha_1 = z1^-1 is no element of the algebra; dropping the term as if a cap
+# killed it would read alpha_1 = 0
+NEGATIVE_EXPONENT = _with(("coeffs", 1, 0, "exponents"), [-1])
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(AlgebraError, match="exponent -1 of z1 is negative"):
+        group_from_obj(NEGATIVE_EXPONENT)
+
+
+@pytest.mark.parametrize("command", ["invert", "compose"])
+def test_cli_negative_exponent_is_usage_error(tmp_path, capsys, command):
+    err = assert_refused(tmp_path, capsys, command, NEGATIVE_EXPONENT)
+    assert "exponent -1 of z1 is negative" in err
 
 
 def assert_refused(tmp_path, capsys, command, g):
