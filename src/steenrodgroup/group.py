@@ -48,6 +48,13 @@ class GroupError(Exception):
     pass
 
 
+def coeff_degree(p: int, level: int, i: int) -> int:
+    """Degree of the even part of alpha_i at the given level."""
+    if p == 2:
+        return 2 ** (i + level) - 2**level
+    return 2 * (p ** (i + level) - p**level)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     p: int
@@ -68,12 +75,7 @@ class GroupElement:
 
     def coeff_degree(self, i: int) -> int:
         """Degree of the even part of alpha_i for this flavor."""
-        p, j = self.p, self.level
-        if p == 2:
-            if j == 0:
-                return 2**i - 1
-            return 2 ** (i + j) - 2**j
-        return 2 * (p ** (i + j) - p**j)
+        return coeff_degree(self.p, self.level, i)
 
     def key(self):
         return (self.p, self.k, self.level) + tuple(c.key() for c in self.coeffs)

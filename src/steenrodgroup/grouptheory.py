@@ -27,6 +27,7 @@ from .algebra import (
 )
 from .group import (
     GroupElement,
+    coeff_degree,
     compose,
     filtration_level,
     identity,
@@ -157,7 +158,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     if p != 2 and not eps_free:
         gens += [element(0, one + times_eps(m)) for m in basis(1, True)]
     for i in range(1, n + 1):
-        d = 2**i - 1 if p == 2 else 2 * (p**i - 1)
+        d = coeff_degree(p, 0, i)
         gens += [element(i, m) for m in basis(d, eps_free) if frobenius(m, n - i + 1).is_zero()]
     return gens
 

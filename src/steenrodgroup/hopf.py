@@ -258,22 +258,25 @@ def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> T
     top = max(map(alg.mono_degree, x.terms), default=0) if check_cap else 0
     if top > hp.degree_cap:
         raise HopfError(f"degree {top} exceeds cap D={hp.D}")
-    acc = TensorElement.zero(alg)
-    one, image = TensorElement.of(alg.one(), alg.one()), functools.partial(coproduct_gen, hp)
+    return extend(alg, x, functools.partial(coproduct_gen, hp), TensorElement.of(alg.one(), alg.one()))
+
+
+def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement) -> AlgebraElement:
+    """The algebra map given on the generator names of alg by image, at x.
+
+    Each term c * g1^e1 ... gn^en of x goes to c * image(g1)^e1 ... image(gn)^en,
+    multiplied out from one in generator order; all are summed in one dict.
+    """
+    terms: dict = {}
     for mono, c in x.terms.items():
-        acc = acc + extend(alg, mono, image, one).scale(c)
-    return acc
-
-
-def extend(alg: AlgebraPresentation, mono: int, image, out: AlgebraElement) -> AlgebraElement:
-    """out * image(g)^e for each g^e in mono, in generator order: the
-    multiplicative extension of a map given on generator names."""
-    for g, e in zip(alg.generators, alg.exponents(mono)):
-        if e:
-            y = image(g.name)
-            for _ in range(e):
-                out = out * y
-    return out
+        out = one
+        for g, e in zip(alg.generators, alg.exponents(mono)):
+            if e:
+                y = image(g.name)
+                for _ in range(e):
+                    out = out * y
+        accumulate(terms, ((m, c * v) for m, v in out.terms.items()), one.pres.p)
+    return type(one)(one.pres, terms)
 
 
 @functools.lru_cache(maxsize=128)
@@ -305,11 +308,7 @@ def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
 
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     """Multiplicative extension; legitimate because the algebra is graded-commutative."""
-    alg = hp.algebra
-    acc, image = alg.zero(), functools.partial(antipode_gen, hp)
-    for mono, c in x.terms.items():
-        acc = acc + extend(alg, mono, image, alg.scalar(c))
-    return acc
+    return extend(hp.algebra, x, functools.partial(antipode_gen, hp), hp.algebra.one())
 
 
 def counit(x: HopfElement) -> int:
@@ -342,28 +341,23 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
 def counit_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement, AlgebraElement]:
     """((counit (x) id) mu(x) - x, (id (x) counit) mu(x) - x)."""
     alg = hp.algebra
-    mu = coproduct(hp, x)
-    left = right = alg.zero()
-    for (m1, m2), c in mu.pairs():
-        if m1 == 0:
-            left = left + AlgebraElement(alg, {m2: c})
-        if m2 == 0:
-            right = right + AlgebraElement(alg, {m1: c})
+    mu = coproduct(hp, x)  # its pairs are distinct keys: nothing to add up
+    left = AlgebraElement(alg, {m2: c for (m1, m2), c in mu.pairs() if m1 == 0})
+    right = AlgebraElement(alg, {m1: c for (m1, m2), c in mu.pairs() if m2 == 0})
     return left - x, right - x
 
 
 def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement, AlgebraElement]:
     """(m(iota (x) id) mu(x) - counit(x) 1,  m(id (x) iota) mu(x) - counit(x) 1)."""
     alg = hp.algebra
-    mu = coproduct(hp, x)
-    left = right = alg.zero()
-    for (m1, m2), c in mu.pairs():
+    left, right = {}, {}
+    for (m1, m2), c in coproduct(hp, x).pairs():
         e1 = AlgebraElement(alg, {m1: c})
         e2 = AlgebraElement(alg, {m2: 1})
-        left = left + antipode(hp, e1) * e2
-        right = right + e1 * antipode(hp, e2)
+        accumulate(left, (antipode(hp, e1) * e2).terms.items(), alg.p)
+        accumulate(right, (e1 * antipode(hp, e2)).terms.items(), alg.p)
     target = alg.scalar(counit(x))
-    return left - target, right - target
+    return AlgebraElement(alg, left) - target, AlgebraElement(alg, right) - target
 
 
 def axiom_counterexamples(hp: HopfPresentation):
@@ -472,29 +466,27 @@ class GeneratorAssignment:
     def value(self, name: str) -> AlgebraElement:
         return self.values.get(name, self.target.zero())
 
-    def eval_monomial(self, mono) -> AlgebraElement:
-        return extend(self.hopf.algebra, mono, self.value, self.target.one())
-
     def eval(self, x: HopfElement) -> AlgebraElement:
-        acc = self.target.zero()
-        for mono, c in x.terms.items():
-            acc = acc + self.eval_monomial(mono).scale(c)
-        return acc
+        return extend(self.hopf.algebra, x, self.value, self.target.one())
 
 
 def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> GeneratorAssignment:
-    """The point-group product: x -> m(psi (x) phi)(mu(x)) on each generator."""
+    """The point-group product: x -> m(psi (x) phi)(mu(x)) on each generator,
+    where m(psi (x) phi) is the map out of the tensor square that `extend`s
+    g -> psi(g) and the primed copy g' -> phi(g)."""
     if phi.hopf != psi.hopf or phi.target != psi.target:
         raise HopfError("convolution needs matching presentations")
-    hp = phi.hopf
+    hp, alg = phi.hopf, phi.hopf.algebra
+
+    def image(name):
+        return phi.value(name[:-1]) if name.endswith("'") else psi.value(name)
+
     values = {}
-    for g in hp.algebra.generators:
-        mu = coproduct(hp, hp.algebra.gen(g.name), check_cap=False)
-        acc = phi.target.zero()
-        for (m1, m2), c in mu.pairs():
-            acc = acc + (psi.eval_monomial(m1) * phi.eval_monomial(m2)).scale(c)
-        if not acc.is_zero():
-            values[g.name] = acc
+    for g in alg.generators:
+        mu = coproduct(hp, alg.gen(g.name), check_cap=False)
+        v = extend(alg.square(), mu, image, phi.target.one())
+        if not v.is_zero():
+            values[g.name] = v
     return GeneratorAssignment(hp, phi.target, values)
 
 

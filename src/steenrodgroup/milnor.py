@@ -158,7 +158,14 @@ def span_clause(E, R, k: int, p: int) -> bool:
 
 
 def in_J_basis(E, R, k: int, p: int) -> bool:
-    """Monomial membership in the level-k Hopf ideal of the dual algebra."""
+    """Monomial membership in the level-k Hopf ideal of the dual algebra.
+
+    MilnorError for a negative level.  p is not checked: a non-prime p is
+    refused by the CLI's `prime` argument type, because an `is_prime` call per
+    tuple (about 70 ns) is a large share of a `milnor_sweep` unit (about 1.8 us).
+    """
+    if k < 0:
+        raise MilnorError("level k must be non-negative")
     E = _exterior(E)
     R = _exponents(R)
     if p == 2 and 1 in E:
@@ -167,7 +174,12 @@ def in_J_basis(E, R, k: int, p: int) -> bool:
 
 
 def in_dual_span(sym: DualSymbol, k: int) -> bool:
-    """Membership in the spanning set of the level-k dual subspace."""
+    """Membership in the spanning set of the level-k dual subspace.
+
+    MilnorError for a negative level; p is not checked, as in `in_J_basis`.
+    """
+    if k < 0:
+        raise MilnorError("level k must be non-negative")
     return span_clause(sym.E, sym.R, k, sym.p)
 
 

@@ -39,12 +39,12 @@ class Composition:
         return sum(self.parts[: i - 1])
 
 
-def enumerate_compositions(n: int, max_n: int = DEFAULT_MAX_N) -> list[Composition]:
+def enumerate_compositions(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n, in lexicographic order."""
     if n < 1:
         raise PartitionError("n must be >= 1")
-    if n > max_n:
-        raise PartitionError(f"n = {n} above enumeration cap {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise PartitionError(f"n = {n} above enumeration cap {DEFAULT_MAX_N}")
     out: list[Composition] = []
     parts: list[int] = []
 

@@ -20,7 +20,7 @@ from .algebra import (
     eps_reduce,
     times_eps,
 )
-from .group import GroupElement
+from .group import GroupElement, coeff_degree
 from .hopf import GeneratorAssignment, HopfPresentation
 
 SPARSE_TERMS = 3
@@ -91,12 +91,11 @@ def random_group_element(
     else:
         head = one + times_eps(random_homogeneous(rng, algebra, 1, eps_free=True))
     coeffs = [head]
-    probe = GroupElement(p, k, level, algebra, tuple([one] + [algebra.zero()] * k))
     for i in range(1, k + 1):
         if i <= zero_prefix:
             coeffs.append(algebra.zero())
             continue
-        d = probe.coeff_degree(i)
+        d = coeff_degree(p, level, i)
         if p == 2 or level == 0:
             c = random_homogeneous(rng, algebra, d)
         else:

@@ -2,9 +2,10 @@
 
 Each suite checks one family of algebraic laws (group axioms, inverse-oracle
 agreement, commutator-coefficient predictions, filtration bounds, Hopf axioms,
-diagram compatibilities, basis complementarity).  Results are returned sorted
-by suite name; a failing suite carries a fully serialized counterexample so
-the failure can be replayed.
+diagram compatibilities, basis complementarity) and returns its first
+counterexample, fully serialized so the failure can be replayed, or None when
+every sample passes.  `run_suites` turns these into results sorted by suite
+name.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 from .algebra import AlgebraPresentation, adjoin_epsilon, component_monomials, eps_part, times_eps
 from .group import (
     GroupElement,
+    coeff_degree,
     commutator,
     commutator_leading,
     compose,
@@ -78,7 +80,7 @@ def _ce_group(**named) -> dict:
     return {k: group_to_obj(v) if isinstance(v, GroupElement) else repr(v) for k, v in named.items()}
 
 
-def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     e = identity(p, k, alg)
     for _ in range(samples):
@@ -86,27 +88,25 @@ def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> Prop
         b = random_group_element(rng, p, k, alg)
         c = random_group_element(rng, p, k, alg)
         if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            return PropertyResult("group_axioms", False, samples, _ce_group(law="associativity", a=a, b=b, c=c))
+            return _ce_group(law="associativity", a=a, b=b, c=c)
         if compose(e, a) != a or compose(a, e) != a:
-            return PropertyResult("group_axioms", False, samples, _ce_group(law="identity", a=a))
+            return _ce_group(law="identity", a=a)
         if not is_identity(compose(a, invert_recursive(a))):
-            return PropertyResult("group_axioms", False, samples, _ce_group(law="inverse", a=a))
-    return PropertyResult("group_axioms", True, samples)
+            return _ce_group(law="inverse", a=a)
 
 
-def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     for _ in range(samples):
         a = random_group_element(rng, p, k, alg)
         r = invert_recursive(a)
         c = invert_closed(a)
         if r != c:
-            return PropertyResult("inverse_oracles", False, samples, _ce_group(law="closed", a=a, recursive=r, closed=c))
+            return _ce_group(law="closed", a=a, recursive=r, closed=c)
         if p != 2:
             s = invert_split(a)
             if r != s:
-                return PropertyResult("inverse_oracles", False, samples, _ce_group(law="split", a=a, recursive=r, split=s))
-    return PropertyResult("inverse_oracles", True, samples)
+                return _ce_group(law="split", a=a, recursive=r, split=s)
 
 
 def _sample_with_prefix(rng, p, k, alg, want: int) -> GroupElement:
@@ -120,14 +120,14 @@ def _sample_with_prefix(rng, p, k, alg, want: int) -> GroupElement:
     raise RuntimeError(f"could not sample element with zero prefix {want}")
 
 
-def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     k = max(k, 3)
     per_case = max(samples // 3, 1)
     # a zero prefix m needs a non-zero alpha_(m+1): draw m only below the
     # first empty alpha_(m+1) component of alg
-    probe, top = identity(p, k, alg), 1
-    while top < k - 2 and component_monomials(alg, probe.coeff_degree(top + 2)):
+    top = 1
+    while top < k - 2 and component_monomials(alg, coeff_degree(p, 0, top + 2)):
         top += 1
     for case in (1, 2, 3):
         for _ in range(per_case):
@@ -146,11 +146,7 @@ def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -
             kk, c1, c2 = commutator_leading(a, b, case)
             actual = commutator(a, b)
             if actual.coeffs[kk + 1] != c1 or actual.coeffs[kk + 2] != c2:
-                return PropertyResult(
-                    "commutator_leading", False, samples,
-                    _ce_group(case=case, a=a, b=b, predicted_1=c1, predicted_2=c2, actual=actual),
-                )
-    return PropertyResult("commutator_leading", True, samples)
+                return _ce_group(case=case, a=a, b=b, predicted_1=c1, predicted_2=c2, actual=actual)
 
 
 def _filtered_element(rng, p, k, alg, m: Fraction) -> GroupElement:
@@ -165,7 +161,7 @@ def _filtered_element(rng, p, k, alg, m: Fraction) -> GroupElement:
     return GroupElement(p, k, 0, alg, tuple(coeffs))
 
 
-def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """Commutator inclusions between filtration stages, elementwise."""
     alg = group_test_algebra(p)
     k = max(k, 4)
@@ -192,14 +188,10 @@ def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) ->
             c = commutator(a, b)
             lvl = filtration_level(c)
             if lvl < min(bound, Fraction(k)):
-                return PropertyResult(
-                    "filtration_bounds", False, samples,
-                    _ce_group(stage_a=ma, stage_b=mb, bound=bound, a=a, b=b, commutator=c, level=lvl),
-                )
-    return PropertyResult("filtration_bounds", True, samples)
+                return _ce_group(stage_a=ma, stage_b=mb, bound=bound, a=a, b=b, commutator=c, level=lvl)
 
 
-def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """Lower-central bound: depth-(d+1) nested commutators sit above d + 1/2."""
     alg = group_test_algebra(p)
     k = max(k, 4)
@@ -212,10 +204,7 @@ def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -
             lvl = filtration_level(acc)
             bound = min(Fraction(depth - 1) + Fraction(1, 2), Fraction(k))
             if lvl < bound:
-                return PropertyResult(
-                    "nested_commutators", False, samples,
-                    _ce_group(depth=depth, result=acc, level=lvl, bound=bound),
-                )
+                return _ce_group(depth=depth, result=acc, level=lvl, bound=bound)
             if p != 2:
                 acc = pi_ev(random_group_element(rng, p, k, alg))
                 for _ in range(depth):
@@ -223,14 +212,10 @@ def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -
                 lvl = filtration_level(acc)
                 bound = min(Fraction(depth), Fraction(k))
                 if lvl < bound:
-                    return PropertyResult(
-                        "nested_commutators", False, samples,
-                        _ce_group(depth=depth, variant="ev", result=acc, level=lvl, bound=bound),
-                    )
-    return PropertyResult("nested_commutators", True, samples)
+                    return _ce_group(depth=depth, variant="ev", result=acc, level=lvl, bound=bound)
 
 
-def check_subgroup_closure(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_subgroup_closure(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """Closure of the Frobenius-nilpotency condition under compose and invert."""
     n = 2
     alg = group_test_algebra(p)
@@ -247,13 +232,12 @@ def check_subgroup_closure(p: int, k: int, rng: random.Random, samples: int) -> 
         c = compose(a, b)
         inv = invert_recursive(a)
         if not in_Gpn(c, n):
-            return PropertyResult("subgroup_closure", False, samples, _ce_group(a=a, b=b, product=c))
+            return _ce_group(a=a, b=b, product=c)
         if not in_Gpn(inv, n):
-            return PropertyResult("subgroup_closure", False, samples, _ce_group(a=a, inverse=inv))
-    return PropertyResult("subgroup_closure", True, samples)
+            return _ce_group(a=a, inverse=inv)
 
 
-def check_homomorphisms(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_homomorphisms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     for _ in range(samples):
         a = random_group_element(rng, p, k, alg)
@@ -261,21 +245,20 @@ def check_homomorphisms(p: int, k: int, rng: random.Random, samples: int) -> Pro
         ab = compose(a, b)
         k2 = rng.randint(0, k)
         if project(ab, k2) != compose(project(a, k2), project(b, k2)):
-            return PropertyResult("homomorphisms", False, samples, _ce_group(law="project", a=a, b=b))
+            return _ce_group(law="project", a=a, b=b)
         if rho(ab) != compose(rho(a), rho(b)):
-            return PropertyResult("homomorphisms", False, samples, _ce_group(law="rho", a=a, b=b))
+            return _ce_group(law="rho", a=a, b=b)
         if p != 2:
             if pi_ev(ab) != compose(pi_ev(a), pi_ev(b)):
-                return PropertyResult("homomorphisms", False, samples, _ce_group(law="pi_ev", a=a, b=b))
-    return PropertyResult("homomorphisms", True, samples)
+                return _ce_group(law="pi_ev", a=a, b=b)
 
 
-def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     hp = dual_steenrod(p)
     alg = hp.algebra
     failure = next(axiom_counterexamples(hp), None)
     if failure is not None:
-        return PropertyResult("hopf_axioms", False, samples, failure)
+        return failure
     # the defining antipode recursions, checked directly
     kind = "z" if p == 2 else "x"
     for n in range(1, hp.N + 1):
@@ -283,11 +266,10 @@ def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Prope
         for j in range(1, n):
             acc = acc + alg.gen(f"{kind}{n - j}", p**j) * antipode_gen(hp, f"{kind}{j}")
         if not acc.is_zero():
-            return PropertyResult("hopf_axioms", False, samples, {"law": "recursion", "generator": f"{kind}{n}"})
-    return PropertyResult("hopf_axioms", True, samples)
+            return {"law": "recursion", "generator": f"{kind}{n}"}
 
 
-def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """The named quotient ideals satisfy the Hopf-ideal axioms up to a degree."""
     hp = dual_steenrod(p, N=3, D=2 * (p**3 - 1))
     alg = hp.algebra
@@ -304,36 +286,34 @@ def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Prope
         gens = [g for g in gens if not g.is_zero()]
         ok, witness = check_hopf_ideal(hp, gens, d)
         if not ok:
-            return PropertyResult("hopf_ideals", False, samples, {"ideal": name, "witness": repr(witness)})
+            return {"ideal": name, "witness": repr(witness)}
     # a non-Hopf ideal must be rejected
     bad = [alg.gen("z2" if p == 2 else "x2")]
     ok, _ = check_hopf_ideal(hp, bad, d)
     if ok:
-        return PropertyResult("hopf_ideals", False, samples, {"ideal": "principal-degree-counterexample", "witness": "accepted"})
-    return PropertyResult("hopf_ideals", True, samples)
+        return {"ideal": "principal-degree-counterexample", "witness": "accepted"}
 
 
-def check_primitivity(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_primitivity(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     for k in range(0, 3):
         if not primitivity_check(level_mod_I(p, k, N=3)):
-            return PropertyResult("primitivity", False, samples, {"preset": f"A_mod_I({k})"})
+            return {"preset": f"A_mod_I({k})"}
     if not primitivity_check(dual_mod_J(p, 0, N=3)):
-        return PropertyResult("primitivity", False, samples, {"preset": "A_mod_J(0)"})
+        return {"preset": "A_mod_J(0)"}
     if p != 2:
         hp = dual_steenrod(p, N=2, D=2 * (p**2 - 1) + 4 * p)
         defects = dict(cocommutativity_defect(hp))
         alg = hp.algebra
         witness = TensorElement.of(alg.gen("x1"), alg.gen("t0")) - TensorElement.of(alg.gen("t0"), alg.gen("x1"))
         if defects.get("t1") != witness:
-            return PropertyResult("primitivity", False, samples, {"law": "cocommutativity witness", "got": repr(defects.get("t1"))})
+            return {"law": "cocommutativity witness", "got": repr(defects.get("t1"))}
     else:
         hp = dual_steenrod(2, N=3)
         defects = dict(cocommutativity_defect(hp))
         alg = hp.algebra
         witness = TensorElement.of(alg.gen("z1", 2), alg.gen("z1")) - TensorElement.of(alg.gen("z1"), alg.gen("z1", 2))
         if not defects["z1"].is_zero() or defects["z2"] != witness:
-            return PropertyResult("primitivity", False, samples, {"law": "p=2 cocommutativity defect"})
-    return PropertyResult("primitivity", True, samples)
+            return {"law": "p=2 cocommutativity defect"}
 
 
 def theta_target(p: int) -> AlgebraPresentation:
@@ -342,7 +322,7 @@ def theta_target(p: int) -> AlgebraPresentation:
     return milnor_quotient(p, n).algebra
 
 
-def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     hp = dual_steenrod(p, N=3, D=2 * (p**3 - 1))
     target = theta_target(p)
     trunc = 3
@@ -352,14 +332,10 @@ def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) ->
         lhs = theta(convolution(phi, psi), trunc)
         rhs = compose(theta(psi, trunc), theta(phi, trunc))
         if lhs != rhs:
-            return PropertyResult(
-                "theta_convolution", False, samples,
-                _ce_group(lhs=lhs, rhs=rhs),
-            )
-    return PropertyResult("theta_convolution", True, samples)
+            return _ce_group(lhs=lhs, rhs=rhs)
 
 
-def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     target = theta_target(p)
     per = max(samples // 3, 1)
     for k in (0, 1, 2):
@@ -367,14 +343,10 @@ def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> Prope
         for _ in range(per):
             phi = random_assignment(rng, hp, target)
             if not rho_diagram_check(phi, 3):
-                return PropertyResult(
-                    "rho_diagram", False, samples,
-                    {"k": k, "values": {n: repr(v) for n, v in phi.values.items()}},
-                )
-    return PropertyResult("rho_diagram", True, samples)
+                return {"k": k, "values": {n: repr(v) for n, v in phi.values.items()}}
 
 
-def check_milnor_complement(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_milnor_complement(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """J-basis membership and dual-span membership partition the monomial indices."""
     import itertools
 
@@ -386,14 +358,10 @@ def check_milnor_complement(p: int, k: int, rng: random.Random, samples: int) ->
                 in_j = in_J_basis(E, R, k, p)
                 in_span = in_dual_span(DualSymbol(p, R, E), k)
                 if in_j == in_span:
-                    return PropertyResult(
-                        "milnor_complement", False, samples,
-                        {"k": k, "E": list(E), "R": list(R), "in_J": in_j, "in_span": in_span},
-                    )
-    return PropertyResult("milnor_complement", True, samples)
+                    return {"k": k, "E": list(E), "R": list(R), "in_J": in_j, "in_span": in_span}
 
 
-def check_partition_bijection(p: int, k: int, rng: random.Random, samples: int) -> PropertyResult:
+def check_partition_bijection(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """Appending the deficit is a bijection onto length->=2 compositions."""
     for m in range(2, 11):
         image = set()
@@ -404,10 +372,9 @@ def check_partition_bijection(p: int, k: int, rng: random.Random, samples: int) 
                 total += 1
         expected = {c.parts for c in enumerate_compositions(m) if c.length >= 2}
         if image != expected or len(image) != total:
-            return PropertyResult("partition_bijection", False, samples, {"m": m})
+            return {"m": m}
         if total != 2 ** (m - 1) - 1:
-            return PropertyResult("partition_bijection", False, samples, {"m": m, "count": total})
-    return PropertyResult("partition_bijection", True, samples)
+            return {"m": m, "count": total}
 
 
 SUITES = {
@@ -431,6 +398,6 @@ SUITES = {
 def run_suites(p: int, k: int, seed: int, samples: int) -> list[PropertyResult]:
     results = []
     for name in sorted(SUITES):
-        rng = random.Random(f"{seed}:{name}")
-        results.append(SUITES[name](p, k, rng, samples))
+        ce = SUITES[name](p, k, random.Random(f"{seed}:{name}"), samples)
+        results.append(PropertyResult(name, ce is None, samples, ce))
     return results

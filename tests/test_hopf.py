@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrodgroup import hopf
-from steenrodgroup.algebra import frobenius
+from steenrodgroup.algebra import AlgebraElement, frobenius
 from steenrodgroup.group import GroupElement, compose, rho
 from steenrodgroup.hopf import (
     GeneratorAssignment,
@@ -403,3 +403,120 @@ def test_rho_diagram_commutes(seed, p, k):
     hp = level_algebra(p, k, N=3)
     phi = random_assignment(random.Random(seed), hp, theta_target(p))
     assert rho_diagram_check(phi, 3)
+
+
+# -- the maps against their per-term sums ----------------------------------------
+#
+# The reference below multiplies out each monomial on its own and adds the
+# results one term at a time with `+` and `.scale`; `hopf.extend` sums every
+# term of an element into one dict.
+
+
+def ref_extend_monomial(alg, mono, image, out):
+    for g, e in zip(alg.generators, alg.exponents(mono)):
+        for _ in range(e):
+            out = out * image(g.name)
+    return out
+
+
+def ref_coproduct(hp, x):
+    alg = hp.algebra
+    one, acc = TensorElement.of(alg.one(), alg.one()), TensorElement.zero(alg)
+    for mono, c in x.terms.items():
+        acc = acc + ref_extend_monomial(alg, mono, lambda name: hopf.coproduct_gen(hp, name), one).scale(c)
+    return acc
+
+
+def ref_antipode(hp, x):
+    alg = hp.algebra
+    acc = alg.zero()
+    for mono, c in x.terms.items():
+        acc = acc + ref_extend_monomial(alg, mono, lambda name: antipode_gen(hp, name), alg.scalar(c))
+    return acc
+
+
+def ref_eval_monomial(phi, mono):
+    return ref_extend_monomial(phi.hopf.algebra, mono, phi.value, phi.target.one())
+
+
+def ref_eval(phi, x):
+    acc = phi.target.zero()
+    for mono, c in x.terms.items():
+        acc = acc + ref_eval_monomial(phi, mono).scale(c)
+    return acc
+
+
+def ref_convolution(phi, psi):
+    hp = phi.hopf
+    values = {}
+    for g in hp.algebra.generators:
+        mu = ref_coproduct(hp, hp.algebra.gen(g.name))
+        acc = phi.target.zero()
+        for (m1, m2), c in mu.pairs():
+            acc = acc + (ref_eval_monomial(psi, m1) * ref_eval_monomial(phi, m2)).scale(c)
+        if not acc.is_zero():
+            values[g.name] = acc
+    return values
+
+
+def ref_counit_defect(hp, x):
+    alg = hp.algebra
+    left = right = alg.zero()
+    for (m1, m2), c in ref_coproduct(hp, x).pairs():
+        if m1 == 0:
+            left = left + AlgebraElement(alg, {m2: c})
+        if m2 == 0:
+            right = right + AlgebraElement(alg, {m1: c})
+    return left - x, right - x
+
+
+def ref_antipode_defect(hp, x):
+    alg = hp.algebra
+    left = right = alg.zero()
+    for (m1, m2), c in ref_coproduct(hp, x).pairs():
+        e1, e2 = AlgebraElement(alg, {m1: c}), AlgebraElement(alg, {m2: 1})
+        left = left + ref_antipode(hp, e1) * e2
+        right = right + e1 * ref_antipode(hp, e2)
+    target = alg.scalar(counit(x))
+    return left - target, right - target
+
+
+PRESETS = {
+    "A_dual": lambda p: dual_steenrod(p, N=3, D=2 * (p**3 - 1)),
+    "A_mod_J": lambda p: dual_mod_J(p, 1, N=3),
+    "A_angle": lambda p: level_algebra(p, 1, N=2),
+}
+
+
+@st.composite
+def hopf_elements(draw):
+    """A preset at p in {2, 3} and an element of it below its degree cap: up
+    to five terms, with coefficients other than 1 where p allows."""
+    hp = PRESETS[draw(st.sampled_from(sorted(PRESETS)))](draw(st.sampled_from([2, 3])))
+    alg = hp.algebra
+    terms = {}
+    for _ in range(draw(st.integers(2, 5))):
+        factors = draw(st.lists(st.sampled_from(alg.generators), max_size=3))
+        m = alg.pack([factors.count(g) for g in alg.generators])
+        if m is not None and alg.mono_degree(m) <= hp.degree_cap:
+            terms[m] = draw(st.integers(1, hp.p - 1))
+    return hp, AlgebraElement(alg, terms)
+
+
+@given(hopf_elements())
+def test_structure_maps_match_their_per_term_sums(case):
+    hp, x = case
+    assert coproduct(hp, x) == ref_coproduct(hp, x)
+    assert antipode(hp, x) == ref_antipode(hp, x)
+    assert counit_defect(hp, x) == ref_counit_defect(hp, x)
+    assert antipode_defect(hp, x) == ref_antipode_defect(hp, x)
+
+
+@given(hopf_elements(), st.integers(0, 10**6))
+def test_assignments_match_their_per_term_sums(case, seed):
+    hp, x = case
+    rng = random.Random(seed)
+    target = milnor_quotient(hp.p, 2).algebra
+    phi, psi = random_assignment(rng, hp, target), random_assignment(rng, hp, target)
+    assert phi.eval(x) == ref_eval(phi, x)
+    assert convolution(phi, psi).values == ref_convolution(phi, psi)

@@ -374,3 +374,14 @@ def test_symbol_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sym, name, value)
     assert sym == DualSymbol(3, [1], iter([1, 0]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k", [-1, -2])
+def test_negative_level_is_refused(p, k):
+    # at k = -1 the threshold p^0 = 1 made every nonzero r an ideal index, and
+    # at k = -2 the clauses compared against the float 1/p
+    with pytest.raises(MilnorError, match="level k must be non-negative"):
+        in_J_basis((), (1,), k, p)
+    with pytest.raises(MilnorError, match="level k must be non-negative"):
+        in_dual_span(DualSymbol(p, (1,)), k)

@@ -1,18 +1,21 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from steenrodgroup import serialize
-from steenrodgroup.algebra import AlgebraError, AlgebraPresentation
+from steenrodgroup import serialize, verify
+from steenrodgroup.algebra import AlgebraElement, AlgebraError, AlgebraPresentation
 from steenrodgroup.cli import USAGE_ERROR, run
-from steenrodgroup.group import BOTTOM, TOP, commutator, compose, invert_closed, invert_recursive
+from steenrodgroup.group import BOTTOM, TOP, commutator, compose, identity, invert_closed, invert_recursive
+from steenrodgroup.milnor import in_J_basis
 from steenrodgroup.serialize import (
     SerializeError,
     element_from_obj,
@@ -249,6 +252,63 @@ def test_cli_verify_beyond_the_sample_algebras_top_degree(capsys, p, k):
     code, out = run_cli(capsys, "verify", "--p", str(p), "--k", str(k))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def _drop_top_coefficient(compose):
+    def broken(a, b):
+        c = compose(a, b)
+        return replace(c, coeffs=c.coeffs[:-1] + (c.algebra.zero(),))
+
+    return broken
+
+
+def _drop_top_term(antipode_gen):
+    def broken(hp, name):
+        x = antipode_gen(hp, name)
+        return AlgebraElement(x.pres, {m: c for m, c in x.terms.items() if m != max(x.terms)})
+
+    return broken
+
+
+# law of steenrodgroup.verify -> (its broken version built from the real one,
+# the suite that must fail, sha256 of the stdout of VERIFY_BROKEN)
+BROKEN_LAWS = {
+    "compose": (
+        _drop_top_coefficient,
+        "homomorphisms",
+        "418fdccd76e880e3cc499e08f7763a38157d10fd2cdaf2f24517ee0c92c69986",
+    ),
+    "invert_closed": (
+        lambda real: lambda a: invert_recursive(identity(a.p, a.k, a.algebra, a.level)),
+        "inverse_oracles",
+        "a2c5351b2de925c669ebf75025da8b6e39f7a040934b1ae7993f0f52f30dc94d",
+    ),
+    "in_dual_span": (
+        lambda real: lambda sym, k: in_J_basis(sym.E, sym.R, k, sym.p),
+        "milnor_complement",
+        "1650d7bde1bf40cf04c1e146208e7d45ad26d356adec94af58655661410b0d2f",
+    ),
+    "antipode_gen": (
+        _drop_top_term,
+        "hopf_axioms",
+        "5ad719f6971fc1481ce992c480f09cfedc42172125c6f8068beefa6b536e32eb",
+    ),
+}
+
+VERIFY_BROKEN = "verify --p 3 --k 4 --seed 0 --samples 5"
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
+def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
+    breaker, suite, digest = BROKEN_LAWS[law]
+    monkeypatch.setattr(verify, law, breaker(getattr(verify, law)))
+    code, out = run_cli(capsys, *VERIFY_BROKEN.split())
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    failed = {s["name"] for s in payload["suites"] if not s["ok"]}
+    assert suite in failed
+    assert failed == {s["name"] for s in payload["suites"] if "counterexample" in s}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_out_file(tmp_path, capsys):
