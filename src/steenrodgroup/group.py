@@ -16,12 +16,13 @@ Evaluation builds each output coefficient in one normal-form dict: the terms
 of every product are added into it with `algebra.accumulate`, so no partial
 sum is ever materialised as an element.  `compose` and `invert_recursive`
 take one Frobenius power and one product per (i, j) pair.  The two
-partition-sum inverses share the Frobenius powers alpha_m^(p^s) within a call
-(m >= 1 and m + s <= k: at most k(k+1)/2 of them), walk each composition's parts with a running shift
-sigma, and stop a composition's product at its first zero partial product;
-`invert_split` multiplies the common tail of a composition once for its even
-and its eps term, and applies eps to the summed odd terms once per
-coefficient.
+partition-sum inverses make one walk of the composition tree: the child
+nu + (m) of a composition nu of n carries nu's product times alpha_m^(p^n),
+so each product costs one multiply, and a zero product cuts its subtree.
+Each Frobenius power is taken at most once per call, and a truncation k above
+`partitions.DEFAULT_MAX_N` is refused before any product.  `invert_split`
+carries the pair of a composition's even and eps terms down the tree and
+applies eps to the summed odd terms once per coefficient.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .algebra import (
     frobenius,
     times_eps,
 )
-from .partitions import enumerate_compositions
+from .partitions import DEFAULT_MAX_N, PartitionError
 
 BOTTOM = Fraction(-1)  # filtration verdict for alpha_0 != 1
 TOP = Fraction(10**9)  # identity up to truncation
@@ -103,13 +104,6 @@ def is_identity(a: GroupElement) -> bool:
     return a.coeffs[0] == a.algebra.one() and all(c.is_zero() for c in a.coeffs[1:])
 
 
-def _signed(x: AlgebraElement, negate: bool):
-    """The (monomial, coefficient) pairs of x or of -x, for `accumulate`."""
-    if negate:
-        return ((m, -c) for m, c in x.terms.items())
-    return x.terms.items()
-
-
 class _Powers(dict):
     """(m, s) -> coeffs[m]^(p^s), each Frobenius power taken on first use."""
 
@@ -123,17 +117,31 @@ class _Powers(dict):
         return x
 
 
-def _shifted_product(powers: _Powers, parts, shift: int) -> AlgebraElement:
-    """prod_j coeffs[parts[j]]^(p^(shift + parts[0] + ... + parts[j-1])) for
-    non-empty parts, cut short at the first zero partial product."""
-    prod = None
-    for m in parts:
-        factor = powers[m, shift]
-        prod = factor if prod is None else prod * factor
-        if not prod.terms:
-            break
-        shift += m
-    return prod
+def _composition_sums(heads, powers: _Powers, k: int, p: int) -> list:
+    """sums[n][v] = sum_nu (-1)^l(nu) heads[nu(1)][v] prod_{j >= 2} powers[nu(j), sigma(nu)(j)]
+    over the compositions nu of n, as normal-form term dicts (1 <= n <= k).
+
+    One walk of the composition tree: the child of nu that appends the part m
+    multiplies nu's values by powers[m, |nu|]; a zero factor or a node whose
+    values are all zero cuts the subtree below."""
+    if k > DEFAULT_MAX_N:
+        raise PartitionError(f"truncation k = {k} above the composition cap {DEFAULT_MAX_N}")
+    sums = [tuple({} for _ in heads[0]) for _ in range(k + 1)]
+
+    def walk(n, values, sign):
+        for terms, x in zip(sums[n], values):
+            accumulate(terms, ((mono, sign * c) for mono, c in x.terms.items()), p)
+        for m in range(1, k - n + 1):
+            factor = powers[m, n]
+            if factor.terms:
+                child = tuple(x * factor for x in values)
+                if any(x.terms for x in child):
+                    walk(n + m, child, -sign)
+
+    for m in range(1, k + 1):
+        if any(x.terms for x in heads[m]):
+            walk(m, heads[m], -1)
+    return sums
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -177,15 +185,11 @@ def invert_closed(a: GroupElement) -> GroupElement:
 
     over the compositions nu of i."""
     alg, p = a.algebra, a.p
+    sums = _composition_sums([(c,) for c in a.coeffs], _Powers(a.coeffs), a.k, p)
     inv0 = alg.scalar(2) - a.coeffs[0]
     drop = a.level == 1 and p != 2
-    powers = _Powers(a.coeffs)
     betas = [inv0]
-    for i in range(1, a.k + 1):
-        terms: dict = {}
-        for nu in enumerate_compositions(i):
-            prod = _shifted_product(powers, nu.parts, 0)
-            accumulate(terms, _signed(prod, len(nu.parts) % 2 == 1), p)
+    for (terms,) in sums[1:]:
         beta = inv0 * AlgebraElement(alg, terms)
         if drop:
             beta = eps_reduce(beta)
@@ -205,25 +209,12 @@ def invert_split(a: GroupElement) -> GroupElement:
     if a.level != 0:
         raise GroupError("eps-split inverse is for the base flavor")
     alg, p = a.algebra, a.p
-    one = alg.one()
     even = [eps_reduce(c) for c in a.coeffs]
     odd = [eps_part(c) for c in a.coeffs]
-    inv0 = one - times_eps(odd[0])  # (1 - alpha_{10} eps)
-    powers = _Powers(even)
+    sums = _composition_sums(list(zip(even, odd)), _Powers(even), a.k, p)
+    inv0 = alg.one() - times_eps(odd[0])  # (1 - alpha_{10} eps)
     betas = [inv0]
-    for i in range(1, a.k + 1):
-        terms: dict = {}
-        odd_terms: dict = {}
-        for nu in enumerate_compositions(i):
-            head = nu.parts[0]
-            if not (even[head].terms or odd[head].terms):
-                continue
-            tail = _shifted_product(powers, nu.parts[1:], head) if len(nu.parts) > 1 else one
-            if not tail.terms:
-                continue
-            negate = len(nu.parts) % 2 == 1
-            accumulate(terms, _signed(even[head] * tail, negate), p)
-            accumulate(odd_terms, _signed(odd[head] * tail, negate), p)
+    for terms, odd_terms in sums[1:]:
         if odd_terms:
             accumulate(terms, times_eps(AlgebraElement(alg, odd_terms)).terms.items(), p)
         betas.append(inv0 * AlgebraElement(alg, terms))

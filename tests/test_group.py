@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrodgroup import group
-from steenrodgroup.algebra import EPSILON, adjoin_epsilon, component_monomials, mk_algebra, times_eps
+from steenrodgroup.algebra import (
+    EPSILON,
+    AlgebraElement,
+    adjoin_epsilon,
+    component_monomials,
+    eps_part,
+    eps_reduce,
+    mk_algebra,
+    times_eps,
+)
 from steenrodgroup.group import (
     BOTTOM,
     TOP,
@@ -33,6 +42,7 @@ from steenrodgroup.group import (
     zero_prefix_length,
 )
 from steenrodgroup.hopf import milnor_quotient
+from steenrodgroup.partitions import enumerate_compositions
 from steenrodgroup.sampling import random_group_element
 from steenrodgroup.verify import _sample_with_prefix, group_test_algebra
 
@@ -120,9 +130,19 @@ def test_identity_and_inverse_laws(seed, p):
     assert is_identity(compose(invert_recursive(g), g))
 
 
-@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
-def test_inverse_oracles_agree(seed, p):
-    g = sample(seed, p)
+# capless coefficients, as over A_* itself: no Frobenius power vanishes, so a
+# composition's product survives at every shift (over the milnor_quotient
+# algebras every product with a shift of 4 or more is zero)
+CAPLESS = {
+    2: mk_algebra(2, [("z1", 1, None)]),
+    3: adjoin_epsilon(mk_algebra(3, [("t0", 1, 2), ("x1", 4, None)])),
+    5: adjoin_epsilon(mk_algebra(5, [("t0", 1, 2), ("x1", 8, None)])),
+}
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(0, 8), st.booleans())
+def test_inverse_oracles_agree(seed, p, k, capless):
+    g = random_group_element(random.Random(seed), p, k, CAPLESS[p]) if capless else sample(seed, p, k)
     r = invert_recursive(g)
     assert invert_closed(g) == r
     if p != 2:
@@ -211,6 +231,42 @@ def test_partition_inverses_take_each_frobenius_power_once(monkeypatch, invert):
     assert 0 < len(calls) <= k * (k + 1) // 2
 
 
+def _live_compositions(heads, tail, k):
+    """Compositions of n <= k whose every proper prefix has a non-zero product
+    heads[nu(1)] prod_{j >= 2} tail[nu(j)]^(p^sigma(nu)(j)), by brute force."""
+    count = 0
+    for n in range(1, k + 1):
+        for nu in enumerate_compositions(n):
+            values = heads[nu.parts[0]]
+            for j in range(2, nu.length + 1):
+                if not any(x.terms for x in values):
+                    break
+                values = [x * group.frobenius(tail[nu.parts[j - 1]], nu.sigma(j)) for x in values]
+            else:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_partition_inverses_multiply_once_per_live_composition(monkeypatch, p):
+    # one walk of the composition tree: one product per value of each live
+    # node, then alpha_0^{-1} (and for split the eps step) once per coefficient
+    k = 8
+    g = dense_element(0, p, k, 0, ())
+    even = [eps_reduce(c) for c in g.coeffs]
+    bounds = {invert_closed: _live_compositions([(c,) for c in g.coeffs], g.coeffs, k) + k}
+    if p != 2:
+        heads = list(zip(even, map(eps_part, g.coeffs)))
+        bounds[invert_split] = 2 * _live_compositions(heads, even, k) + 2 * k
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for invert, bound in bounds.items():
+        calls.clear()
+        invert(g)
+        assert 0 < len(calls) <= bound, invert.__name__
+
+
 # -- commutators ---------------------------------------------------------------
 
 
@@ -230,9 +286,6 @@ def test_od_elements_commute():
 
 
 def _od_element(r, A, k=3):
-    from steenrodgroup.algebra import eps_part
-    from steenrodgroup.sampling import random_homogeneous
-
     g = random_group_element(r, 3, k, A)
     coeffs = [g.coeffs[0]] + [times_eps(eps_part(c)) for c in g.coeffs[1:]]
     return GroupElement(3, k, 0, A, tuple(coeffs))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from steenrodgroup import serialize, verify
+from steenrodgroup import group, serialize, verify
 from steenrodgroup.algebra import AlgebraElement, AlgebraError, AlgebraPresentation
 from steenrodgroup.cli import USAGE_ERROR, run
 from steenrodgroup.group import BOTTOM, TOP, commutator, compose, identity, invert_closed, invert_recursive
@@ -143,6 +143,25 @@ def test_cli_invert_methods_agree_bytewise(tmp_path, capsys):
         outputs[method] = out
     assert outputs["recursive"] == outputs["closed"] == outputs["split"]
     assert group_from_obj(json.loads(outputs["closed"])) == invert_recursive(g)
+
+
+@pytest.mark.parametrize("method", ["closed", "split"])
+def test_cli_partition_inverses_bound_k_before_any_work(tmp_path, capsys, monkeypatch, method):
+    # k = 21 is above the composition cap: the refusal comes before any
+    # Frobenius power is taken, and before any walk over the compositions of
+    # 1 .. 20, which would take seconds
+    calls = []
+    frobenius = group.frobenius
+    monkeypatch.setattr(group, "frobenius", lambda x, j: calls.append(j) or frobenius(x, j))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group_to_obj(identity(3, 21, group_test_algebra(3)))))
+    started = time.monotonic()
+    code = run(["invert", "--in", str(path), "--method", method])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (USAGE_ERROR, "", [])
+    assert "error:" in captured.err
+    assert elapsed < 1
 
 
 def test_cli_compose_and_commutator(tmp_path, capsys):
@@ -403,6 +422,46 @@ def test_cli_wrong_degree_coefficient_is_usage_error(tmp_path, capsys, command):
     assert "alpha_1 is not homogeneous of degree 1" in err
 
 
+def _one_generator(p, name, degree, cap):
+    """alpha_0 = 1 and alpha_1 = the generator, over that one generator."""
+    return {
+        "p": p,
+        "k": 1,
+        "flavor": 0,
+        "algebra": {"p": p, "generators": [{"name": name, "degree": degree, "cap": cap}]},
+        "coeffs": [[{"coeff": 1, "exponents": [0]}], [{"coeff": 1, "exponents": [1]}]],
+    }
+
+
+# odd-p coefficients live in an algebra with eps adjoined, and a generator
+# named eps is read as that eps whatever its degree and cap: at p = 3
+# `filtration` read alpha_1 = eps of degree 4 as level 1/2, and at p = 2
+# `rho` dropped alpha_1^2 = eps^2
+MISPLACED_EPS = {
+    "no-eps": _one_generator(3, "x1", 4, 3),
+    "eps-of-degree-4": _one_generator(3, "eps", 4, 3),
+    "eps-at-p2": _one_generator(2, "eps", 1, 4),
+}
+
+
+@pytest.mark.parametrize("g", MISPLACED_EPS.values(), ids=MISPLACED_EPS.keys())
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--method", "recursive"],
+        ["invert", "--method", "closed"],
+        ["invert", "--method", "split"],
+        ["compose"],
+        ["commutator"],
+        ["filtration"],
+        ["rho"],
+    ],
+)
+def test_cli_misplaced_eps_is_usage_error(tmp_path, capsys, argv, g):
+    err = assert_refused(tmp_path, capsys, argv[0], g, *argv[1:])
+    assert "eps must be adjoined" in err
+
+
 # a valid p = 2 element: alpha_0 = 1, alpha_1 = z1
 UNIT = dict(NON_UNIT_HEAD, k=1, coeffs=[[{"coeff": 1, "exponents": [0]}], [{"coeff": 1, "exponents": [1]}]])
 
@@ -466,11 +525,11 @@ def test_cli_negative_exponent_is_usage_error(tmp_path, capsys, command):
     assert "exponent -1 of z1 is negative" in err
 
 
-def assert_refused(tmp_path, capsys, command, g):
+def assert_refused(tmp_path, capsys, command, g, *options):
     path = tmp_path / "g.json"
     pair = command in ("compose", "commutator")
     path.write_text(json.dumps({"a": g, "b": g} if pair else g))
-    code = run([command, "--in", str(path)])
+    code = run([command, "--in", str(path), *options])
     captured = capsys.readouterr()
     assert code == USAGE_ERROR
     assert "error:" in captured.err
