@@ -195,30 +195,12 @@ PRESETS = {
 }
 
 
-def hopf_work(hp) -> int:
-    """About how many tensor-term pairs checking the Hopf laws multiplies out.
-
-    The coproduct of g_n holds g_(n-j)^(p^j) for 0 < j < n, and `coproduct`
-    multiplies a power g^e out by e tensor products of up to about e terms
-    each, so every such power that survives its cap counts e^2.
-    """
-    alg = hp.algebra
-    work = 0
-    for g in alg.generators:
-        n = int(g.name[1:])
-        for j in range(1, n):
-            name, e = f"{'z' if hp.p == 2 else 'x'}{n - j}", hp.p**j
-            if hp.has_gen(name) and alg.gen(name, e).terms:
-                work += e * e
-    return work
-
-
 def cmd_hopf(args) -> int:
     try:
         hp = PRESETS[args.preset](args)
     except KeyError:
         raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    work, limit = hopf_work(hp), size_limit()
+    work, limit = hp.work(), size_limit()
     if work > limit:
         raise CliError(f"checking {hp.label} multiplies out about {work} tensor-term pairs, over the limit {limit} ({LIMIT_ENV})")
     counterexamples = list(axiom_counterexamples(hp))

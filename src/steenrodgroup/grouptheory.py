@@ -163,12 +163,12 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     return gens
 
 
-def _close(A: AlgebraPresentation, n: int, p: int, limit, eps_free: bool) -> FiniteGroup:
+def _close(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGroup:
     if p != A.p:
         raise GroupTheoryError("prime does not match the algebra")
     if n < 0:
         raise GroupTheoryError("n must be >= 0")
-    cap = size_limit() if limit is None else limit
+    cap = size_limit()
     galg = A if p == 2 or A.has_epsilon else adjoin_epsilon(A)
     gens = _layer_generators(p, n, galg, eps_free)
     predicted = p ** len(gens)
@@ -185,11 +185,9 @@ def _close(A: AlgebraPresentation, n: int, p: int, limit, eps_free: bool) -> Fin
     return FiniteGroup(p, n, galg, elements, [index[g.key()] for g in gens], index[one.key()], index)
 
 
-def enumerate_group(
-    A: AlgebraPresentation, n: int, p: int, limit: Optional[int] = None
-) -> FiniteGroup:
+def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
     """The full order-n truncated group over a finite algebra."""
-    return _close(A, n, p, limit, eps_free=False)
+    return _close(A, n, p, eps_free=False)
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
@@ -275,5 +273,5 @@ def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     """
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
-    H = _close(A, n, p, None, eps_free=True)
+    H = _close(A, n, p, eps_free=True)
     return _series(H, lambda X: H.gens, "ev_lower_central", n)

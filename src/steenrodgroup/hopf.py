@@ -12,7 +12,8 @@ generated, cap-free) algebras carry synthetic caps just large enough that no
 monomial of degree <= D is lost.
 
 Naming: "z{i}" are the p=2 generators, "x{i}" the polynomial and "t{i}" the
-exterior generators for odd p.
+exterior generators for odd p.  Code outside this module reaches them through
+`HopfPresentation.xi` and `HopfPresentation.tau`, never by name.
 """
 
 from __future__ import annotations
@@ -63,6 +64,40 @@ class HopfPresentation:
 
     def gen_degree(self, name: str) -> int:
         return self.algebra.generators[self.algebra.index(name)].degree
+
+    def xi_name(self, i: int) -> str:
+        """The name of Milnor's xi_i (zeta_i at p = 2)."""
+        return f"{'z' if self.p == 2 else 'x'}{i}"
+
+    def xi(self, i: int, e: int = 1) -> AlgebraElement:
+        """xi_i^e: one at i = 0; zero where the quotient lacks xi_i or a cap
+        kills the power."""
+        alg = self.algebra
+        if i == 0:
+            return alg.one()
+        name = self.xi_name(i)
+        return alg.gen(name, e) if self.has_gen(name) else alg.zero()
+
+    def tau(self, i: int) -> AlgebraElement:
+        """tau_i, or zero where the presentation lacks it (always at p = 2)."""
+        name = f"t{i}"
+        return self.algebra.gen(name) if self.has_gen(name) else self.algebra.zero()
+
+    def work(self) -> int:
+        """About how many tensor-term pairs checking the Hopf laws multiplies out.
+
+        The coproduct of g_n holds xi_(n-j)^(p^j) for 0 < j < n, and `coproduct`
+        multiplies a power g^e out by e tensor products of up to about e terms
+        each, so every such power that survives its cap counts e^2.
+        """
+        work = 0
+        for g in self.algebra.generators:
+            n = int(g.name[1:])
+            for j in range(1, n):
+                e = self.p**j
+                if not self.xi(n - j, e).is_zero():
+                    work += e * e
+        return work
 
     @property
     def degree_cap(self) -> int:
@@ -218,38 +253,19 @@ def switch(t: TensorElement) -> TensorElement:
 # -- structure maps ------------------------------------------------------------
 
 
-def _gen_kind_index(name: str) -> tuple[str, int]:
-    return name[0], int(name[1:])
-
-
 @functools.lru_cache(maxsize=128)
 def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
-    """Coproduct of one generator; quotient caps kill the out-of-range terms."""
-    alg = hp.algebra
-    kind, n = _gen_kind_index(name)
-    p = hp.p
-    acc = TensorElement.zero(alg)
-    if kind in ("z", "x"):
-        # mu(g_n) = sum_j g_{n-j}^{p^j} (x) g_j  with g_0 = 1; the shifted
-        # generators satisfy the same formula
-        for j in range(0, n + 1):
-            left = alg.one() if j == n else alg.gen(f"{kind}{n - j}", p**j)
-            right = alg.one() if j == 0 else alg.gen(f"{kind}{j}")
-            acc = acc + TensorElement.of(left, right)
-        return acc
+    """Coproduct of one generator, by Milnor's mu(xi_n) = sum_j xi_{n-j}^(p^j)
+    (x) xi_j and mu(tau_n) = tau_n (x) 1 + sum_j xi_{n-j}^(p^j) (x) tau_j; the
+    shifted generators obey the same, and quotient caps kill the rest."""
+    kind, n = name[0], int(name[1:])
+    right = hp.tau if kind == "t" else hp.xi
+    acc = TensorElement.zero(hp.algebra)
+    for j in range(n + 1):
+        acc = acc + TensorElement.of(hp.xi(n - j, hp.p**j), right(j))
     if kind == "t":
-        for j in range(0, n + 1):
-            left = alg.one() if j == n else _maybe_gen(hp, f"x{n - j}", p**j)
-            right = _maybe_gen(hp, f"t{j}")
-            acc = acc + TensorElement.of(left, right)
-        acc = acc + TensorElement.of(alg.gen(name), alg.one())
-        return acc
-    raise HopfError(f"unknown generator {name}")
-
-
-def _maybe_gen(hp: HopfPresentation, name: str, exp: int = 1) -> AlgebraElement:
-    """gen(name)^exp, or zero when the quotient presentation lacks the generator."""
-    return hp.algebra.gen(name, exp) if hp.has_gen(name) else hp.algebra.zero()
+        acc = acc + TensorElement.of(right(n), hp.algebra.one())
+    return acc
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> TensorElement:
@@ -281,29 +297,24 @@ def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraEleme
 
 @functools.lru_cache(maxsize=128)
 def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
-    """Conjugation on one generator, by the defining recursions."""
-    alg = hp.algebra
-    kind, n = _gen_kind_index(name)
-    p = hp.p
-    if kind in ("z", "x"):
-        # sum_j g_{n-j}^{p^j} iota(g_j) = 0, iota(g_0) = 1
-        acc = alg.gen(f"{kind}{n}")  # j = 0 term
+    """Conjugation on one generator, by Milnor's recursions sum_j xi_{n-j}^(p^j)
+    iota(xi_j) = 0 and iota(tau_n) = -sum_j iota(xi_{n-j})^(p^j) tau_j."""
+    n = int(name[1:])
+    if name[0] != "t":
+        acc = hp.xi(n)  # the j = 0 term
         for j in range(1, n):
-            acc = acc + alg.gen(f"{kind}{n - j}", p**j) * antipode_gen(hp, f"{kind}{j}")
+            acc = acc + hp.xi(n - j, hp.p**j) * antipode_gen(hp, hp.xi_name(j))
         return -acc
-    if kind == "t":
-        acc = alg.zero()
-        for j in range(0, n + 1):
-            tau = _maybe_gen(hp, f"t{j}")
-            if tau.is_zero():
-                continue
-            if j == n:
-                xi_conj = alg.one()
-            else:
-                xi_conj = antipode_gen(hp, f"x{n - j}") if hp.has_gen(f"x{n - j}") else alg.zero()
-            acc = acc + frobenius(xi_conj, j) * tau
-        return -acc
-    raise HopfError(f"unknown generator {name}")
+    acc = hp.algebra.zero()
+    for j in range(n + 1):
+        tau = hp.tau(j)
+        if tau.is_zero():
+            continue
+        conj = hp.xi(n - j)  # one at j = n, zero where xi_{n-j} is missing
+        if j < n and not conj.is_zero():
+            conj = antipode_gen(hp, hp.xi_name(n - j))
+        acc = acc + frobenius(conj, j) * tau
+    return -acc
 
 
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
@@ -376,13 +387,11 @@ def axiom_counterexamples(hp: HopfPresentation):
             yield {"law": "antipode", "generator": g.name}
 
 
-def cocommutativity_defect(hp: HopfPresentation, d: Optional[int] = None):
-    """Per-generator images of mu - T mu; all zero means cocommutative up to d."""
-    if d is None:
-        d = hp.D
+def cocommutativity_defect(hp: HopfPresentation):
+    """Per-generator images of mu - T mu; all zero means cocommutative up to D."""
     out = []
     for g in hp.algebra.generators:
-        if g.degree > d:
+        if g.degree > hp.D:
             continue
         mu = coproduct(hp, hp.algebra.gen(g.name))
         out.append((g.name, mu - switch(mu)))
@@ -490,13 +499,6 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
     return GeneratorAssignment(hp, phi.target, values)
 
 
-def group_algebra_for(target: AlgebraPresentation) -> AlgebraPresentation:
-    """Coefficient algebra of the group elements read off from assignments."""
-    if target.p == 2 or target.has_epsilon:
-        return target
-    return adjoin_epsilon(target)
-
-
 def embed(x: AlgebraElement, big: AlgebraPresentation) -> AlgebraElement:
     """Extend an element along an append-only extension of its presentation."""
     if x.pres == big:
@@ -513,42 +515,34 @@ def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
     hp = phi.hopf
     if trunc > hp.N:
         raise GroupError(f"truncation {trunc} exceeds generator bound N={hp.N}")
-    p = hp.p
-    galg = group_algebra_for(phi.target)
-    one = galg.one()
+    # eps is adjoined for odd p; at p = 2 adjoin_epsilon returns the target,
+    # and times_eps below is zero
+    galg = phi.target if phi.target.has_epsilon else adjoin_epsilon(phi.target)
 
     def up(v):
         return embed(v, galg)
 
-    coeffs = []
-    if p == 2:
-        coeffs.append(one)
-        for i in range(1, trunc + 1):
-            coeffs.append(up(phi.value(f"z{i}")))
-    else:
-        if hp.shift <= 1:
-            coeffs.append(one + times_eps(up(phi.value("t0"))))
-        else:
-            coeffs.append(one)
-        for i in range(1, trunc + 1):
-            c = up(phi.value(f"x{i}"))
-            if hp.shift == 0:
-                c = c + times_eps(up(phi.value(f"t{i}")))
-            coeffs.append(c)
-    return GroupElement(p, trunc, hp.shift, galg, tuple(coeffs))
+    head = galg.one()
+    if hp.shift <= 1:
+        head = head + times_eps(up(phi.value("t0")))
+    coeffs = [head]
+    for i in range(1, trunc + 1):
+        c = up(phi.value(hp.xi_name(i)))
+        if hp.shift == 0:
+            c = c + times_eps(up(phi.value(f"t{i}")))
+        coeffs.append(c)
+    return GroupElement(hp.p, trunc, hp.shift, galg, tuple(coeffs))
 
 
-def restrict_assignment(phi: GeneratorAssignment, next_hp: Optional[HopfPresentation] = None) -> GeneratorAssignment:
+def restrict_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:
     """Precompose with the inclusion of the next level: generators become p-th powers."""
     hp = phi.hopf
-    if next_hp is None:
-        next_hp = level_algebra(hp.p, hp.shift + 1, hp.N, hp.D * hp.p)
+    next_hp = level_algebra(hp.p, hp.shift + 1, hp.N, hp.D * hp.p)
     values = {}
-    base = "z" if hp.p == 2 else "x"
     for i in range(1, hp.N + 1):
-        v = frobenius(phi.value(f"{base}{i}"), 1)
+        v = frobenius(phi.value(hp.xi_name(i)), 1)
         if not v.is_zero():
-            values[f"{base}{i}"] = v
+            values[hp.xi_name(i)] = v
     if next_hp.has_gen("t0"):
         v = phi.value("t0")
         if not v.is_zero():

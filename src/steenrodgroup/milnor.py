@@ -96,8 +96,10 @@ _set_p, _set_R, _set_E = (DualSymbol.__dict__[f].__set__ for f in ("p", "R", "E"
 def monomial_of(E, R, hp: HopfPresentation) -> HopfElement:
     """The basis monomial tau(E)xi(R) resp. zeta(R) in the given presentation.
 
-    Zero when a cap of the (quotient) presentation is exceeded; error when the
-    index range exceeds the generator bound N.
+    Zero when the (quotient) presentation lacks a factor or a cap is exceeded;
+    error when the index range exceeds the generator bound N.  The tau_i are
+    multiplied in index order, which is their presentation order, so the
+    product carries no Koszul sign.
     """
     E = normalize_seqb(E)
     R = normalize_seq(R)
@@ -105,26 +107,16 @@ def monomial_of(E, R, hp: HopfPresentation) -> HopfElement:
         raise MilnorError("basis monomials live in unshifted presentations")
     if len(R) > hp.N or len(E) > hp.N + 1:
         raise MilnorError(f"sequence index exceeds generator bound N={hp.N}")
-    alg = hp.algebra
-    if hp.p == 2:
-        if E:
-            raise MilnorError("p = 2 monomials carry no exterior part")
-        mono = [0] * alg.ngens
-        for i, r in enumerate(R, start=1):
-            mono[alg.index(f"z{i}")] = r
-    else:
-        mono = [0] * alg.ngens
-        for i, e in enumerate(E):
-            if e:
-                if not hp.has_gen(f"t{i}"):
-                    return alg.zero()
-                mono[alg.index(f"t{i}")] = 1
-        for i, r in enumerate(R, start=1):
-            if r:
-                if not hp.has_gen(f"x{i}"):
-                    return alg.zero()
-                mono[alg.index(f"x{i}")] = r
-    return alg.monomial(mono)
+    if hp.p == 2 and E:
+        raise MilnorError("p = 2 monomials carry no exterior part")
+    out = hp.algebra.one()
+    for i, e in enumerate(E):
+        if e:
+            out = out * hp.tau(i)
+    for i, r in enumerate(R, start=1):
+        if r:
+            out = out * hp.xi(i, r)
+    return out
 
 
 def j_clause(E, R, k: int, p: int) -> bool:

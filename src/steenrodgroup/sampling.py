@@ -2,9 +2,9 @@
 generator assignments.
 
 All sampling goes through an explicit random.Random instance so that every
-report is reproducible from its seed.  Components are sampled uniformly (one
-independent uniform residue per basis monomial) whenever the component is
-finite; otherwise a sparse combination with at most three terms is drawn.
+report is reproducible from its seed.  A component is sampled uniformly, one
+independent uniform residue per basis monomial, so it must be finite: an
+infinite one raises EnumerationError.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ import random
 from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
-    EnumerationError,
     component_monomials,
     eps_reduce,
     times_eps,
 )
 from .group import GroupElement, coeff_degree
 from .hopf import GeneratorAssignment, HopfPresentation
-
-SPARSE_TERMS = 3
 
 
 @functools.lru_cache(maxsize=64)
@@ -38,11 +35,8 @@ def random_homogeneous(
     d: int,
     eps_free: bool = False,
 ) -> AlgebraElement:
-    """Uniform element of the degree-d component (sparse fallback if infinite)."""
-    try:
-        monos = _monos(pres, d)
-    except EnumerationError:
-        return _random_sparse(rng, pres, d, eps_free)
+    """Uniform element of the degree-d component; EnumerationError if it is infinite."""
+    monos = _monos(pres, d)
     if eps_free:
         monos = tuple(m for m in monos if not m & pres.eps)
     terms = {}
@@ -51,25 +45,6 @@ def random_homogeneous(
         if c:
             terms[m] = c
     return AlgebraElement(pres, terms)
-
-
-def _random_sparse(rng, pres, d, eps_free):
-    """At most SPARSE_TERMS random degree-d monomials with random coefficients."""
-    acc = pres.zero()
-    for _ in range(50):
-        if len(acc.terms) >= SPARSE_TERMS:
-            break
-        mono = []
-        for g in pres.generators:
-            hi = (g.cap - 1) if g.cap is not None else 3
-            mono.append(rng.randint(0, hi))
-        m = pres.pack(mono)
-        if pres.mono_degree(m) != d:
-            continue
-        if eps_free and m & pres.eps:
-            continue
-        acc = acc + pres.monomial(mono, rng.randrange(1, pres.p))
-    return acc
 
 
 def random_group_element(

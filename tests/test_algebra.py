@@ -225,3 +225,9 @@ def test_mixed_sign_capless_is_rejected():
     a = mk_algebra(2, [("u", 1, None), ("v", -1, None)])
     with pytest.raises(EnumerationError):
         component_monomials(a, 0)
+
+
+def test_random_homogeneous_refuses_an_infinite_component():
+    a = mk_algebra(3, [("u", 0, None)])
+    with pytest.raises(EnumerationError):
+        random_homogeneous(random.Random(0), a, 0)

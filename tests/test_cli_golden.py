@@ -30,6 +30,9 @@ GOLDEN = {
     "hopf --preset A_angle --p 3 --k 1 --N 3": (0, "c78fa62a968f05474066dedb13f0c329987f67ff7594da3304478d682b06e603"),
     "hopf --preset A_mod_I --p 3 --k 1 --N 3": (0, "e7e97c85ed303b5ddeedfa6e9b2d66807b8dd74ccde0d4c4a23f98775307234c"),
     "hopf --preset A_mod_J --p 3 --k 1 --N 3": (0, "d4576220a595ea96cd8cb1e0808145cc8ba45ff5b99a64b613542b2726b61f43"),
+    "hopf --preset A_dual --p 2 --N 4": (0, "a2a228dd18f9f11e2888da605ebc6c6c38fb61a88b85dc6a822638a90610b0f8"),
+    "hopf --preset A --p 2 --n 3": (0, "ee0a0dee9ff7b67aa5526b78bab5c4228dd600f18016bd005879f510b1c77216"),
+    "hopf --preset A_mod_J --p 2 --k 1 --N 4": (0, "24ce4eeba38f302d52ee38c28eb727edcc71d801c0abef468490d445006ff626"),
     "milnor in-j --p 2 --k 0 --R 1,1,1": (0, "6b9c06976b243775ad18e56981ed7534fab3185484e139563b2ed7309c1dad46"),
     "milnor in-j --p 2 --k 1 --R 4": (0, "bbbd6123e6f97debf0d7b6a8d4229ff7bc7187e1aa51596342ce7e1f89530594"),
     "milnor in-span --p 2 --k 1 --R 3,3": (0, "97eecba783d2832446f581e02d098758009ce017eef2d0709f68593686a7bbc2"),
@@ -50,6 +53,10 @@ REFUSED = {
     "milnor in-span --p 3 --E 2 --R 1": "error: exterior exponents must be 0 or 1\n",
     "milnor in-j --p 2 --E 1 --R 1": "error: p = 2 monomials carry no exterior part\n",
     "milnor in-span --p 2 --E 1 --R 1": "error: p = 2 symbols carry no exterior part\n",
+    "hopf --preset A_dual --p 2 --N 9": (
+        "error: checking A_dual(p=2) multiplies out about 116496 tensor-term pairs,"
+        " over the limit 100000 (STEENROD_LIMIT)\n"
+    ),
 }
 
 

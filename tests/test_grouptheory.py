@@ -270,11 +270,6 @@ def test_size_limit_env(monkeypatch):
         size_limit()
 
 
-def test_explicit_limit_overrides():
-    with pytest.raises(GroupTheoryError):
-        enumerate_group(milnor_quotient(2, 2).algebra, 2, 2, limit=7)
-
-
 def test_prime_mismatch_rejected():
     with pytest.raises(GroupTheoryError):
         enumerate_group(milnor_quotient(2, 2).algebra, 2, 3)

@@ -115,6 +115,8 @@ def test_monomial_of_odd():
     alg = hp.algebra
     got = monomial_of((1, 0, 1), (2,), hp)
     assert got == alg.gen("t0") * alg.gen("t2") * alg.gen("x1", 2)
+    # the basis monomial itself, with coefficient 1: no Koszul sign
+    assert monomial_of((1, 1, 1), (2, 1), hp) == alg.monomial((1, 1, 1, 2, 1))
 
 
 def test_monomial_of_quotient_kills_capped():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from steenrodgroup import group, serialize, verify
-from steenrodgroup.algebra import AlgebraElement, AlgebraError, AlgebraPresentation
+from steenrodgroup.algebra import AlgebraElement, AlgebraError, AlgebraPresentation, component_monomials
 from steenrodgroup.cli import USAGE_ERROR, run
 from steenrodgroup.group import BOTTOM, TOP, commutator, compose, identity, invert_closed, invert_recursive
 from steenrodgroup.milnor import in_J_basis
@@ -179,6 +179,13 @@ def test_cli_compose_and_commutator(tmp_path, capsys):
     code, out = run_cli(capsys, "commutator", "--in", str(path))
     assert code == 0
     assert group_from_obj(json.loads(out)) == commutator(a, b)
+    # rho reads one element, at p = 2 and at odd p, into the next flavor
+    for g in (a, random_group_element(r, 3, 3, group_test_algebra(3))):
+        path.write_text(json.dumps(group_to_obj(g)))
+        code, out = run_cli(capsys, "rho", "--in", str(path))
+        assert code == 0
+        assert json.loads(out) == group_to_obj(group.rho(g))
+        assert json.loads(out)["flavor"] == 1
 
 
 def test_cli_filtration_of_identity(tmp_path, capsys):
@@ -197,6 +204,12 @@ def test_cli_bad_json_is_usage_error(tmp_path, capsys):
     path.write_text("{not json")
     code, _ = run_cli(capsys, "invert", "--in", str(path))
     assert code == USAGE_ERROR
+    # a pair without "b"
+    path.write_text(json.dumps({"a": group_to_obj(identity(2, 1, group_test_algebra(2)))}))
+    code = run(["compose", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (USAGE_ERROR, "")
+    assert captured.err.startswith("error: ") and '"b"' in captured.err
 
 
 def test_cli_missing_file_is_usage_error(capsys):
@@ -328,6 +341,30 @@ def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
     assert suite in failed
     assert failed == {s["name"] for s in payload["suites"] if "counterexample" in s}
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subgroup_closure_checks_samples_pairs_inside_the_subgroup(monkeypatch, p):
+    # a pair drawn from the whole group at k = 4 is never inside G_{p,2}, so
+    # a suite that filters such draws compares nothing
+    pairs = []
+    monkeypatch.setattr(verify, "compose", lambda a, b: pairs.append((a, b)) or compose(a, b))
+    assert verify.check_subgroup_closure(p, 4, random.Random("0:subgroup_closure"), 50) is None
+    assert len(pairs) == 50
+    assert all(group.in_Gpn(a, 2) and group.in_Gpn(b, 2) for a, b in pairs)
+    assert sum(not group.is_identity(a) for a, _ in pairs) > 25
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subgroup_closure_reports_an_inverse_outside_the_subgroup(monkeypatch, p):
+    def leaves(a):
+        inv = invert_recursive(a)
+        top = component_monomials(inv.algebra, inv.coeff_degree(inv.k))[0]
+        return replace(inv, coeffs=inv.coeffs[:-1] + (inv.algebra.monomial(top),))
+
+    monkeypatch.setattr(verify, "invert_recursive", leaves)
+    ce = verify.check_subgroup_closure(p, 4, random.Random("0:subgroup_closure"), 50)
+    assert ce is not None and "inverse" in ce
 
 
 def test_cli_out_file(tmp_path, capsys):
