@@ -20,33 +20,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steenrodgroup.algebra import AlgebraPresentation, Generator
+from steenrodgroup.cli import positive, prime
 from steenrodgroup.hopf import (
     HopfPresentation,
     cocommutativity_defect,
-    level_mod_I,
     primitivity_check,
+    quotient,
 )
 
 
-def partial_quotient(p: int, N: int, squared_upto: int, kill_t0: bool) -> HopfPresentation:
-    """Quotient killing t0 (if requested) and g_i^p for i <= squared_upto only."""
-    gens = []
-    if p == 2:
-        for i in range(1, N + 1):
-            cap = 2 if i <= squared_upto else 4
-            gens.append(Generator(f"z{i}", 2**i - 1, cap))
-    else:
-        if not kill_t0:
-            gens.append(Generator("t0", 1, 2))
-        for i in range(1, N + 1):
-            gens.append(Generator(f"t{i}", 2 * p**i - 1, 2))
-        for i in range(1, N + 1):
-            cap = p if i <= squared_upto else p * p
-            gens.append(Generator(f"x{i}", 2 * (p**i - 1), cap))
-    alg = AlgebraPresentation(p, tuple(gens))
-    D = sum((g.cap - 1) * g.degree for g in gens)
-    return HopfPresentation(p, N, D, 0, alg, f"partial({squared_upto},{kill_t0})")
+def partial_quotient(p: int, N: int, upto: int, kill_t0: bool) -> HopfPresentation:
+    """Quotient killing t0 (if requested) and g_i^p for i <= upto only; the
+    other g_i keep cap p^2."""
+    taus = range(1 if kill_t0 else 0, N + 1)
+    return quotient(p, N, 0, f"partial({upto},{kill_t0})", lambda i: p if i <= upto else p * p, taus)
 
 
 def surviving_defects(hp: HopfPresentation):
@@ -66,15 +53,15 @@ def run(p: int, N: int) -> int:
     for upto in range(0, N - 1):
         hp = partial_quotient(p, N, upto, kill_t0=True)
         bad = surviving_defects(hp)
-        kind = "z" if p == 2 else "x"
-        print(f"kill {kind}_i^{p} for i <= {upto} -> defects at {[n for n, _ in bad]}")
-        assert bad, f"{kind}{upto + 1}^{p} must be forced into the ideal"
+        print(f"kill {hp.xi_name('_i')}^{p} for i <= {upto} -> defects at {[n for n, _ in bad]}")
+        assert bad, f"{hp.xi_name(upto + 1)}^{p} must be forced into the ideal"
         print(f"  first witness: mu - T mu at {bad[0][0]} = {bad[0][1]}")
     final = partial_quotient(p, N, N, kill_t0=True)
     bad = surviving_defects(final)
     print(f"full quotient            -> defects at {[n for n, _ in bad]}")
     assert not bad, "the full quotient must be cocommutative"
-    assert primitivity_check(level_mod_I(p, 0, N)), "generators must be primitive"
+    # the final quotient is A/I<0>, with the caps of level_mod_I(p, 0, N)
+    assert primitivity_check(final), "generators must be primitive"
     print("chain complete: every smaller monomial ideal leaves a defect;")
     print("the full quotient is cocommutative with primitive generators.\n")
     return 0
@@ -82,8 +69,8 @@ def run(p: int, N: int) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--p", type=int, default=None, help="run one prime only")
-    ap.add_argument("--N", type=int, default=3, help="generator index bound")
+    ap.add_argument("--p", type=prime, default=None, help="run one prime only")
+    ap.add_argument("--N", type=positive, default=3, help="generator index bound")
     args = ap.parse_args()
     for p in [args.p] if args.p else [2, 3]:
         run(p, args.N)

@@ -64,6 +64,7 @@ from .hopf import (  # noqa: F401
     milnor_quotient,
     milnor_quotient_ev,
     primitivity_check,
+    quotient,
     rho_diagram_check,
     theta,
 )

@@ -141,8 +141,10 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     Layer 0 (odd p): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
     Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
     m^(p^(n-i+1)) = 0.  With eps_free, only the generators of the eps-free
-    subgroup: no layer 0 and no monomial containing eps.
+    subgroup: no layer 0 and no monomial containing eps.  Refused as soon as
+    the order p^(generators so far) exceeds STEENROD_LIMIT.
     """
+    limit = size_limit()
     one, zero = galg.one(), galg.zero()
 
     def element(i, c):
@@ -154,12 +156,18 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
         monos = (galg.monomial(m) for m in component_monomials(galg, d))
         return [m for m in monos if not only_eps_free or eps_reduce(m) == m]
 
+    def layers():
+        if p != 2 and not eps_free:
+            yield from (element(0, one + times_eps(m)) for m in basis(1, True))
+        for i in range(1, n + 1):
+            d = coeff_degree(p, 0, i)
+            yield from (element(i, m) for m in basis(d, eps_free) if frobenius(m, n - i + 1).is_zero())
+
     gens = []
-    if p != 2 and not eps_free:
-        gens += [element(0, one + times_eps(m)) for m in basis(1, True)]
-    for i in range(1, n + 1):
-        d = coeff_degree(p, 0, i)
-        gens += [element(i, m) for m in basis(d, eps_free) if frobenius(m, n - i + 1).is_zero()]
+    for g in layers():
+        gens.append(g)
+        if p ** len(gens) > limit:
+            raise GroupTheoryError(f"group order {p}^{len(gens)} or more is over the limit {limit} ({LIMIT_ENV})")
     return gens
 
 
@@ -168,12 +176,9 @@ def _close(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
         raise GroupTheoryError("prime does not match the algebra")
     if n < 0:
         raise GroupTheoryError("n must be >= 0")
-    cap = size_limit()
     galg = A if p == 2 or A.has_epsilon else adjoin_epsilon(A)
     gens = _layer_generators(p, n, galg, eps_free)
     predicted = p ** len(gens)
-    if predicted > cap:
-        raise GroupTheoryError(f"group size {predicted} exceeds limit {cap}")
     one = identity(p, n, galg)
     found = _bfs(one, gens, compose, GroupElement.key)
     # the layers hold p^len(gens) elements in all: a closure of any other size

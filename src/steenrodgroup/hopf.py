@@ -5,22 +5,31 @@ generators are the Milnor generators (possibly Frobenius-shifted: the level-k
 subalgebras are generated by zeta_i^(2^k) resp. xi_i^(p^k)), together with a
 generator index bound N, a degree cap D and the Frobenius shift.  All
 quotients in play are by monomial ideals, so ideal membership is decided by
-the caps of the presentation.
+the caps of the presentation.  Everything is exact below degree D.
 
-Everything is exact below degree D.  Presentations of the full (infinitely
-generated, cap-free) algebras carry synthetic caps just large enough that no
-monomial of degree <= D is lost.
+Every preset is one call to `quotient`: the tau_i it lists, then xi_1 .. xi_N
+at its shift, xi_i of the degree of alpha_i, with one cap rule; the full
+(cap-free) algebras get `quotient`'s synthetic caps.
 
-Naming: "z{i}" are the p=2 generators, "x{i}" the polynomial and "t{i}" the
-exterior generators for odd p.  Code outside this module reaches them through
-`HopfPresentation.xi` and `HopfPresentation.tau`, never by name.
+    preset                     shift  taus                      xi_i cap
+    dual_steenrod(p, N, D)     0      0..N                      synthetic from D
+    milnor_quotient(p, n)      0      0..n                      p^(n-i+1)
+    milnor_quotient_ev(p, n)   0      none                      p^(n-i+1)
+    level_algebra(p, k, N, D)  k      0..N at k = 0, 0 at k = 1 synthetic from D
+    level_mod_I(p, k, N)       k      1..N at k = 0, 0 at k = 1 p
+    dual_mod_J(p, k, N)        0      0..N, 1..N at k = 0       p^(k+1)
+
+p = 2 has no tau.  Naming: "z{i}" is xi_i at p = 2 (Milnor's zeta_i), "x{i}"
+xi_i and "t{i}" tau_i at odd p; `_name` writes and `_parse` reads the names,
+and code outside this module reaches the generators through
+`HopfPresentation.xi` and `HopfPresentation.tau`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .algebra import (
     AlgebraElement,
@@ -38,13 +47,23 @@ from .algebra import (
     sparse_sub,
     times_eps,
 )
-from .group import GroupElement, GroupError, rho
+from .group import GroupElement, GroupError, coeff_degree, rho
 
 HopfElement = AlgebraElement
 
 
 class HopfError(Exception):
     pass
+
+
+def _name(p: int, i: int, tau: bool = False) -> str:
+    """The generator name of tau_i, or of xi_i (zeta_i at p = 2)."""
+    return f"{'t' if tau else 'z' if p == 2 else 'x'}{i}"
+
+
+def _parse(name: str) -> tuple[bool, int]:
+    """(whether it is a tau, its index) for a name written by `_name`."""
+    return name[0] == "t", int(name[1:])
 
 
 @dataclass(frozen=True)
@@ -65,9 +84,9 @@ class HopfPresentation:
     def gen_degree(self, name: str) -> int:
         return self.algebra.generators[self.algebra.index(name)].degree
 
-    def xi_name(self, i: int) -> str:
-        """The name of Milnor's xi_i (zeta_i at p = 2)."""
-        return f"{'z' if self.p == 2 else 'x'}{i}"
+    def xi_name(self, i: int | str) -> str:
+        """The name of Milnor's xi_i (zeta_i at p = 2); index "_i" names all."""
+        return _name(self.p, i)
 
     def xi(self, i: int, e: int = 1) -> AlgebraElement:
         """xi_i^e: one at i = 0; zero where the quotient lacks xi_i or a cap
@@ -80,7 +99,7 @@ class HopfPresentation:
 
     def tau(self, i: int) -> AlgebraElement:
         """tau_i, or zero where the presentation lacks it (always at p = 2)."""
-        name = f"t{i}"
+        name = _name(self.p, i, tau=True)
         return self.algebra.gen(name) if self.has_gen(name) else self.algebra.zero()
 
     def work(self) -> int:
@@ -91,8 +110,8 @@ class HopfPresentation:
         each, so every such power that survives its cap counts e^2.
         """
         work = 0
-        for g in self.algebra.generators:
-            n = int(g.name[1:])
+        for name in self.gen_names():
+            _, n = _parse(name)
             for j in range(1, n):
                 e = self.p**j
                 if not self.xi(n - j, e).is_zero():
@@ -111,84 +130,62 @@ def default_degree_cap(p: int, N: int = 4) -> int:
     return 2 * (p**N - 1)
 
 
-def _synthetic(name: str, degree: int, D: int) -> Generator:
-    # the smallest cap that keeps every monomial of degree <= D representable
-    return Generator(name, degree, D // degree + 1)
+def quotient(p: int, N: int, shift: int, label: str, xi_cap: Optional[Callable[[int], int]],
+             taus: Iterable[int], D: Optional[int] = None) -> HopfPresentation:
+    """Milnor's generators at a Frobenius shift, one cap per generator.
 
-
-def _exterior(p: int, indices) -> list[Generator]:
-    return [Generator(f"t{i}", 2 * p**i - 1, 2) for i in indices]
-
-
-def _build(p, N, shift, gens, label, D=None) -> HopfPresentation:
-    if D is None:  # a finite quotient: its top degree
-        D = max(sum((g.cap - 1) * g.degree for g in gens), 0)
+    tau_i for each i in taus (none at p = 2), of degree 2p^i - 1 and cap 2,
+    then xi_1 .. xi_N, xi_i of degree coeff_degree(p, shift, i), the degree
+    of alpha_i, and cap xi_cap(i).  xi_cap None gives the synthetic caps, the
+    smallest that keep every monomial of degree <= D; D None is the top
+    degree of the finite quotient.
+    """
+    gens = [Generator(_name(p, i, tau=True), 2 * p**i - 1, 2) for i in taus if p != 2]
+    for i in range(1, N + 1):
+        d = coeff_degree(p, shift, i)
+        gens.append(Generator(_name(p, i), d, D // d + 1 if xi_cap is None else xi_cap(i)))
+    D = sum((g.cap - 1) * g.degree for g in gens) if D is None else D
     return HopfPresentation(p, N, D, shift, AlgebraPresentation(p, tuple(gens)), label)
 
 
 def dual_steenrod(p: int, N: int = 4, D: Optional[int] = None) -> HopfPresentation:
     """The full dual algebra, truncated at generator bound N and degree D."""
-    if D is None:
-        D = default_degree_cap(p, N)
-    if p == 2:
-        gens = [_synthetic(f"z{i}", 2**i - 1, D) for i in range(1, N + 1)]
-    else:
-        gens = _exterior(p, range(N + 1))
-        gens += [_synthetic(f"x{i}", 2 * (p**i - 1), D) for i in range(1, N + 1)]
-    return _build(p, N, 0, gens, f"A_dual(p={p})", D)
+    D = default_degree_cap(p, N) if D is None else D
+    return quotient(p, N, 0, f"A_dual(p={p})", None, range(N + 1), D)
 
 
 def milnor_quotient(p: int, n: int) -> HopfPresentation:
     """The finite quotient dual to the length-n subalgebra of operations."""
-    if p == 2:
-        gens = [Generator(f"z{i}", 2**i - 1, 2 ** (n - i + 1)) for i in range(1, n + 1)]
-    else:
-        gens = _exterior(p, range(n + 1)) + list(milnor_quotient_ev(p, n).algebra.generators)
-    return _build(p, n, 0, gens, f"A({n})")
+    return quotient(p, n, 0, f"A({n})", lambda i: p ** (n - i + 1), range(n + 1))
 
 
 def milnor_quotient_ev(p: int, n: int) -> HopfPresentation:
     """Polynomial part of milnor_quotient (odd p)."""
     if p == 2:
         raise HopfError("the even subalgebra split is an odd-p notion")
-    gens = [Generator(f"x{i}", 2 * (p**i - 1), p ** (n - i + 1)) for i in range(1, n + 1)]
-    return _build(p, n, 0, gens, f"A_ev({n})")
+    return quotient(p, n, 0, f"A_ev({n})", lambda i: p ** (n - i + 1), ())
 
 
 def level_algebra(p: int, k: int, N: int = 4, D: Optional[int] = None) -> HopfPresentation:
     """The level-k subalgebra, generated by the (p^k)-th generator powers."""
     if k == 0:
         return dual_steenrod(p, N, D)
-    if D is None:
-        D = default_degree_cap(p, N) * p**k
-    if p == 2:
-        gens = [_synthetic(f"z{i}", 2**k * (2**i - 1), D) for i in range(1, N + 1)]
-    else:
-        gens = _exterior(p, [0] if k == 1 else [])
-        gens += [_synthetic(f"x{i}", 2 * p**k * (p**i - 1), D) for i in range(1, N + 1)]
-    return _build(p, N, k, gens, f"A_angle({k})", D)
+    D = default_degree_cap(p, N) * p**k if D is None else D
+    return quotient(p, N, k, f"A_angle({k})", None, [0] if k == 1 else [], D)
 
 
 def level_mod_I(p: int, k: int, N: int = 4) -> HopfPresentation:
     """Quotient of the level-k algebra by the minimal cocommutativity ideal."""
-    if p == 2:
-        gens = [Generator(f"z{i}", 2**k * (2**i - 1), 2) for i in range(1, N + 1)]
-    else:
-        gens = _exterior(p, range(1, N + 1) if k == 0 else [0] if k == 1 else [])
-        gens += [Generator(f"x{i}", 2 * p**k * (p**i - 1), p) for i in range(1, N + 1)]
-    return _build(p, N, k, gens, f"A_mod_I({k})")
+    taus = range(1, N + 1) if k == 0 else [0] if k == 1 else []
+    return quotient(p, N, k, f"A_mod_I({k})", lambda i: p, taus)
 
 
 def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
-    """Quotient of the full dual algebra by the extended level-k ideal."""
-    if p == 2:
-        gens = [Generator(f"z{i}", 2**i - 1, 2 ** (k + 1)) for i in range(1, N + 1)]
-    elif k == 0:
+    """Quotient of the full dual algebra by the extended level-k ideal; J<0>
+    is I<0>, and at odd p it keeps the label A_mod_I(0)."""
+    if k == 0 and p != 2:
         return level_mod_I(p, 0, N)
-    else:
-        gens = _exterior(p, range(N + 1))
-        gens += [Generator(f"x{i}", 2 * (p**i - 1), p ** (k + 1)) for i in range(1, N + 1)]
-    return _build(p, N, 0, gens, f"A_mod_J({k})")
+    return quotient(p, N, 0, f"A_mod_J({k})", lambda i: p ** (k + 1), range(N + 1))
 
 
 # -- tensor square -------------------------------------------------------------
@@ -258,12 +255,12 @@ def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
     """Coproduct of one generator, by Milnor's mu(xi_n) = sum_j xi_{n-j}^(p^j)
     (x) xi_j and mu(tau_n) = tau_n (x) 1 + sum_j xi_{n-j}^(p^j) (x) tau_j; the
     shifted generators obey the same, and quotient caps kill the rest."""
-    kind, n = name[0], int(name[1:])
-    right = hp.tau if kind == "t" else hp.xi
+    is_tau, n = _parse(name)
+    right = hp.tau if is_tau else hp.xi
     acc = TensorElement.zero(hp.algebra)
     for j in range(n + 1):
         acc = acc + TensorElement.of(hp.xi(n - j, hp.p**j), right(j))
-    if kind == "t":
+    if is_tau:
         acc = acc + TensorElement.of(right(n), hp.algebra.one())
     return acc
 
@@ -299,8 +296,8 @@ def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraEleme
 def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
     """Conjugation on one generator, by Milnor's recursions sum_j xi_{n-j}^(p^j)
     iota(xi_j) = 0 and iota(tau_n) = -sum_j iota(xi_{n-j})^(p^j) tau_j."""
-    n = int(name[1:])
-    if name[0] != "t":
+    is_tau, n = _parse(name)
+    if not is_tau:
         acc = hp.xi(n)  # the j = 0 term
         for j in range(1, n):
             acc = acc + hp.xi(n - j, hp.p**j) * antipode_gen(hp, hp.xi_name(j))
@@ -519,35 +516,21 @@ def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
     # and times_eps below is zero
     galg = phi.target if phi.target.has_epsilon else adjoin_epsilon(phi.target)
 
-    def up(v):
-        return embed(v, galg)
+    def value(i, tau):  # zero where the shift lacks the generator
+        return embed(phi.value(_name(hp.p, i, tau)), galg)
 
-    head = galg.one()
-    if hp.shift <= 1:
-        head = head + times_eps(up(phi.value("t0")))
-    coeffs = [head]
-    for i in range(1, trunc + 1):
-        c = up(phi.value(hp.xi_name(i)))
-        if hp.shift == 0:
-            c = c + times_eps(up(phi.value(f"t{i}")))
-        coeffs.append(c)
-    return GroupElement(hp.p, trunc, hp.shift, galg, tuple(coeffs))
+    # alpha_i = phi(xi_i) + phi(tau_i) eps, where xi_0 = 1
+    xi = [galg.one()] + [value(i, False) for i in range(1, trunc + 1)]
+    return GroupElement(hp.p, trunc, hp.shift, galg, tuple(x + times_eps(value(i, True)) for i, x in enumerate(xi)))
 
 
 def restrict_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:
-    """Precompose with the inclusion of the next level: generators become p-th powers."""
+    """Precompose with the inclusion of the next level: each xi_i goes to the
+    p-th power of its value, tau_0 (kept by level 1 alone) to its own."""
     hp = phi.hopf
     next_hp = level_algebra(hp.p, hp.shift + 1, hp.N, hp.D * hp.p)
-    values = {}
-    for i in range(1, hp.N + 1):
-        v = frobenius(phi.value(hp.xi_name(i)), 1)
-        if not v.is_zero():
-            values[hp.xi_name(i)] = v
-    if next_hp.has_gen("t0"):
-        v = phi.value("t0")
-        if not v.is_zero():
-            values["t0"] = v
-    return GeneratorAssignment(next_hp, phi.target, values)
+    values = {g: frobenius(phi.value(g), 0 if _parse(g)[0] else 1) for g in next_hp.gen_names()}
+    return GeneratorAssignment(next_hp, phi.target, {g: v for g, v in values.items() if not v.is_zero()})
 
 
 def rho_diagram_check(phi: GeneratorAssignment, trunc: int) -> bool:

@@ -10,6 +10,7 @@ name.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .group import (
     rho,
 )
 from .hopf import (
+    GeneratorAssignment,
     TensorElement,
     antipode_gen,
     axiom_counterexamples,
@@ -80,25 +82,47 @@ def _ce_group(**named) -> dict:
     return {k: group_to_obj(v) if isinstance(v, GroupElement) else repr(v) for k, v in named.items()}
 
 
+# the generic point's inverses take milliseconds at t = 8 and grow steeply with t
+GENERIC_TRUNCATION = 8
+
+
+def generic_point(p: int, k: int) -> GroupElement:
+    """theta of the identity assignment of dual_steenrod(p, t) into itself,
+    t = min(k, GENERIC_TRUNCATION).  Below its degree cap, coeff_degree(t),
+    that algebra is the coordinate ring of G_p^t, so a law that holds at this
+    point holds at every point of G_p^t, top coefficients included (over the
+    samples' algebras every alpha_k is zero at odd p and k >= 4)."""
+    hp = dual_steenrod(p, N=min(k, GENERIC_TRUNCATION))
+    alg = hp.algebra
+    return theta(GeneratorAssignment(hp, alg, {g: alg.gen(g) for g in hp.gen_names()}), hp.N)
+
+
+def _unit_laws(a: GroupElement) -> Optional[dict]:
+    e = identity(a.p, a.k, a.algebra)
+    if compose(e, a) != a or compose(a, e) != a:
+        return _ce_group(law="identity", a=a)
+    if not is_identity(compose(a, invert_recursive(a))):
+        return _ce_group(law="inverse", a=a)
+
+
 def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
-    e = identity(p, k, alg)
     for _ in range(samples):
         a = random_group_element(rng, p, k, alg)
         b = random_group_element(rng, p, k, alg)
         c = random_group_element(rng, p, k, alg)
         if compose(compose(a, b), c) != compose(a, compose(b, c)):
             return _ce_group(law="associativity", a=a, b=b, c=c)
-        if compose(e, a) != a or compose(a, e) != a:
-            return _ce_group(law="identity", a=a)
-        if not is_identity(compose(a, invert_recursive(a))):
-            return _ce_group(law="inverse", a=a)
+        ce = _unit_laws(a)
+        if ce is not None:
+            return ce
+    return _unit_laws(generic_point(p, k))
 
 
 def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
-    for _ in range(samples):
-        a = random_group_element(rng, p, k, alg)
+    points = (random_group_element(rng, p, k, alg) for _ in range(samples))
+    for a in itertools.chain(points, [generic_point(p, k)]):
         r = invert_recursive(a)
         c = invert_closed(a)
         if r != c:
@@ -281,7 +305,7 @@ def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optio
 
 def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """The named quotient ideals satisfy the Hopf-ideal axioms up to a degree."""
-    hp = dual_steenrod(p, N=3, D=2 * (p**3 - 1))
+    hp = dual_steenrod(p, N=3)
     xi, tau = hp.xi, hp.tau
     d = 2 * p**2 if p != 2 else 15
     ideals = {}
@@ -331,7 +355,7 @@ def theta_target(p: int) -> AlgebraPresentation:
 
 
 def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
-    hp = dual_steenrod(p, N=3, D=2 * (p**3 - 1))
+    hp = dual_steenrod(p, N=3)
     target = theta_target(p)
     trunc = 3
     for _ in range(samples):
@@ -356,8 +380,6 @@ def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> Optio
 
 def check_milnor_complement(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """J-basis membership and dual-span membership partition the monomial indices."""
-    import itertools
-
     for k in range(0, 3):
         hi = min(p ** (k + 2), 30)
         for R in itertools.product(range(hi), repeat=3):

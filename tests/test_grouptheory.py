@@ -2,7 +2,7 @@ import pytest
 
 from steenrodgroup import grouptheory
 from steenrodgroup.algebra import eps_reduce, mk_algebra
-from steenrodgroup.group import GroupElement, compose, identity, invert_recursive, is_identity, pi_ev
+from steenrodgroup.group import GroupElement, coeff_degree, compose, identity, invert_recursive, is_identity, pi_ev
 from steenrodgroup.grouptheory import (
     GroupTheoryError,
     check_filtration_bounds,
@@ -232,6 +232,17 @@ def test_ev_subgroup_series_is_limited_by_its_own_order(monkeypatch):
     monkeypatch.setenv("STEENROD_LIMIT", "2")
     with pytest.raises(GroupTheoryError):
         ev_subgroup_series(A, 1, 3)
+
+
+@pytest.mark.parametrize("p,n,e", [(3, 4, 11), (2, 7, 17), (5, 3, 8)])
+def test_limit_refuses_before_the_next_layer_is_enumerated(monkeypatch, p, n, e):
+    # the order p^(generators so far) passes the limit inside an early layer,
+    # so the top layer's component, the costliest, is never enumerated
+    real, degrees = grouptheory.component_monomials, []
+    monkeypatch.setattr(grouptheory, "component_monomials", lambda a, d: degrees.append(d) or real(a, d))
+    with pytest.raises(GroupTheoryError, match=rf"group order {p}\^{e} or more is over the limit 100000"):
+        enumerate_group(milnor_quotient(p, n).algebra, n, p)
+    assert coeff_degree(p, 0, n) not in degrees
 
 
 def test_level_zero_odd_group_is_elementary_abelian():

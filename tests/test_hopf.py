@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from steenrodgroup import hopf
 from steenrodgroup.algebra import AlgebraElement, frobenius
-from steenrodgroup.group import GroupElement, compose, rho
+from steenrodgroup.group import GroupElement, coeff_degree, compose, rho
 from steenrodgroup.hopf import (
     GeneratorAssignment,
     HopfError,
@@ -105,6 +106,43 @@ def test_level_algebra_shift():
     hp3 = level_algebra(3, 1, N=2)
     assert hp3.has_gen("t0") and not hp3.has_gen("t1")
     assert not level_algebra(3, 2, N=2).has_gen("t0")
+
+
+def every_preset():
+    """(call, preset) for each preset over p in {2, 3, 5, 7}, N <= 6, k <= 3
+    and D in {None, 5, 17, 100}; a refused call gives its HopfError."""
+    calls = []
+    for p in (2, 3, 5, 7):
+        for N in range(7):
+            calls += [(milnor_quotient, (p, N)), (milnor_quotient_ev, (p, N))]
+            calls += [(dual_steenrod, (p, N, D)) for D in (None, 5, 17, 100)]
+            for k in range(4):
+                calls += [(level_mod_I, (p, k, N)), (dual_mod_J, (p, k, N))]
+                calls += [(level_algebra, (p, k, N, D)) for D in (None, 5, 17, 100)]
+    for fn, args in calls:
+        try:
+            yield f"{fn.__name__}{args}", fn(*args)
+        except HopfError as exc:
+            yield f"{fn.__name__}{args}", exc
+
+
+def test_presets_keep_their_generators_degrees_caps_and_labels():
+    # sha256 of every preset's repr, recorded before the presets were built
+    # by `hopf.quotient`: names, degrees, caps, D, shift and label all stay
+    text = "".join(f"{call} {hp!r}\n" for call, hp in every_preset())
+    assert text.count("\n") == 840
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8d567895d48afea7c2573dea0b35c34f1875b4756d1a2ab09444b0b30fea3211"
+    )
+
+
+def test_xi_has_the_degree_of_alpha_at_its_shift():
+    # theta sends xi_i to alpha_i, so they must agree in degree
+    for call, hp in every_preset():
+        if isinstance(hp, HopfError):
+            continue
+        for i in range(1, hp.N + 1):
+            assert hp.gen_degree(hp.xi_name(i)) == coeff_degree(hp.p, hp.shift, i), call
 
 
 # -- tensor square -------------------------------------------------------------

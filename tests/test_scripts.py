@@ -1,9 +1,12 @@
 """The experiment scripts run from any working directory."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -52,3 +55,28 @@ def test_sweep_script_prime_outside_grid_is_usage_error(tmp_path):
     done = run_script("sweep_finite_groups.py", "--p", "5", cwd=tmp_path)
     assert done.returncode == 2
     assert "choose from 2, 3" in done.stderr
+
+
+# sha256 of the stdout of cocommutativity_minimality.py, recorded before its
+# partial quotients were built by `hopf.quotient`
+FORCING_CHAIN = {
+    "": "2857f3713dd8fb6d7c729afcd62980058bd4db16ddaff3a4a9fc41889ee071c7",
+    "--p 2": "4ff1aff67b8a7ad8e381b8cbf8e6bf1324026cd52fae9dbbf7f12b4c7c3c1d79",
+    "--p 3": "dadc000113fb9725e4ef139edc342978f72e59bd7baef570dadb311261c2012a",
+    "--p 5 --N 3": "a7fafcc8db7688ecb5c5c9d6944bb95d67662cbcfd488d014e7fdf53b7d569ee",
+    "--p 3 --N 4": "cf3bcbfa5304a39c3d3ad32920fc8599efe6eed7e038e6ffccc4be2dd2450fc2",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FORCING_CHAIN))
+def test_cocommutativity_script_bytes(tmp_path, args):
+    done = run_script("cocommutativity_minimality.py", *args.split(), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == FORCING_CHAIN[args]
+
+
+@pytest.mark.parametrize("args", [["--p", "4"], ["--p", "0"], ["--N", "0"], ["--N", "-1"]])
+def test_cocommutativity_script_bad_argument_is_usage_error(tmp_path, args):
+    done = run_script("cocommutativity_minimality.py", *args, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "error: argument" in done.stderr and "Traceback" not in done.stderr

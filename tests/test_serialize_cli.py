@@ -286,9 +286,9 @@ def test_cli_verify_beyond_the_sample_algebras_top_degree(capsys, p, k):
     assert json.loads(out)["ok"] is True
 
 
-def _drop_top_coefficient(compose):
-    def broken(a, b):
-        c = compose(a, b)
+def _drop_top_coefficient(op):
+    def broken(*args):
+        c = op(*args)
         return replace(c, coeffs=c.coeffs[:-1] + (c.algebra.zero(),))
 
     return broken
@@ -303,26 +303,28 @@ def _drop_top_term(antipode_gen):
 
 
 # law of steenrodgroup.verify -> (its broken version built from the real one,
-# the suite that must fail, sha256 of the stdout of VERIFY_BROKEN)
+# the suites that must fail, sha256 of the stdout of VERIFY_BROKEN)
 BROKEN_LAWS = {
+    # at p = 3, k = 4 every sampled alpha_4 is zero, so group_axioms sees the
+    # dropped top coefficient only at the generic point
     "compose": (
         _drop_top_coefficient,
-        "homomorphisms",
-        "418fdccd76e880e3cc499e08f7763a38157d10fd2cdaf2f24517ee0c92c69986",
+        {"group_axioms", "homomorphisms", "theta_convolution"},
+        "322edd1e5daac6bba66f74e96cf5ce9b8b6eeaf4970692405d68dd5b79470b1b",
     ),
     "invert_closed": (
         lambda real: lambda a: invert_recursive(identity(a.p, a.k, a.algebra, a.level)),
-        "inverse_oracles",
+        {"inverse_oracles"},
         "a2c5351b2de925c669ebf75025da8b6e39f7a040934b1ae7993f0f52f30dc94d",
     ),
     "in_dual_span": (
         lambda real: lambda sym, k: in_J_basis(sym.E, sym.R, k, sym.p),
-        "milnor_complement",
+        {"milnor_complement"},
         "1650d7bde1bf40cf04c1e146208e7d45ad26d356adec94af58655661410b0d2f",
     ),
     "antipode_gen": (
         _drop_top_term,
-        "hopf_axioms",
+        {"hopf_axioms"},
         "5ad719f6971fc1481ce992c480f09cfedc42172125c6f8068beefa6b536e32eb",
     ),
 }
@@ -332,15 +334,41 @@ VERIFY_BROKEN = "verify --p 3 --k 4 --seed 0 --samples 5"
 
 @pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
 def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
-    breaker, suite, digest = BROKEN_LAWS[law]
+    breaker, suites, digest = BROKEN_LAWS[law]
     monkeypatch.setattr(verify, law, breaker(getattr(verify, law)))
     code, out = run_cli(capsys, *VERIFY_BROKEN.split())
     payload = json.loads(out)
     assert code == 1 and payload["ok"] is False
     failed = {s["name"] for s in payload["suites"] if not s["ok"]}
-    assert suite in failed
+    assert failed == suites
     assert failed == {s["name"] for s in payload["suites"] if "counterexample" in s}
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_generic_point_is_the_identity_assignment():
+    a = verify.generic_point(3, 2)
+    alg, eps = a.algebra, a.algebra.gen("eps")
+    assert (a.p, a.k, a.level) == (3, 2, 0)
+    assert a.coeffs == (alg.one() + alg.gen("t0") * eps, alg.gen("x1") + alg.gen("t1") * eps, alg.gen("x2") + alg.gen("t2") * eps)
+    assert verify.generic_point(2, 20).k == verify.GENERIC_TRUNCATION
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_group_axioms_see_a_dropped_top_coefficient(monkeypatch, p):
+    # at odd p and k = 4 every sampled alpha_4 is zero; the generic point's is not
+    monkeypatch.setattr(verify, "compose", _drop_top_coefficient(compose))
+    ce = verify.check_group_axioms(p, 4, random.Random("0:group_axioms"), 5)
+    assert ce is not None
+    assert verify._unit_laws(verify.generic_point(p, 4))["law"] == repr("identity")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("law", ["invert_closed", "invert_split"])
+def test_inverse_oracles_see_a_dropped_top_coefficient(monkeypatch, p, law):
+    monkeypatch.setattr(verify, law, _drop_top_coefficient(getattr(verify, law)))
+    ce = verify.check_inverse_oracles(p, 4, random.Random("0:inverse_oracles"), 5)
+    assert ce is not None and ce["law"] == repr(law.removeprefix("invert_"))
+    assert ce["a"] == serialize.group_to_obj(verify.generic_point(p, 4))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -379,6 +407,23 @@ def test_cli_limit_env_respected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STEENROD_LIMIT", "5")
     code, _ = run_cli(capsys, "lcs", "--p", "3", "--n", "1")
     assert code == USAGE_ERROR
+
+
+@pytest.mark.parametrize("p,n,e", [(3, 6, 11), (2, 10, 17), (2, 12, 17)])
+def test_cli_lcs_is_bounded_before_enumerating_layers(p, n, e):
+    # (3, 6) ended in a ValueError traceback after 30 s, formatting a group
+    # order of over 4300 digits; (2, 10) and (2, 12) ran for minutes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "steenrodgroup.cli", "lcs", "--p", str(p), "--n", str(n)]
+    started = time.monotonic()
+    try:
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("lcs was not refused within 20 s")
+    assert (done.returncode, done.stdout) == (USAGE_ERROR, "")
+    assert done.stderr == f"error: group order {p}^{e} or more is over the limit 100000 (STEENROD_LIMIT)\n"
+    assert time.monotonic() - started < 10
 
 
 def test_cli_hopf_work_is_bounded_before_any_coproduct(capsys, monkeypatch):
