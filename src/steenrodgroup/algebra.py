@@ -80,7 +80,9 @@ class AlgebraPresentation:
     # iff its exponent reaches the cap; the guard bits (those of capless
     # fields again in `wide`); the value bits of the odd generators (none for
     # p = 2, where signs vanish); the value field of eps (0 when absent); the
-    # bit width of a monomial
+    # bit width of a monomial; the hash of (p, generators), which `__eq__`
+    # compares, taken once, as every lru_cache lookup keyed on a
+    # presentation hashes it
     fields: tuple = _layout()
     bias: int = _layout()
     guard: int = _layout()
@@ -88,6 +90,7 @@ class AlgebraPresentation:
     odd: int = _layout()
     eps: int = _layout()
     width: int = _layout()
+    _hash: int = _layout()
     _frobenius_bias: dict = _layout()  # q -> bias for exponents times q
     _square: list = _layout()  # the tensor square, once built
 
@@ -115,10 +118,14 @@ class AlgebraPresentation:
                 eps = ((1 << width) - 1) << shift
             fields.insert(0, (shift, (1 << width) - 1))
             shift += width + 1
-        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, {}, [])
-        names = ("fields", "bias", "guard", "wide", "odd", "eps", "width", "_frobenius_bias", "_square")
+        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, [])
+        names = ("fields", "bias", "guard", "wide", "odd", "eps", "width", "_hash",
+                 "_frobenius_bias", "_square")
         for name, value in zip(names, layout):
             object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def ngens(self) -> int:
@@ -378,7 +385,12 @@ class AlgebraElement:
 
 
 def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
-    """x ** (p**j), computed termwise (freshman's dream in characteristic p)."""
+    """x ** (p**j), computed termwise (freshman's dream in characteristic p),
+    as an element of x's own class: a tensor element stays one.
+
+    Valid in every graded-commutative presentation here: even monomials are
+    central, and an odd element squares to zero.
+    """
     if j < 0:
         raise AlgebraError("negative Frobenius power")
     if j == 0 or not x.terms:
@@ -395,7 +407,7 @@ def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
         # m * q scales every field and keeps monomials apart; c^q = c mod p;
         # no Koszul sign: odd generators die under q >= 2
         terms[m * q] = c
-    return AlgebraElement(pres, terms)
+    return type(x)(pres, terms)
 
 
 def eps_reduce(x: AlgebraElement) -> AlgebraElement:

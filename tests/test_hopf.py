@@ -1,12 +1,20 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrodgroup import hopf
-from steenrodgroup.algebra import AlgebraElement, frobenius
+from steenrodgroup.algebra import (
+    AlgebraElement,
+    AlgebraError,
+    AlgebraPresentation,
+    Generator,
+    frobenius,
+    mk_algebra,
+)
 from steenrodgroup.group import GroupElement, coeff_degree, compose, rho
 from steenrodgroup.hopf import (
     GeneratorAssignment,
@@ -145,6 +153,30 @@ def test_xi_has_the_degree_of_alpha_at_its_shift():
             assert hp.gen_degree(hp.xi_name(i)) == coeff_degree(hp.p, hp.shift, i), call
 
 
+NEGATIVE = [
+    (level_algebra, (2, -1, 2), "k = -1"),
+    (level_algebra, (3, 1, -2), "N = -2"),
+    (level_mod_I, (3, -1, 2), "k = -1"),
+    (level_mod_I, (2, 0, -1), "N = -1"),
+    (dual_mod_J, (2, -1, 4), "k = -1"),
+    (dual_mod_J, (3, -1, 2), "k = -1"),
+    (dual_mod_J, (5, 1, -1), "N = -1"),
+    (dual_steenrod, (2, -1), "N = -1"),
+    (milnor_quotient, (3, -1), "n = -1"),
+    (milnor_quotient_ev, (3, -1), "n = -1"),
+    (hopf.quotient, (2, -1, 0, "q", None, ()), "N = -1"),
+    (hopf.quotient, (3, 2, -1, "q", lambda i: 3, ()), "shift = -1"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", NEGATIVE)
+def test_negative_level_or_bound_is_refused_up_front(fn, args, message):
+    # refused before any degree p**k or cap p**(k+1) is taken: a negative
+    # level gives float degrees or caps of 1
+    with pytest.raises(HopfError, match=re.escape(message)):
+        fn(*args)
+
+
 # -- tensor square -------------------------------------------------------------
 
 
@@ -159,6 +191,17 @@ def test_switch_sign_on_odd_odd():
     alg = H3().algebra
     t = TensorElement.of(alg.gen("t0"), alg.gen("t1"))
     assert switch(t) == -TensorElement.of(alg.gen("t1"), alg.gen("t0"))
+
+
+def test_frobenius_keeps_a_tensor_element_and_is_its_pth_power():
+    # the freshman's dream in the tensor square, Koszul signs and taus included
+    hp = H3()
+    alg = hp.algebra
+    mus = [coproduct(hp, alg.gen(g.name)) for g in alg.generators]
+    for t in mus + [mus[0] + mus[1] + mus[3], mus[2] - mus[4]]:
+        f = frobenius(t, 1)
+        assert type(f) is TensorElement
+        assert f == t * t * t
 
 
 def test_switch_is_involution():
@@ -469,7 +512,7 @@ def ref_antipode(hp, x):
     alg = hp.algebra
     acc = alg.zero()
     for mono, c in x.terms.items():
-        acc = acc + ref_extend_monomial(alg, mono, lambda name: antipode_gen(hp, name), alg.scalar(c))
+        acc = acc + ref_extend_monomial(alg, mono, lambda name: hopf.antipode_gen(hp, name), alg.scalar(c))
     return acc
 
 
@@ -508,6 +551,27 @@ def ref_counit_defect(hp, x):
     return left - x, right - x
 
 
+def ref_coassociativity_defect(hp, x):
+    alg = hp.algebra
+    w = alg.width
+
+    def mu(m):
+        return ref_coproduct(hp, AlgebraElement(alg, {m: 1})).pairs()
+
+    acc = {}
+
+    def add(a, b, d, c):
+        key = a << 2 * w | b << w | d
+        acc[key] = (acc.get(key, 0) + c) % hp.p
+
+    for (m1, m2), c in ref_coproduct(hp, x).pairs():
+        for (a, b), c2 in mu(m1):
+            add(a, b, m2, c * c2)
+        for (b, d), c2 in mu(m2):
+            add(m1, b, d, -c * c2)
+    return {k: v for k, v in acc.items() if v}
+
+
 def ref_antipode_defect(hp, x):
     alg = hp.algebra
     left = right = alg.zero()
@@ -522,28 +586,44 @@ def ref_antipode_defect(hp, x):
 PRESETS = {
     "A_dual": lambda p: dual_steenrod(p, N=3, D=2 * (p**3 - 1)),
     "A_mod_J": lambda p: dual_mod_J(p, 1, N=3),
+    "A_mod_J(2)": lambda p: dual_mod_J(p, 2, N=2),
     "A_angle": lambda p: level_algebra(p, 1, N=2),
+    "A_angle(2)": lambda p: level_algebra(p, 2, N=2),
 }
+
+
+# the largest degree of a drawn term: the per-term references multiply a
+# power out one factor at a time, and x1^26 x2^26 at p = 3 (degree 520)
+# takes them about 10 s
+TERM_DEGREE = 110
 
 
 @st.composite
 def hopf_elements(draw):
     """A preset at p in {2, 3} and an element of it below its degree cap: up
-    to five terms, with coefficients other than 1 where p allows."""
+    to five terms of up to three generators each, with coefficients other
+    than 1 where p allows.  Each exponent is drawn up to its generator's cap
+    - 1, as far as the degree left allows, so that powers have several
+    non-zero base-p digits (z1^14 at p = 2, x1^26 at p = 3)."""
     hp = PRESETS[draw(st.sampled_from(sorted(PRESETS)))](draw(st.sampled_from([2, 3])))
     alg = hp.algebra
     terms = {}
     for _ in range(draw(st.integers(2, 5))):
-        factors = draw(st.lists(st.sampled_from(alg.generators), max_size=3))
-        m = alg.pack([factors.count(g) for g in alg.generators])
-        if m is not None and alg.mono_degree(m) <= hp.degree_cap:
-            terms[m] = draw(st.integers(1, hp.p - 1))
+        exps, left = [0] * alg.ngens, min(hp.degree_cap, TERM_DEGREE)
+        for i in draw(st.lists(st.integers(0, alg.ngens - 1), max_size=3, unique=True)):
+            g = alg.generators[i]
+            top = min(g.cap - 1, left // g.degree)
+            if top:
+                exps[i] = draw(st.integers(1, top))
+                left -= exps[i] * g.degree
+        terms[alg.pack(exps)] = draw(st.integers(1, hp.p - 1))
     return hp, AlgebraElement(alg, terms)
 
 
 @given(hopf_elements())
 def test_structure_maps_match_their_per_term_sums(case):
     hp, x = case
+    assert coassociativity_defect(hp, x) == ref_coassociativity_defect(hp, x)
     assert coproduct(hp, x) == ref_coproduct(hp, x)
     assert antipode(hp, x) == ref_antipode(hp, x)
     assert counit_defect(hp, x) == ref_counit_defect(hp, x)
@@ -558,3 +638,111 @@ def test_assignments_match_their_per_term_sums(case, seed):
     phi, psi = random_assignment(rng, hp, target), random_assignment(rng, hp, target)
     assert phi.eval(x) == ref_eval(phi, x)
     assert convolution(phi, psi).values == ref_convolution(phi, psi)
+
+
+HIGH_POWERS = [
+    # (preset, exponents by generator, each with several non-zero base-p digits)
+    (lambda: dual_steenrod(2, N=3, D=14), {"z1": 14}),
+    (lambda: dual_steenrod(3, N=3, D=52), {"x1": 13}),
+    (lambda: dual_steenrod(3, N=3, D=52), {"t0": 1, "x1": 11, "t1": 1}),
+    (lambda: dual_mod_J(3, 2, N=2), {"x1": 26}),
+    (lambda: dual_mod_J(3, 2, N=2), {"t0": 1, "x1": 10, "x2": 4, "t2": 1}),
+    (lambda: dual_mod_J(2, 2, N=3), {"z1": 7, "z2": 6}),
+    (lambda: level_algebra(3, 2, N=2), {"x1": 4}),
+    (lambda: level_algebra(2, 2, N=2), {"z1": 6}),
+]
+
+
+@pytest.mark.parametrize("make, exps", HIGH_POWERS)
+def test_high_powers_match_repeated_products(make, exps):
+    hp = make()
+    alg = hp.algebra
+    x = alg.monomial([exps.get(g.name, 0) for g in alg.generators], hp.p - 1)
+    assert not x.is_zero() and x.degree() <= hp.degree_cap
+    assert coproduct(hp, x) == ref_coproduct(hp, x)
+    assert antipode(hp, x) == ref_antipode(hp, x)
+    assert coassociativity_defect(hp, x) == ref_coassociativity_defect(hp, x) == {}
+    assert counit_defect(hp, x) == ref_counit_defect(hp, x)
+    assert antipode_defect(hp, x) == ref_antipode_defect(hp, x)
+    identity = GeneratorAssignment(hp, alg, {g: alg.gen(g) for g in hp.gen_names()})
+    assert identity.eval(x) == ref_eval(identity, x) == x
+
+
+@pytest.fixture
+def cold_caches():
+    """Generator caches emptied around a test that patches a generator map:
+    antipode_gen recurses through the patched name, so its cache would keep
+    wrong values."""
+    caches = (hopf.coproduct_gen, hopf.antipode_gen)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_wrong_antipode_gen_gives_the_reference_defects(monkeypatch, cold_caches):
+    # iota(x1) = +x1 instead of -x1; the defects of powers of x1 past p, with
+    # one, two and three non-zero base-3 digits, come from that map alone
+    hp = dual_mod_J(3, 2, N=2)
+    alg = hp.algebra
+    full = hopf.antipode_gen
+    monkeypatch.setattr(
+        hopf, "antipode_gen", lambda hp_, name: -full(hp_, name) if name == "x1" else full(hp_, name)
+    )
+    for e in (4, 13, 22):
+        x = alg.gen("x1", e)
+        assert antipode(hp, x) == ref_antipode(hp, x)
+        got = antipode_defect(hp, x)
+        assert got == ref_antipode_defect(hp, x)
+        assert not any(v.is_zero() for v in got)
+
+
+def test_wrong_coproduct_gen_gives_the_reference_defects(monkeypatch, cold_caches):
+    # mu(x2) without its 1 (x) x2 term
+    hp = dual_mod_J(3, 2, N=2)
+    alg = hp.algebra
+    full = hopf.coproduct_gen
+    dropped = TensorElement.of(alg.one(), alg.gen("x2"))
+    monkeypatch.setattr(
+        hopf, "coproduct_gen", lambda hp_, name: full(hp_, name) - dropped if name == "x2" else full(hp_, name)
+    )
+    for x in (alg.gen("x2", 4), alg.gen("x2", 5), alg.gen("x1") * alg.gen("x2", 3)):
+        assert coproduct(hp, x) == ref_coproduct(hp, x)
+        got = coassociativity_defect(hp, x), counit_defect(hp, x), antipode_defect(hp, x)
+        want = ref_coassociativity_defect(hp, x), ref_counit_defect(hp, x), ref_antipode_defect(hp, x)
+        assert got == want
+        assert got[0] and not got[1][0].is_zero()
+
+
+def test_capless_overflow_still_raises_through_frobenius():
+    # z1 has degree 2^30 and goes to y^(2^30): z1^3 fits in y's field, and
+    # z1^4 = frobenius(y^(2^30), 2) reaches 2^32
+    hp = level_algebra(2, 30, N=1, D=2**32)
+    target = mk_algebra(2, [("y", 1, None)])
+    phi = GeneratorAssignment(hp, target, {"z1": target.gen("y", 2**30)})
+    assert phi.eval(hp.algebra.gen("z1", 3)) == target.gen("y", 3 * 2**30)
+    with pytest.raises(AlgebraError):
+        phi.eval(hp.algebra.gen("z1", 4))
+
+
+def test_equal_presentations_hash_once_and_share_cache_entries():
+    a, b = dual_steenrod(3, N=3), dual_steenrod(3, N=3)
+    assert a.algebra is not b.algebra and a.algebra == b.algebra
+    assert hash(a.algebra) == hash(b.algebra) == hash((3, a.algebra.generators))
+    hopf.coproduct_gen.cache_clear()
+    first = hopf.coproduct_gen(a, "x2")
+    assert hopf.coproduct_gen(b, "x2") is first
+    assert hopf.coproduct_gen.cache_info().hits == 1
+    gens = list(a.algebra.generators)
+    gens[-1] = Generator(gens[-1].name, gens[-1].degree, gens[-1].cap + 1)
+    assert AlgebraPresentation(3, tuple(gens)) != a.algebra
+
+
+@pytest.mark.parametrize("p, N", [(2, 9), (3, 8), (5, 6)])
+def test_hopf_laws_hold_past_the_default_refusal_bound(p, N):
+    # each is refused by the hopf command at the default STEENROD_LIMIT,
+    # and each is checked here in hundredths of a second
+    hp = dual_steenrod(p, N)
+    assert hp.work() > 100000
+    assert list(axiom_counterexamples(hp)) == []
