@@ -22,9 +22,10 @@ come back out through `AlgebraPresentation.exponents` only where a monomial
 is handed out: `repr`, the wire format, `component_monomials` and the
 boundaries of `hopf` and `milnor`.
 
-The exterior variable eps (degree -1, square zero) is adjoined as an ordinary
-generator; for p = 2 it does not exist and every eps-operation degenerates to
-the identity.
+The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
+generator; for p = 2 it does not exist and every eps-operation is the
+identity.  The presentation refuses any other generator named eps, so
+`has_epsilon`, not the prime, says whether eps exists.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 EPSILON = "eps"
+EPSILON_RULE = "eps must be adjoined, of degree -1 and cap 2, for odd p and only for odd p"
 
 CAPLESS_BITS = 32  # value bits of a capless generator's field
 
@@ -100,6 +102,8 @@ class AlgebraPresentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator names")
+        if EPSILON in names and (self.p == 2 or Generator(EPSILON, -1, 2) not in self.generators):
+            raise AlgebraError(EPSILON_RULE)
         fields, bias, guard, wide, odd, eps, shift = [], 0, 0, 0, 0, 0, 0
         for g in reversed(self.generators):
             if g.cap is not None and (type(g.cap) is not int or g.cap < 1):

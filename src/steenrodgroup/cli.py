@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .algebra import EPSILON, AlgebraError, Generator, eps_reduce, is_prime
+from .algebra import AlgebraError, eps_reduce, is_prime
 from .group import (
     GroupError,
     commutator,
@@ -83,13 +83,9 @@ def _emit(args, payload, is_csv: bool = False):
 
 
 def _element(obj):
-    """A group element over an algebra with eps adjoined exactly for odd p,
-    whose head alpha_0 = 1 + b*eps, as every inverse needs, and whose alpha_i
-    are homogeneous of degree coeff_degree(i)."""
+    """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs,
+    and whose alpha_i are homogeneous of degree coeff_degree(i)."""
     g = group_from_obj(obj)
-    named_eps = [x for x in g.algebra.generators if x.name == EPSILON]
-    if named_eps != ([Generator(EPSILON, -1, 2)] if g.p != 2 else []):
-        raise CliError("eps must be adjoined, of degree -1 and cap 2, for odd p and only for odd p")
     if not g.coeffs or eps_reduce(g.coeffs[0]) != g.algebra.one():
         raise CliError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
     for i, c in enumerate(g.coeffs):

@@ -8,9 +8,9 @@ composition
 
     (alpha . beta)_i = sum_{j<=i} alpha_{i-j}^(p^j) beta_j,
 
-with the eps-drop applied to positive-index coefficients at level 1 (odd p).
-For odd p elements always live over an algebra with eps adjoined; for p = 2
-eps does not exist and the eps operations are identities.
+with the eps-drop applied to positive-index coefficients at level 1.  At odd
+p `GroupElement` requires eps adjoined, and at p = 2 the presentation refuses
+it, so the eps operations ask the algebra, never p, and are identities at p = 2.
 
 Evaluation builds each output coefficient in one normal-form dict: the terms
 of every product are added into it with `algebra.accumulate`, so no partial
@@ -33,6 +33,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
+    EPSILON_RULE,
     accumulate,
     eps_part,
     eps_reduce,
@@ -58,6 +59,8 @@ def coeff_degree(p: int, level: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """sum_i alpha_i X^(p^i) at a level, over an algebra with eps iff p is odd."""
+
     p: int
     k: int  # truncation level: coefficients alpha_0 .. alpha_k retained
     level: int  # 0 = base group, j >= 1 = G_p<j>
@@ -73,6 +76,8 @@ class GroupElement:
             raise GroupError("level must be >= 0")
         if self.p != self.algebra.p:
             raise GroupError("prime of algebra and element disagree")
+        if self.p != 2 and not self.algebra.has_epsilon:
+            raise GroupError(EPSILON_RULE)
 
     def coeff_degree(self, i: int) -> int:
         """Degree of the even part of alpha_i for this flavor."""
@@ -149,7 +154,7 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_compatible(a, b)
     alg, p = a.algebra, a.p
     out = []
-    drop = a.level == 1 and p != 2
+    drop = a.level == 1
     for i in range(a.k + 1):
         terms: dict = {}
         for j in range(i + 1):
@@ -164,7 +169,7 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
 def invert_recursive(a: GroupElement) -> GroupElement:
     """Inverse by solving sum_j alpha_{i-j}^(p^j) beta_j = 0 coefficient by coefficient."""
     alg, p = a.algebra, a.p
-    drop = a.level == 1 and p != 2
+    drop = a.level == 1
     betas = [alg.scalar(2) - a.coeffs[0]]  # alpha_0^{-1} = 2 - alpha_0
     for i in range(1, a.k + 1):
         terms: dict = {}
@@ -187,7 +192,7 @@ def invert_closed(a: GroupElement) -> GroupElement:
     alg, p = a.algebra, a.p
     sums = _composition_sums([(c,) for c in a.coeffs], _Powers(a.coeffs), a.k, p)
     inv0 = alg.scalar(2) - a.coeffs[0]
-    drop = a.level == 1 and p != 2
+    drop = a.level == 1
     betas = [inv0]
     for (terms,) in sums[1:]:
         beta = inv0 * AlgebraElement(alg, terms)
@@ -305,8 +310,6 @@ def project(a: GroupElement, k2: int) -> GroupElement:
 
 def half_quotient(a: GroupElement) -> GroupElement:
     """Delete the eps-part of the top coefficient (the q^k map); identity for p=2."""
-    if a.p == 2:
-        return a
     coeffs = a.coeffs[:-1] + (eps_reduce(a.coeffs[-1]),)
     return GroupElement(a.p, a.k, a.level, a.algebra, coeffs)
 
@@ -341,7 +344,7 @@ def filtration_level(a: GroupElement) -> Fraction:
         if a.coeffs[i].is_zero():
             continue
         m = Fraction(i - 1)
-        if a.p != 2 and eps_reduce(a.coeffs[i]).is_zero():
+        if eps_reduce(a.coeffs[i]).is_zero():
             return m + Fraction(1, 2)
         return m
     return TOP
@@ -375,21 +378,19 @@ def pi_ev(a: GroupElement) -> GroupElement:
 
 def in_G_od(a: GroupElement) -> bool:
     """Kernel of pi^ev: all coefficients lie in (eps) after subtracting X."""
-    if a.p == 2:
-        return is_identity(a)
     if eps_reduce(a.coeffs[0]) != a.algebra.one():
         return False
     return all(eps_reduce(c).is_zero() for c in a.coeffs[1:])
 
 
 def rho(a: GroupElement) -> GroupElement:
-    """The quotient map rho_j: level j -> level j+1, alpha_i -> alpha_i^p."""
+    """The quotient map rho_j: level j -> level j+1, alpha_i -> alpha_i^p (no eps: cap 2 < p)."""
     alg = a.algebra
     if a.level == 0:
         head = a.coeffs[0]
     else:
         head = alg.one()
-    tail = tuple(eps_reduce(frobenius(c, 1)) for c in a.coeffs[1:])
+    tail = tuple(frobenius(c, 1) for c in a.coeffs[1:])
     return GroupElement(a.p, a.k, a.level + 1, alg, (head,) + tail)
 
 

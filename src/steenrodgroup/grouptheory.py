@@ -138,7 +138,7 @@ def _bfs(start, gens, mul, key=lambda x: x) -> dict:
 def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool) -> list:
     """One generator per basis monomial of each filtration layer.
 
-    Layer 0 (odd p): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
+    Layer 0 (odd p, with eps): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
     Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
     m^(p^(n-i+1)) = 0.  With eps_free, only the generators of the eps-free
     subgroup: no layer 0 and no monomial containing eps.  Refused as soon as
@@ -157,7 +157,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
         return [m for m in monos if not only_eps_free or eps_reduce(m) == m]
 
     def layers():
-        if p != 2 and not eps_free:
+        if galg.has_epsilon and not eps_free:
             yield from (element(0, one + times_eps(m)) for m in basis(1, True))
         for i in range(1, n + 1):
             d = coeff_degree(p, 0, i)
@@ -176,7 +176,7 @@ def _close(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
         raise GroupTheoryError("prime does not match the algebra")
     if n < 0:
         raise GroupTheoryError("n must be >= 0")
-    galg = A if p == 2 or A.has_epsilon else adjoin_epsilon(A)
+    galg = A if A.has_epsilon else adjoin_epsilon(A)
     gens = _layer_generators(p, n, galg, eps_free)
     predicted = p ** len(gens)
     one = identity(p, n, galg)

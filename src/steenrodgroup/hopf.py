@@ -207,11 +207,9 @@ def level_mod_I(p: int, k: int, N: int = 4) -> HopfPresentation:
 
 def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
     """Quotient of the full dual algebra by the extended level-k ideal; J<0>
-    is I<0>, and at odd p it keeps the label A_mod_I(0)."""
+    is I<0>, so at k = 0 tau_0 goes as well."""
     _non_negative(k=k, N=N)
-    if k == 0 and p != 2:
-        return level_mod_I(p, 0, N)
-    return quotient(p, N, 0, f"A_mod_J({k})", lambda i: p ** (k + 1), range(N + 1))
+    return quotient(p, N, 0, f"A_mod_J({k})", lambda i: p ** (k + 1), range(0 if k else 1, N + 1))
 
 
 # -- tensor square -------------------------------------------------------------
@@ -541,14 +539,14 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
 
 
 def embed(x: AlgebraElement, big: AlgebraPresentation) -> AlgebraElement:
-    """Extend an element along an append-only extension of its presentation."""
+    """Extend an element along an append-only extension of its presentation,
+    whose new generators take the lowest fields: each monomial shifts up."""
     if x.pres == big:
         return x
-    extra = big.ngens - x.pres.ngens
-    if extra < 0 or big.generators[: x.pres.ngens] != x.pres.generators:
+    if big.generators[: x.pres.ngens] != x.pres.generators:
         raise AlgebraError("not an append-only extension")
-    exps = x.pres.exponents
-    return AlgebraElement(big, {big.pack(exps(m) + (0,) * extra): c for m, c in x.terms.items()})
+    shift = big.width - x.pres.width
+    return AlgebraElement(big, {m << shift: c for m, c in x.terms.items()})
 
 
 def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:

@@ -16,7 +16,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
     component_monomials,
-    eps_reduce,
     times_eps,
 )
 from .group import GroupElement, coeff_degree
@@ -74,7 +73,7 @@ def random_group_element(
         if p == 2 or level == 0:
             c = random_homogeneous(rng, algebra, d)
         else:
-            c = eps_reduce(random_homogeneous(rng, algebra, d, eps_free=True))
+            c = random_homogeneous(rng, algebra, d, eps_free=True)
         coeffs.append(c)
     return GroupElement(p, k, level, algebra, tuple(coeffs))
 

@@ -74,8 +74,7 @@ class PropertyResult:
 def group_test_algebra(p: int) -> AlgebraPresentation:
     """Default coefficient algebra for random group-element tests."""
     n = 3 if p == 2 else 2
-    base = milnor_quotient(p, n).algebra
-    return base if p == 2 else adjoin_epsilon(base)
+    return adjoin_epsilon(milnor_quotient(p, n).algebra)
 
 
 def _ce_group(**named) -> dict:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from steenrodgroup.algebra import (
     EPSILON,
     AlgebraError,
+    AlgebraPresentation,
     EnumerationError,
+    Generator,
     adjoin_epsilon,
     component_dimension,
     component_monomials,
@@ -70,6 +72,17 @@ def test_adjoin_epsilon_twice_fails():
     a = mk_algebra(3, [("x1", 4, 3)])
     with pytest.raises(AlgebraError):
         adjoin_epsilon(adjoin_epsilon(a))
+
+
+@pytest.mark.parametrize(
+    "p, eps",
+    [(2, Generator(EPSILON, -1, 2)), (3, Generator(EPSILON, 4, 3)), (3, Generator(EPSILON, -1, None)),
+     (5, Generator(EPSILON, 1, 2))],
+    ids=["at-p2", "degree-4", "capless", "degree-1"],
+)
+def test_misplaced_eps_is_refused(p, eps):
+    with pytest.raises(AlgebraError, match="eps must be adjoined"):
+        AlgebraPresentation(p, (Generator("x1", 4, 3), eps))
 
 
 # -- multiplication ------------------------------------------------------------

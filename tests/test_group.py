@@ -9,10 +9,12 @@ from steenrodgroup import group
 from steenrodgroup.algebra import (
     EPSILON,
     AlgebraElement,
+    accumulate,
     adjoin_epsilon,
     component_monomials,
     eps_part,
     eps_reduce,
+    frobenius,
     mk_algebra,
     times_eps,
 )
@@ -440,8 +442,6 @@ def test_rho_raises_level_and_takes_pth_powers():
     g = sample(51, p=2, k=3)
     image = rho(g)
     assert image.level == 1
-    from steenrodgroup.algebra import frobenius
-
     assert image.coeffs[2] == frobenius(g.coeffs[2], 1)
 
 
@@ -466,3 +466,143 @@ def test_abelian_kernel_elements_commute(seed):
 def test_zero_prefix_length():
     g = identity(2, 3, alg2())
     assert zero_prefix_length(g) == 3
+
+
+# -- the eps rule: asked of the data, checked against the prime-forked code ----
+
+
+def test_odd_p_without_eps_is_refused():
+    A = milnor_quotient(3, 2).algebra
+    with pytest.raises(GroupError, match="eps must be adjoined"):
+        GroupElement(3, 1, 0, A, (A.one(), A.zero()))
+    with pytest.raises(GroupError, match="eps must be adjoined"):
+        identity(5, 2, milnor_quotient(5, 1).algebra)
+
+
+# The functions below are the versions that asked `p == 2` whether eps is
+# there, kept as references for the versions that ask the algebra.
+
+
+def ref_compose(a, b):
+    alg, p = a.algebra, a.p
+    out = []
+    drop = a.level == 1 and p != 2
+    for i in range(a.k + 1):
+        terms: dict = {}
+        for j in range(i + 1):
+            accumulate(terms, (frobenius(a.coeffs[i - j], j) * b.coeffs[j]).terms.items(), p)
+        acc = AlgebraElement(alg, terms)
+        if drop and i >= 1:
+            acc = eps_reduce(acc)
+        out.append(acc)
+    return GroupElement(a.p, a.k, a.level, alg, tuple(out))
+
+
+def ref_invert_recursive(a):
+    alg, p = a.algebra, a.p
+    drop = a.level == 1 and p != 2
+    betas = [alg.scalar(2) - a.coeffs[0]]
+    for i in range(1, a.k + 1):
+        terms: dict = {}
+        for j in range(i):
+            accumulate(terms, (frobenius(a.coeffs[i - j], j) * betas[j]).terms.items(), p)
+        acc = AlgebraElement(alg, {m: p - c for m, c in terms.items()})
+        if drop:
+            acc = eps_reduce(acc)
+        betas.append(acc)
+    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
+
+
+def ref_invert_closed(a):
+    alg, p = a.algebra, a.p
+    sums = group._composition_sums([(c,) for c in a.coeffs], group._Powers(a.coeffs), a.k, p)
+    inv0 = alg.scalar(2) - a.coeffs[0]
+    drop = a.level == 1 and p != 2
+    betas = [inv0]
+    for (terms,) in sums[1:]:
+        beta = inv0 * AlgebraElement(alg, terms)
+        if drop:
+            beta = eps_reduce(beta)
+        betas.append(beta)
+    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
+
+
+def ref_half_quotient(a):
+    if a.p == 2:
+        return a
+    coeffs = a.coeffs[:-1] + (eps_reduce(a.coeffs[-1]),)
+    return GroupElement(a.p, a.k, a.level, a.algebra, coeffs)
+
+
+def ref_filtration_level(a):
+    if a.coeffs[0] != a.algebra.one():
+        return BOTTOM
+    for i in range(1, a.k + 1):
+        if a.coeffs[i].is_zero():
+            continue
+        m = Fraction(i - 1)
+        if a.p != 2 and eps_reduce(a.coeffs[i]).is_zero():
+            return m + Fraction(1, 2)
+        return m
+    return TOP
+
+
+def ref_in_G_od(a):
+    if a.p == 2:
+        return is_identity(a)
+    if eps_reduce(a.coeffs[0]) != a.algebra.one():
+        return False
+    return all(eps_reduce(c).is_zero() for c in a.coeffs[1:])
+
+
+def ref_rho(a):
+    alg = a.algebra
+    head = a.coeffs[0] if a.level == 0 else alg.one()
+    tail = tuple(eps_reduce(frobenius(c, 1)) for c in a.coeffs[1:])
+    return GroupElement(a.p, a.k, a.level + 1, alg, (head,) + tail)
+
+
+def eps_shaped(seed, p, k, level, zero_prefix, od):
+    """A sampled element; with od, its alpha_i (i >= 1) cut down to their
+    eps terms, so that it lies in G_od and sits at a half filtration level."""
+    g = random_group_element(random.Random(seed), p, k, group_test_algebra(p), level, zero_prefix)
+    if od:
+        tail = tuple(times_eps(eps_part(c)) for c in g.coeffs[1:])
+        g = GroupElement(p, k, level, g.algebra, g.coeffs[:1] + tail)
+    return g
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_eps_rule_from_the_data_matches_the_prime_forks(seed, p, k, level, zero_prefix, od):
+    a = eps_shaped(seed, p, k, level, zero_prefix, od)
+    b = eps_shaped(seed + 1, p, k, level, 0, False)
+    assert half_quotient(a) == ref_half_quotient(a)
+    assert in_G_od(a) == ref_in_G_od(a)
+    assert rho(a) == ref_rho(a)
+    assert compose(a, b) == ref_compose(a, b)
+    assert invert_recursive(a) == ref_invert_recursive(a)
+    assert invert_closed(a) == ref_invert_closed(a)
+    if level == 0:
+        # a sampled head is 1 + b*eps, which is BOTTOM; with head 1 the
+        # first nonzero alpha_i decides between an integer and a half level
+        unit = GroupElement(p, k, 0, a.algebra, (a.algebra.one(),) + a.coeffs[1:])
+        for g in (a, unit):
+            assert filtration_level(g) == ref_filtration_level(g)
+
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_level_one_group_law_matches_the_prime_forks(seed, p, k):
+    # level 1 is where the eps-drop asked the prime
+    a = eps_shaped(seed, p, k, 1, 0, False)
+    b = eps_shaped(seed + 1, p, k, 1, 0, False)
+    assert compose(a, b) == ref_compose(a, b)
+    assert invert_recursive(a) == ref_invert_recursive(a)
+    assert invert_closed(a) == ref_invert_closed(a)

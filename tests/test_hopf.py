@@ -12,6 +12,7 @@ from steenrodgroup.algebra import (
     AlgebraError,
     AlgebraPresentation,
     Generator,
+    adjoin_epsilon,
     frobenius,
     mk_algebra,
 )
@@ -136,12 +137,21 @@ def every_preset():
 
 def test_presets_keep_their_generators_degrees_caps_and_labels():
     # sha256 of every preset's repr, recorded before the presets were built
-    # by `hopf.quotient`: names, degrees, caps, D, shift and label all stay
+    # by `hopf.quotient` (names, degrees, caps, D, shift and label all stay),
+    # and again when dual_mod_J(p, 0, N) took the label A_mod_J(0) at odd p
     text = "".join(f"{call} {hp!r}\n" for call, hp in every_preset())
     assert text.count("\n") == 840
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8d567895d48afea7c2573dea0b35c34f1875b4756d1a2ab09444b0b30fea3211"
+        "23529994fbe28a4b970807f0aa7370932311fb150cc5db285dfaee63d3e7f02b"
     )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", range(5))
+def test_mod_J0_is_mod_I0_with_its_own_label(p, N):
+    hp = dual_mod_J(p, 0, N)
+    assert hp.algebra == level_mod_I(p, 0, N).algebra
+    assert hp.label == "A_mod_J(0)"
 
 
 def test_xi_has_the_degree_of_alpha_at_its_shift():
@@ -465,6 +475,39 @@ def test_theta_turns_convolution_into_composition(seed, p):
     lhs = theta(convolution(phi, psi), 3)
     rhs = compose(theta(psi, 3), theta(phi, 3))
     assert lhs == rhs
+
+
+def _embed_by_pack(x, big):
+    """The former route of `embed`: exponents out, zeros appended, packed again."""
+    extra = (0,) * (big.ngens - x.pres.ngens)
+    return AlgebraElement(big, {big.pack(x.pres.exponents(m) + extra): c for m, c in x.terms.items()})
+
+
+A2_3 = milnor_quotient(3, 2).algebra
+CAPLESS_3 = mk_algebra(3, [("t0", 1, 2), ("x1", 4, None)])
+EXTENSIONS = {
+    "eps": (A2_3, adjoin_epsilon(A2_3)),
+    "two-generators": (A2_3, AlgebraPresentation(3, A2_3.generators + (Generator("y", 6, 5), Generator("w", 3, 2)))),
+    "capless": (CAPLESS_3, AlgebraPresentation(3, CAPLESS_3.generators + (Generator("y", 2, None),))),
+}
+
+
+@pytest.mark.parametrize("small, big", EXTENSIONS.values(), ids=EXTENSIONS.keys())
+@given(seed=st.integers(0, 10**6))
+def test_embed_by_shift_matches_the_pack_route(small, big, seed):
+    rng = random.Random(seed)
+    x = small.zero()
+    for _ in range(6):
+        exps = [rng.randrange(g.cap) if g.cap else rng.choice([0, 1, 7, 2**32 - 1]) for g in small.generators]
+        x = x + small.monomial(exps, rng.randrange(1, 3))
+    assert hopf.embed(x, big) == _embed_by_pack(x, big)
+
+
+def test_embed_refuses_what_is_not_an_append_only_extension():
+    x = A2_3.gen("x1")
+    for big in (AlgebraPresentation(3, A2_3.generators[1:]), AlgebraPresentation(3, A2_3.generators[::-1])):
+        with pytest.raises(AlgebraError, match="not an append-only extension"):
+            hopf.embed(x, big)
 
 
 def test_rho_diagram_hand_example():

@@ -515,10 +515,10 @@ def _one_generator(p, name, degree, cap):
     }
 
 
-# odd-p coefficients live in an algebra with eps adjoined, and a generator
-# named eps is read as that eps whatever its degree and cap: at p = 3
-# `filtration` read alpha_1 = eps of degree 4 as level 1/2, and at p = 2
-# `rho` dropped alpha_1^2 = eps^2
+# odd-p coefficients live in an algebra with eps adjoined; unchecked, a
+# generator named eps is read as that eps whatever its degree and cap: at
+# p = 3 `filtration` read alpha_1 = eps of degree 4 as level 1/2, and at
+# p = 2 `rho` dropped alpha_1^2 = eps^2
 MISPLACED_EPS = {
     "no-eps": _one_generator(3, "x1", 4, 3),
     "eps-of-degree-4": _one_generator(3, "eps", 4, 3),
@@ -542,6 +542,14 @@ MISPLACED_EPS = {
 def test_cli_misplaced_eps_is_usage_error(tmp_path, capsys, argv, g):
     err = assert_refused(tmp_path, capsys, argv[0], g, *argv[1:])
     assert "eps must be adjoined" in err
+
+
+@pytest.mark.parametrize("g", MISPLACED_EPS.values(), ids=MISPLACED_EPS.keys())
+def test_library_refuses_misplaced_eps(g):
+    # the presentation and GroupElement hold the rule, so a library caller
+    # gets the refusal the CLI gives
+    with pytest.raises((AlgebraError, group.GroupError), match="eps must be adjoined"):
+        group_from_obj(g)
 
 
 # a valid p = 2 element: alpha_0 = 1, alpha_1 = z1
