@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Enumerate the finite truncated groups over the small quotient algebras and
+"""Build the finite truncated groups over the small quotient algebras and
 report orders, lower central series, derived series, and filtration bounds.
 
-The environment variable STEENROD_LIMIT caps the enumerated group sizes, as
-for the CLI; a group above it ends the run with exit 2.
+The environment variable STEENROD_LIMIT caps the group orders, as for the
+CLI; a group above it ends the run with exit 2.
 
 Usage: python3 scripts/sweep_finite_groups.py [--p P]
 """

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_partitions)
 
-    sp = sub.add_parser("lcs", help="lower central series of an enumerated finite group")
+    sp = sub.add_parser("lcs", help="lower central series of a finite group")
     sp.add_argument("--p", type=prime, default=2)
     sp.add_argument("--n", type=non_negative, default=1)
     sp.add_argument("--ev", action="store_true", help="also report the eps-free subgroup series")

@@ -1,18 +1,31 @@
-"""Finite-group computations: closure from filtration generators, subgroup series.
+"""Finite-group computations by polycyclic sifting: subgroup series of the finite groups.
 
 Over a finite coefficient algebra the truncated subgroup cut out by the
 Frobenius-nilpotency conditions (alpha_i^(p^(n-i+1)) = 0 for i <= n,
-alpha_i = 0 beyond) is a finite p-group.  The layers of its filtration by
-coefficient index are elementary abelian, so one generator per basis monomial
-of each layer generates it.  This module closes those generators, remembers
-each product and inverse on first use, and takes lower central and derived
-series as normal closures of generator commutators (Holt, Eick & O'Brien,
-Handbook of Computational Group Theory, 2005).
+alpha_i = 0 beyond) is a finite p-group.  Its filtration by the normal
+subgroups N_i (alpha_0 = 1 and alpha_1 = ... = alpha_{i-1} = 0; N_0 = G) has
+elementary abelian layers N_i / N_{i+1}: inside N_i the layer-i coefficients
+of a product are the sum of its factors' (alpha_0 - 1 for layer 0).  So one
+generator per basis monomial of each layer is a polycyclic generating
+sequence (pcgs) of G, and an element's coordinates on a layer are its
+coefficients at the layer's monomials.
+
+No element is enumerated.  A subgroup is an induced pcgs: rows in echelon
+form, one per depth (layer, monomial), each with its inverse powers.  Sifting
+an element divides it by the rows in depth order; it reaches the identity
+exactly when the element lies in the subgroup, whose order is p^(rows).  A
+subgroup is closed by sifting the p-th power of each new row and its
+commutators with the rows before it, and, for a normal closure in G, with
+G's generators.  The lower central and derived series are then normal
+closures of the commutators of pcgs elements (Holt, Eick & O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 8), on O(r^2) commutators of the r
+generators instead of |G| r products.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,6 +45,7 @@ from .group import (
     filtration_level,
     identity,
     invert_recursive,
+    is_identity,
 )
 
 DEFAULT_LIMIT = 100_000
@@ -55,88 +69,75 @@ def size_limit() -> int:
         raise GroupTheoryError(f"bad {LIMIT_ENV} value {raw!r}") from exc
 
 
+@dataclass(eq=False)
+class _Row:
+    """One element h of an induced pcgs, at its depth (layer, position).
+
+    h^-t clears the coordinate c at the depth for t = c * scale mod p;
+    inverses[t - 1] = h^-t.  position is h's index in G's pcgs when h is one
+    of G's generators, and comms[j] memoizes [h, G.gens[j]].
+    """
+
+    depth: tuple[int, int]
+    element: GroupElement
+    scale: int
+    inverses: list[GroupElement]
+    position: Optional[int] = None
+    comms: dict = field(default_factory=dict)
+
+
+def _row(depth, h: GroupElement, scale: int, inverse: GroupElement, position=None) -> _Row:
+    """The row of h, with h^-1 .. h^-(p-1) taken from inverse = h^-1."""
+    inverses = [inverse]
+    for _ in range(h.p - 2):
+        inverses.append(compose(inverses[-1], inverse))
+    return _Row(depth, h, scale, inverses, position)
+
+
 @dataclass
 class FiniteGroup:
-    """A finite group of stunted series, closed from its generators.
+    """A finite group of stunted series, held as its pcgs.
 
-    elements are sorted by key(); gens are the indices of the filtration-layer
-    generators.  Products and inverses are composed on first use and kept.
+    gens are the filtration-layer generators in depth order; layers[i] lists
+    layer i's monomials, each with the inverse of its generator's coefficient
+    there, so an element of N_i has coordinate c * scale at the monomial it
+    carries with coefficient c in alpha_i.  rows are gens as pcgs rows, keyed
+    by depth; cache holds each series report and [G, G], each computed once.
     """
 
     p: int
     n: int
     algebra: AlgebraPresentation
-    elements: list[GroupElement]
-    gens: list[int]
-    identity_index: int
-    index: dict = field(repr=False)
-    products: dict = field(repr=False, default_factory=dict)
-    inverses: dict = field(repr=False, default_factory=dict)
+    gens: list[GroupElement]
+    layers: list[list[tuple[int, int]]] = field(repr=False)
+    rows: dict = field(repr=False, default_factory=dict)
+    cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def _find(self, g: GroupElement) -> int:
-        i = self.index.get(g.key())
-        if i is None:
-            raise GroupTheoryError("a product left the enumerated group")
-        return i
-
-    def mul(self, i: int, j: int) -> int:
-        k = self.products.get((i, j))
-        if k is None:
-            k = self.products[i, j] = self._find(compose(self.elements[i], self.elements[j]))
-        return k
-
-    def inv(self, i: int) -> int:
-        k = self.inverses.get(i)
-        if k is None:
-            k = self.inverses[i] = self._find(invert_recursive(self.elements[i]))
-        return k
-
-    def comm(self, i: int, j: int) -> int:
-        """Index of the commutator (i^-1 j^-1)(i j)."""
-        left = self.mul(self.inv(i), self.inv(j))
-        return self.mul(left, self.mul(i, j))
+        return self.p ** len(self.gens)
 
 
 @dataclass
 class SeriesReport:
     """A descending subgroup chain with its termination data.
 
-    sizes[i] is the order of the i-th term; length is the first index whose
-    term is trivial (None if the chain stabilized before reaching triviality);
-    bound/ok record an expected vanishing stage when one applies.
+    chain[i] is the induced pcgs of the i-th term, in depth order; sizes[i]
+    is its order; length is the first index whose term is trivial (None if
+    the chain stabilized before reaching triviality); bound/ok record an
+    expected vanishing stage when one applies.
     """
 
     kind: str
-    chain: list[frozenset[int]]
+    chain: list[tuple[GroupElement, ...]]
     sizes: list[int]
     length: Optional[int]
     bound: Optional[int] = None
     ok: Optional[bool] = None
 
 
-def _bfs(start, gens, mul, key=lambda x: x) -> dict:
-    """key -> member of the closure of start under right multiplication by gens."""
-    found = {key(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, s)
-                k = key(h)
-                if k not in found:
-                    found[k] = h
-                    nxt.append(h)
-        frontier = nxt
-    return found
-
-
 def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool) -> list:
-    """One generator per basis monomial of each filtration layer.
+    """(layer, generator) for each basis monomial of each filtration layer.
 
     Layer 0 (odd p, with eps): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
     Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
@@ -150,7 +151,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     def element(i, c):
         coeffs = [one] + [zero] * n
         coeffs[i] = c
-        return GroupElement(p, n, 0, galg, tuple(coeffs))
+        return i, GroupElement(p, n, 0, galg, tuple(coeffs))
 
     def basis(d, only_eps_free):
         monos = (galg.monomial(m) for m in component_monomials(galg, d))
@@ -171,101 +172,157 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     return gens
 
 
-def _close(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGroup:
+def _comm(h: _Row, x: _Row) -> GroupElement:
+    """[h, x] = (h^-1 x^-1)(h x), memoized on h when x is one of G's generators."""
+    c = h.comms.get(x.position)
+    if c is None:
+        c = compose(compose(h.inverses[0], x.inverses[0]), compose(h.element, x.element))
+        if x.position is not None:
+            h.comms[x.position] = c
+    return c
+
+
+def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
+    """Divide g by the rows in depth order.
+
+    None if g reaches the identity, which is when it lies in the rows'
+    subgroup; otherwise (depth, scale, residue) for the first coordinate no
+    row clears.  A layer left non-zero after its coordinates are cleared
+    means a product left G.
+    """
+    p, one = G.p, G.algebra.one()
+    for i, basis in enumerate(G.layers):
+        for j, (mono, scale) in enumerate(basis):
+            c = g.coeffs[i].terms.get(mono, 0) * scale % p
+            if c:
+                row = rows.get((i, j))
+                if row is None:
+                    return (i, j), pow(c, -1, p), g
+                g = compose(g, row.inverses[c * row.scale % p - 1])
+        if (g.coeffs[i] - one if i == 0 else g.coeffs[i]).terms:
+            raise GroupTheoryError(f"a product left the group: its layer-{i} coefficient is not in the layer's span")
+    return None
+
+
+def _relations(G: FiniteGroup, h: _Row, earlier, normal: bool) -> list[GroupElement]:
+    """h^-p (in a subgroup exactly when h^p is), [h, x] for the earlier rows
+    x and, for a normal closure in G, [h, y] for G's generators y."""
+    out = [compose(h.inverses[-1], h.inverses[0])]
+    out += [_comm(h, x) for x in earlier]
+    if normal:
+        out += [_comm(h, y) for y in G.rows.values()]
+    return out
+
+
+def _close(G: FiniteGroup, rows: dict, queue, normal: bool) -> dict:
+    """Sift the queue into rows, queueing each new row's relations, until it is empty."""
+    queue = deque(queue)
+    while queue:
+        found = _sift(G, rows, queue.popleft())
+        if found is not None:
+            depth, scale, h = found
+            row = _row(depth, h, scale, invert_recursive(h))
+            queue.extend(_relations(G, row, rows.values(), normal))
+            rows[depth] = row
+    return rows
+
+
+def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGroup:
     if p != A.p:
         raise GroupTheoryError("prime does not match the algebra")
     if n < 0:
         raise GroupTheoryError("n must be >= 0")
     galg = A if A.has_epsilon else adjoin_epsilon(A)
-    gens = _layer_generators(p, n, galg, eps_free)
-    predicted = p ** len(gens)
     one = identity(p, n, galg)
-    found = _bfs(one, gens, compose, GroupElement.key)
-    # the layers hold p^len(gens) elements in all: a closure of any other size
-    # means the law or the generating set is wrong
-    if len(found) != predicted:
-        raise GroupTheoryError(f"generators closed to {len(found)} elements, not {predicted}")
-    index = {k: i for i, k in enumerate(sorted(found))}
-    elements = [found[k] for k in index]
-    return FiniteGroup(p, n, galg, elements, [index[g.key()] for g in gens], index[one.key()], index)
+    G = FiniteGroup(p, n, galg, [], [[] for _ in range(n + 1)])
+    for i, g in _layer_generators(p, n, galg, eps_free):
+        [(mono, c)] = (g.coeffs[i] - one.coeffs[i]).terms.items()
+        inverse = invert_recursive(g)
+        if not (compose(one, g) == g == compose(g, one) and is_identity(compose(g, inverse))
+                and is_identity(compose(inverse, g))):
+            raise GroupTheoryError("the group law breaks the identity or inverse law on a generator")
+        depth = (i, len(G.layers[i]))
+        G.layers[i].append((mono, pow(c, -1, p)))
+        G.rows[depth] = _row(depth, g, 1, inverse, len(G.gens))
+        G.gens.append(g)
+    # the generators are a pcgs of G exactly when closing them adds no row
+    rows = list(G.rows.values())
+    relations = [r for i, h in enumerate(rows) for r in _relations(G, h, rows[:i], normal=False)]
+    closed = len(_close(G, dict(G.rows), relations, normal=False))
+    if closed != len(G.gens):
+        raise GroupTheoryError(f"generators closed to {p}^{closed} elements, not {p}^{len(G.gens)}")
+    return G
 
 
 def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
-    """The full order-n truncated group over a finite algebra."""
-    return _close(A, n, p, eps_free=False)
+    """The full order-n truncated group over a finite algebra, as its pcgs."""
+    return _build(A, n, p, eps_free=False)
 
 
-def subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
-    """Indices of the subgroup generated by the seed, by breadth-first closure."""
-    return frozenset(_bfs(G.identity_index, set(seed) - {G.identity_index}, G.mul))
-
-
-def _normal_closure(G: FiniteGroup, seed) -> tuple[list[int], frozenset[int]]:
-    """Generators and members of the normal closure of seed in G = <G.gens>."""
-    gens = [x for x in dict.fromkeys(seed) if x != G.identity_index]
-    members = subgroup_closure(G, gens)
-    for x in gens:  # visits the conjugates appended below as well
-        for y in G.gens:
-            c = G.mul(G.mul(G.inv(y), x), y)
-            if c not in members:
-                gens.append(c)
-                members = subgroup_closure(G, gens)
-    return gens, members
-
-
-def _commutators(G: FiniteGroup, X, Y) -> list[int]:
-    """[x, y] for x in X and y in Y, one per unordered pair, without [x, x]."""
-    pairs = {(min(x, y), max(x, y)) for x in X for y in Y if x != y}
-    return [G.comm(x, y) for x, y in sorted(pairs)]
+def _bracket(G: FiniteGroup, X: list, Y: list) -> dict:
+    """The pcgs of [<X>, <Y>], the normal closure in G of the [x, y] for x in
+    X and y in Y (one per pair when Y is X), for <X> and <Y> normal in G."""
+    seeds = [_comm(x, y) for i, x in enumerate(X) for y in (X[:i] if Y is X else Y)]
+    return _close(G, {}, seeds, normal=True)
 
 
 def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> SeriesReport:
-    """G = H_0 > H_1 > ..., H_{k+1} = [<X>, <Y>] for H_k = <X> and Y = partners(X).
+    """G = H_0 > H_1 = [G, G] > ..., H_{k+1} = [<X>, <Y>] for X the pcgs of H_k and Y = partners(X).
 
     [<X>, <Y>] is the normal closure of the [x, y] in <X, Y>; for both series
-    it is normal in G, so the closure is taken in G.
+    it is normal in G, so the closure is taken in G.  [G, G] is closed once
+    per group, for both series.
     """
-    gens, chain = G.gens, [frozenset(range(G.order))]
-    while True:
-        gens, nxt = _normal_closure(G, _commutators(G, gens, partners(gens)))
-        if nxt == chain[-1]:
-            break
+    if "commutator" not in G.cache:
+        gens = list(G.rows.values())
+        G.cache["commutator"] = _bracket(G, gens, gens)
+    chain, nxt = [G.rows], G.cache["commutator"]
+    while len(nxt) < len(chain[-1]):
         chain.append(nxt)
-        if len(nxt) == 1:
+        if not nxt:
             break
-    length = next((i for i, h in enumerate(chain) if len(h) == 1), None)
+        X = list(nxt.values())
+        nxt = _bracket(G, X, partners(X))
+    sizes = [G.p ** len(H) for H in chain]
+    length = next((i for i, s in enumerate(sizes) if s == 1), None)
     ok = None
     if bound is not None:
-        ok = any(len(h) == 1 for h in chain[: bound + 1]) if length is not None else False
-    return SeriesReport(kind, chain, [len(h) for h in chain], length, bound, ok)
+        ok = length is not None and length <= bound
+    terms = [tuple(H[d].element for d in sorted(H)) for H in chain]
+    return SeriesReport(kind, terms, sizes, length, bound, ok)
+
+
+def _cached(G: FiniteGroup, kind: str, partners, bound: Optional[int]) -> SeriesReport:
+    rep = G.cache.get(kind)
+    if rep is None:
+        rep = G.cache[kind] = _series(G, partners, kind, bound)
+    return rep
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    return _series(G, lambda X: G.gens, "lower_central", G.n + 1)
+    return _cached(G, "lower_central", lambda X: list(G.rows.values()), G.n + 1)
 
 
 def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _series(G, lambda X: X, "derived", None)
+    return _cached(G, "derived", lambda X: X, None)
 
 
 def check_filtration_bounds(G: FiniteGroup) -> bool:
-    """Elementwise filtration bounds for both series.
+    """Filtration bounds for both series.
 
     Every element of Gamma_{k+1} must sit at filtration >= k + 1/2, every
-    element of D_1 at >= 1/2, and of D_{k+1} (k >= 1) at >= 2k.
+    element of D_1 at >= 1/2, and of D_{k+1} (k >= 1) at >= 2k.  Each level
+    set {g : filtration_level(g) >= s} is a subgroup, so it holds for a term
+    exactly when it holds for the term's pcgs.
     """
 
-    def holds(series, need):
-        return all(
-            i == G.identity_index or filtration_level(G.elements[i]) >= need(k)
-            for k, H in enumerate(series(G).chain[1:])
-            for i in H
-        )
+    def holds(rep, need):
+        return all(filtration_level(h) >= need(k) for k, H in enumerate(rep.chain[1:]) for h in H)
 
-    return holds(lower_central_series, lambda k: k + Fraction(1, 2)) and holds(
-        derived_series, lambda k: Fraction(1, 2) if k == 0 else Fraction(2 * k)
+    return holds(lower_central_series(G), lambda k: k + Fraction(1, 2)) and holds(
+        derived_series(G), lambda k: Fraction(1, 2) if k == 0 else Fraction(2 * k)
     )
 
 
@@ -273,10 +330,10 @@ def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     """Lower central series of the eps-free order-n truncated group.
 
     Only the eps-free generators are closed, so STEENROD_LIMIT bounds this
-    subgroup and the chain indexes its elements in key order.  The expected
-    vanishing stage drops by one relative to the full group.
+    subgroup.  The expected vanishing stage drops by one relative to the
+    full group.
     """
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
-    H = _close(A, n, p, eps_free=True)
-    return _series(H, lambda X: H.gens, "ev_lower_central", n)
+    H = _build(A, n, p, eps_free=True)
+    return _series(H, lambda X: list(H.rows.values()), "ev_lower_central", n)

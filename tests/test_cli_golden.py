@@ -24,6 +24,9 @@ GOLDEN = {
     "sweep": (0, "d848cd5d45eaa7aed5dea3ff91615a92b2ec7d787cc4a893e7158a90cbac466b"),
     "lcs --p 3 --n 1 --ev": (0, "50149437090b865a01c7b454977819077c567c67760f54a6df8e22cec5ff343b"),
     "lcs --p 5 --n 1 --ev": (0, "385a9e7ee86b58f7c4601bb94a6fb31fd87407bcfa0caaedf6075b6ba06cbf28"),
+    "lcs --p 7 --n 1 --ev": (0, "8f71f4bd471e902072332388fe7ac6d6c3d30b71a930fb51adb90487490cd3a7"),
+    "lcs --p 2 --n 4": (0, "328614c9916cc90bb9b3c71450429d66cc6d6549d08078cf85da9269615c6062"),
+    "lcs --p 3 --n 2 --ev": (0, "4d4bf5bd83e6c17964ce2bf88cd84c6ac06fb65ee647368dde217d19961c67cf"),
     "hopf --preset A_dual --p 3 --k 1 --N 3": (0, "f6f3045be34b457ae1a8579e75e178b826c31d81f4131dfe670733bdf2f34d88"),
     "hopf --preset A --p 3 --k 1 --N 3": (0, "75dd311d1416dcbc02a0cd357209222b42ca211db0f541090758826578407bda"),
     "hopf --preset A_ev --p 3 --k 1 --N 3": (0, "715f1d75f9e326a6ab3bb1c89707022bb256082001d6d92645a61408c30d22c3"),

@@ -1,9 +1,22 @@
+import itertools
+
 import pytest
 
 from steenrodgroup import grouptheory
 from steenrodgroup.algebra import eps_reduce, mk_algebra
-from steenrodgroup.group import GroupElement, coeff_degree, compose, identity, invert_recursive, is_identity, pi_ev
+from steenrodgroup.group import (
+    TOP,
+    GroupElement,
+    coeff_degree,
+    compose,
+    filtration_level,
+    identity,
+    invert_recursive,
+    is_identity,
+    pi_ev,
+)
 from steenrodgroup.grouptheory import (
+    SWEEP_GRID,
     GroupTheoryError,
     check_filtration_bounds,
     derived_series,
@@ -11,9 +24,10 @@ from steenrodgroup.grouptheory import (
     ev_subgroup_series,
     lower_central_series,
     size_limit,
-    subgroup_closure,
 )
 from steenrodgroup.hopf import milnor_quotient
+
+from group_oracle import Oracle, compare, expand, normal_closure, subgroup_closure
 
 
 def G21():
@@ -26,6 +40,11 @@ def G22():
 
 def G31():
     return enumerate_group(milnor_quotient(3, 1).algebra, 1, 3)
+
+
+def oracle(p, n):
+    """The oracle's enumeration of the order-n group over milnor_quotient(p, n)."""
+    return Oracle(milnor_quotient(p, n).algebra, n, p)
 
 
 # -- orders --------------------------------------------------------------------
@@ -63,7 +82,7 @@ def test_trivial_group():
 def test_coefficient_constraints_g22():
     # alpha_1 ranges over the degree-1 component {0, z1}, alpha_2 over the
     # degree-3 component span{z1^3, z2}; alpha_i^(2^(n-i+1)) = 0 holds for all
-    G = G22()
+    G = oracle(2, 2)
     alg = G.algebra
     firsts = {g.coeffs[1].key() for g in G.elements}
     seconds = {g.coeffs[2].key() for g in G.elements}
@@ -113,9 +132,9 @@ def brute_lower_central(table, inverse, members):
 
 @pytest.mark.parametrize("A, p, n, order", ORACLE_GROUPS)
 def test_series_match_cayley_table_oracle(A, p, n, order):
-    G = enumerate_group(A, n, p)
-    assert G.order == order
-    els = G.elements
+    G, O = enumerate_group(A, n, p), Oracle(A, n, p)
+    assert G.order == O.order == order
+    els = O.elements
     at = {g.key(): i for i, g in enumerate(els)}
     table = [[at[compose(a, b).key()] for b in els] for a in els]
     inverse = [at[invert_recursive(g).key()] for g in els]
@@ -124,14 +143,18 @@ def test_series_match_cayley_table_oracle(A, p, n, order):
     assert all(set(row) == every for row in table)
     assert all({row[j] for row in table} == every for j in range(order))
     assert all(table[i][inverse[i]] == one == table[inverse[i]][i] for i in every)
-    assert G.identity_index == one
-    assert [G.inv(i) for i in range(order)] == inverse
+    assert O.identity_index == one
+    assert [O.inv(i) for i in range(order)] == inverse
 
-    def keys(S, elements=els):
-        return {elements[i].key() for i in S}
+    def keys(S):
+        return {els[i].key() for i in S}
+
+    def terms(rep):
+        """The elements of each chain term, expanded from its pcgs."""
+        return [keys(expand(O, H)) for H in rep.chain]
 
     lcs, comm, closure = brute_lower_central(table, inverse, every)
-    assert [keys(H) for H in lower_central_series(G).chain] == [keys(H) for H in lcs]
+    assert terms(lower_central_series(G)) == [keys(H) for H in lcs]
 
     derived = [every]
     while len(derived[-1]) > 1:
@@ -139,16 +162,77 @@ def test_series_match_cayley_table_oracle(A, p, n, order):
         if nxt == derived[-1]:
             break
         derived.append(nxt)
-    assert [keys(H) for H in derived_series(G).chain] == [keys(H) for H in derived]
+    assert terms(derived_series(G)) == [keys(H) for H in derived]
 
     if p != 2:
-        ev = {i for i, g in enumerate(els) if pi_ev(g) == g and g.coeffs[0] == G.algebra.one()}
-        # the eps-free series indexes the eps-free elements in key order
-        ev_elements = [els[i] for i in sorted(ev)]
+        ev = {i for i, g in enumerate(els) if pi_ev(g) == g and g.coeffs[0] == O.algebra.one()}
         brute = brute_lower_central(table, inverse, ev)[0]
         rep = ev_subgroup_series(A, n, p)
-        assert keys(rep.chain[0], ev_elements) == keys(ev)
-        assert [keys(H, ev_elements) for H in rep.chain] == [keys(H) for H in brute]
+        assert terms(rep)[0] == keys(ev)
+        assert terms(rep) == [keys(H) for H in brute]
+
+
+# every group up to order 2401: the sweep grid, the order-128 group, the
+# orders 625 and 2401, and the class-3 group
+DIFFERENTIAL_GROUPS = [
+    pytest.param(milnor_quotient(p, n).algebra, p, n, id=f"p{p}-n{n}")
+    for p, n in SWEEP_GRID + ((2, 3), (5, 1), (7, 1))
+]
+DIFFERENTIAL_GROUPS.append(pytest.param(mk_algebra(2, [("a", 1, 2), ("b", 1, 8)]), 2, 3, id="p2-n3-class3"))
+
+
+@pytest.mark.parametrize("A, p, n", DIFFERENTIAL_GROUPS)
+def test_pcgs_matches_the_enumeration_oracle(A, p, n):
+    compare(A, n, p)
+
+
+@pytest.mark.parametrize("A, p, n", DIFFERENTIAL_GROUPS)
+def test_pcgs_closures_match_the_enumeration_oracle(A, p, n):
+    # the subgroup and the normal closure of each generator and of each pair:
+    # small seeds whose closures need the p-th powers, the commutators of the
+    # rows and the conjugates that the series seeds may not
+    G, O = enumerate_group(A, n, p), Oracle(A, n, p)
+    r = len(G.gens)
+    for seed in [(i,) for i in range(r)] + list(itertools.combinations(range(r), 2)):
+        elements = [G.gens[i] for i in seed]
+        indices = [O.find(g) for g in elements]
+        for normal, members in ((False, subgroup_closure(O, indices)), (True, normal_closure(O, indices)[1])):
+            rows = grouptheory._close(G, {}, elements, normal)
+            assert len(members) == p ** len(rows)
+            assert expand(O, [row.element for row in rows.values()]) == members, (seed, normal)
+
+
+@pytest.mark.parametrize("A, p, n, order", ORACLE_GROUPS)
+def test_filtration_level_sets_are_subgroups(A, p, n, order):
+    # {g : filtration_level(g) >= s} is closed under products and inverses
+    # for every level s that occurs, so a bound holds on a subgroup exactly
+    # when it holds on its generators
+    O = Oracle(A, n, p)
+    level = [filtration_level(g) for g in O.elements]
+    for s in set(level) - {TOP}:
+        members = [i for i in range(O.order) if level[i] >= s]
+        assert all(level[O.inv(i)] >= s for i in members)
+        assert all(level[O.mul(i, j)] >= s for i in members for j in members)
+    # the least level on each series term is the least on its pcgs
+    G = enumerate_group(A, n, p)
+    for rep in (lower_central_series(G), derived_series(G)):
+        for H in rep.chain[1:]:
+            least = min((level[i] for i in expand(O, H) if i != O.identity_index), default=TOP)
+            assert min((filtration_level(h) for h in H), default=TOP) == least
+
+
+def test_series_at_order_32768_compose_fewer_than_an_eighth_of_the_elements(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    monkeypatch.setattr(grouptheory, "compose", counted)
+    G = enumerate_group(milnor_quotient(2, 4).algebra, 4, 2)
+    assert lower_central_series(G).sizes == [32768, 16, 2, 1]
+    assert derived_series(G).sizes == [32768, 16, 1]
+    assert len(calls) < G.order / 8
 
 
 def test_order_check_catches_a_wrong_law(monkeypatch):
@@ -176,7 +260,7 @@ def test_enumeration_composes_each_element_with_each_generator_once(monkeypatch)
 
 
 def test_table_matches_compose():
-    G = G22()
+    G = oracle(2, 2)
     for i in (0, 3, 5):
         for j in (1, 2, 7):
             k = G.mul(i, j)
@@ -184,12 +268,12 @@ def test_table_matches_compose():
 
 
 def test_subgroup_closure_of_identity():
-    G = G22()
+    G = oracle(2, 2)
     assert subgroup_closure(G, []) == frozenset({G.identity_index})
 
 
 def test_subgroup_closure_generates_lagrange_divisor():
-    G = G31()
+    G = oracle(3, 1)
     sub = subgroup_closure(G, [1])
     assert G.order % len(sub) == 0
     assert len(sub) > 1
@@ -250,13 +334,14 @@ def test_level_zero_odd_group_is_elementary_abelian():
     G = enumerate_group(milnor_quotient(3, 1).algebra, 0, 3)
     assert G.order == 3  # heads 1 + b*eps, b in the degree-1 component span{t0}
     assert lower_central_series(G).length <= 1
-    for i in range(G.order):
-        cube = G.mul(G.mul(i, i), i)
-        assert cube == G.identity_index
+    O = Oracle(milnor_quotient(3, 1).algebra, 0, 3)
+    for i in range(O.order):
+        cube = O.mul(O.mul(i, i), i)
+        assert cube == O.identity_index
 
 
 def test_od_part_has_exponent_p():
-    G = G31()
+    G = oracle(3, 1)
     for g in G.elements:
         if all(eps_reduce(c) == c for c in g.coeffs[1:]) and g.coeffs[0] == G.algebra.one():
             continue
