@@ -67,6 +67,7 @@ from .hopf import (  # noqa: F401
     quotient,
     rho_diagram_check,
     theta,
+    universal_points,
 )
 from .milnor import (  # noqa: F401
     DualSymbol,

@@ -5,9 +5,10 @@ degree and a nilpotency cap (the smallest exponent that vanishes).  All
 relations in play are monomial, so caps are the whole relation data: a monomial whose
 exponent reaches a cap is zero.  Elements are sparse maps from monomials to
 residues in 1..p-1, which gives a canonical normal form and exact equality.
-The same normal form, keyed by pairs of monomials, serves the tensor square
-in `hopf`; both element classes share the additive operations defined here,
-and `accumulate` is the one way to add terms into a normal-form dict.
+A tensor power is one more presentation, `power(c)`, so its product is the
+algebra product, Koszul sign included; `join`, `split` and `inject` are the
+only ways across its layout.  `hopf`'s tensor elements share the additive
+operations here, and `accumulate` is the one way to add into a normal form.
 
 A monomial is a packed exponent vector (Monagan & Pearce, CASC 2007): one int
 with a bit field per generator and a guard bit above each field, generator 0
@@ -84,7 +85,7 @@ class AlgebraPresentation:
     # p = 2, where signs vanish); the value field of eps (0 when absent); the
     # bit width of a monomial; the hash of (p, generators), which `__eq__`
     # compares, taken once, as every lru_cache lookup keyed on a
-    # presentation hashes it
+    # presentation hashes it; the factor and copies of a `power` (self and 1 if none)
     fields: tuple = _layout()
     bias: int = _layout()
     guard: int = _layout()
@@ -94,7 +95,9 @@ class AlgebraPresentation:
     width: int = _layout()
     _hash: int = _layout()
     _frobenius_bias: dict = _layout()  # q -> bias for exponents times q
-    _square: list = _layout()  # the tensor square, once built
+    factor: "AlgebraPresentation" = _layout()
+    copies: int = _layout()
+    _powers: dict = _layout()  # c -> the c-th tensor power, once built (1 -> self)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -122,9 +125,9 @@ class AlgebraPresentation:
                 eps = ((1 << width) - 1) << shift
             fields.insert(0, (shift, (1 << width) - 1))
             shift += width + 1
-        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, [])
+        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, self, 1, {1: self})
         names = ("fields", "bias", "guard", "wide", "odd", "eps", "width", "_hash",
-                 "_frobenius_bias", "_square")
+                 "_frobenius_bias", "factor", "copies", "_powers")
         for name, value in zip(names, layout):
             object.__setattr__(self, name, value)
 
@@ -184,18 +187,41 @@ class AlgebraPresentation:
             )
         return self._frobenius_bias[q]
 
-    def square(self) -> "AlgebraPresentation":
-        """A (x) A, built on first use: the generators in the high fields, then
-        a primed copy below them, so a (x) b is the monomial (a << width) | b.
+    def divides(self, d: int, m: int) -> bool:
+        """Whether d divides m: no field of m | guard borrows when d is subtracted."""
+        return ((m | self.guard) - d) & self.guard == self.guard
 
-        Its caps are A's caps on each side, and its Koszul sign is the tensor
-        sign: (a1 (x) b1)(a2 (x) b2) takes (-1)^(|b1||a2|) as a2 moves left
-        past b1.
-        """
-        if not self._square:
-            right = tuple(Generator(g.name + "'", g.degree, g.cap) for g in self.generators)
-            self._square.append(AlgebraPresentation(self.p, self.generators + right))
-        return self._square[0]
+    # -- tensor powers --------------------------------------------------------
+
+    def power(self, c: int) -> "AlgebraPresentation":
+        """A (x) ... (x) A with c factors, built once per c (power(1) is A):
+        copy j of each generator is named with j primes and takes the fields
+        below copy j - 1.  Each copy keeps A's caps; the Koszul sign is the
+        tensor sign, as a2 moves left past b1 in (a1 (x) b1)(a2 (x) b2)."""
+        if c not in self._powers:
+            gens = tuple(Generator(g.name + "'" * j, g.degree, g.cap) for j in range(c) for g in self.generators)
+            power = self._powers[c] = AlgebraPresentation(self.p, gens)
+            object.__setattr__(power, "factor", self)
+            object.__setattr__(power, "copies", c)
+        return self._powers[c]
+
+    def join(self, left: dict, right: dict, j: int = 1):
+        """The terms (l (x) r, c1 * c2), not reduced mod p, for c1 l in left and
+        c2 r in right, r over the factor's power(j), in the lowest fields."""
+        shift = j * self.factor.width
+        if len(left) > len(right):  # the smaller side outside: one inner pass per term of it
+            return ((l << shift | r, c1 * c2) for r, c2 in right.items() for l, c1 in left.items())
+        return ((l << shift | r, c1 * c2) for l, c1 in left.items() for r, c2 in right.items())
+
+    def split(self, terms: dict):
+        """The terms of this power as ((l, r), c), r in the last copy: `join` undone."""
+        shift = self.factor.width
+        low = (1 << shift) - 1
+        return (((m >> shift, m & low), c) for m, c in terms.items())
+
+    def inject(self, x: "AlgebraElement", j: int) -> "AlgebraElement":
+        """x, an element of the factor, in copy j of this power (copy 0 highest)."""
+        return AlgebraElement(self, dict(self.join(x.terms, {0: 1}, self.copies - 1 - j)))
 
     # -- element constructors -------------------------------------------------
 
@@ -434,6 +460,17 @@ def eps_part(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(
         pres, {m & ~eps: -c % p if (m & below).bit_count() & 1 else c for m, c in x.terms.items() if m & eps}
     )
+
+
+def embed(x: AlgebraElement, big: AlgebraPresentation) -> AlgebraElement:
+    """Extend an element along an append-only extension of its presentation,
+    whose new generators take the lowest fields: each monomial shifts up."""
+    if x.pres == big:
+        return x
+    if big.generators[: x.pres.ngens] != x.pres.generators:
+        raise AlgebraError("not an append-only extension")
+    shift = big.width - x.pres.width
+    return AlgebraElement(big, {m << shift: c for m, c in x.terms.items()})
 
 
 def times_eps(x: AlgebraElement) -> AlgebraElement:

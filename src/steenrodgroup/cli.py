@@ -102,9 +102,9 @@ def _load_pair(args):
     return _element(obj["a"]), _element(obj["b"])
 
 
-def cmd_compose(args) -> int:
+def cmd_pair(args) -> int:
     a, b = _load_pair(args)
-    _emit(args, group_to_obj(compose(a, b)))
+    _emit(args, group_to_obj(args.op(a, b)))
     return 0
 
 
@@ -115,21 +115,9 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_commutator(args) -> int:
-    a, b = _load_pair(args)
-    _emit(args, group_to_obj(commutator(a, b)))
-    return 0
-
-
-def cmd_filtration(args) -> int:
+def cmd_map(args) -> int:
     g = _element(_load_json(args.infile))
-    _emit(args, {"level": filtration_to_str(filtration_level(g))})
-    return 0
-
-
-def cmd_rho(args) -> int:
-    g = _element(_load_json(args.infile))
-    _emit(args, group_to_obj(rho(g)))
+    _emit(args, args.op(g))
     return 0
 
 
@@ -291,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compose", help="compose two serialized group elements")
     common(sp, infile=True)
-    sp.set_defaults(fn=cmd_compose)
+    sp.set_defaults(fn=cmd_pair, op=compose)
 
     sp = sub.add_parser("invert", help="invert a serialized group element")
     common(sp, infile=True)
@@ -300,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("commutator", help="commutator of two serialized group elements")
     common(sp, infile=True)
-    sp.set_defaults(fn=cmd_commutator)
+    sp.set_defaults(fn=cmd_pair, op=commutator)
 
     sp = sub.add_parser("filtration", help="filtration level of a group element")
     common(sp, infile=True)
-    sp.set_defaults(fn=cmd_filtration)
+    sp.set_defaults(fn=cmd_map, op=lambda g: {"level": filtration_to_str(filtration_level(g))})
 
     sp = sub.add_parser("rho", help="apply the level-raising quotient map")
     common(sp, infile=True)
-    sp.set_defaults(fn=cmd_rho)
+    sp.set_defaults(fn=cmd_map, op=lambda g: group_to_obj(rho(g)))
 
     sp = sub.add_parser("partitions", help="list all compositions of n")
     sp.add_argument("n", type=int)

@@ -248,6 +248,8 @@ def commutator_leading(a: GroupElement, b: GroupElement, case: int):
     Case 1 (k = l = 0) predicts the X^p and X^(p^2) coefficients; cases 2 and 3
     predict the X^(p^(k+1)) and X^(p^(k+2)) coefficients, where k is the number
     of leading vanishing alpha_i and l that of beta.  Returns (k, c1, c2).
+    Cases 2 and 3 share one formula: its two beta_1 terms vanish under case
+    3's hypothesis l >= 1, which makes beta_1 = 0.
     """
     _check_compatible(a, b)
     alg = a.algebra
@@ -270,11 +272,13 @@ def commutator_leading(a: GroupElement, b: GroupElement, case: int):
         )
         return 0, c1, c2
 
-    if case == 2:
-        if kk < 1 or ll != 0:
+    if case in (2, 3):
+        if case == 2 and (kk < 1 or ll != 0):
             raise GroupError("case 2 requires k >= 1 vanishing alpha_i and beta_1 != 0 allowed")
+        if case == 3 and not (kk >= ll >= 1):
+            raise GroupError("case 3 requires k >= l >= 1")
         if a.k < kk + 2:
-            raise GroupError("truncation too small for case-2 prediction")
+            raise GroupError(f"truncation too small for case-{case} prediction")
         bbar = invert_recursive(b).coeffs
         ak1, ak2 = a.coeffs[kk + 1], a.coeffs[kk + 2]
         b1 = b.coeffs[1]
@@ -285,17 +289,6 @@ def commutator_leading(a: GroupElement, b: GroupElement, case: int):
             + a0 * frobenius(ak1, 1) * b1
             - ak1 * b0 * frobenius(b1, kk + 1)
         )
-        return kk, c1, c2
-
-    if case == 3:
-        if not (kk >= ll >= 1):
-            raise GroupError("case 3 requires k >= l >= 1")
-        if a.k < kk + 2:
-            raise GroupError("truncation too small for case-3 prediction")
-        bbar = invert_recursive(b).coeffs
-        ak1, ak2 = a.coeffs[kk + 1], a.coeffs[kk + 2]
-        c1 = ak1 * (b0 - one) - (one - a0) * b0 * bbar[kk + 1]
-        c2 = ak2 * (b0 - one) - (one - a0) * b0 * bbar[kk + 2]
         return kk, c1, c2
 
     raise GroupError(f"unknown case {case}")

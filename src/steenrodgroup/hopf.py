@@ -25,12 +25,12 @@ and code outside this module reaches the generators through
 `HopfPresentation.xi` and `HopfPresentation.tau`.  A negative level or
 generator bound is refused with a HopfError before anything is built.
 
-Every map given on generators (the coproduct, the antipode, an assignment and
-a convolution) is one `extend`.  Milnor's coproduct is built from p^j-th
-powers, and in characteristic p such a power is termwise, so `extend` takes
-y^e by the base-p digits of e, each y^(p^j) one `frobenius` step from the
-last, instead of e products.  No Hopf law is assumed: each defect is still
-computed from the generator maps alone.
+Every map given on generators (coproduct, antipode, assignment, convolution,
+the switch of tensor copies) is one `extend`.  Milnor's coproduct is built
+from p^j-th powers, and in characteristic p such a power is termwise, so
+`extend` takes y^e by the base-p digits of e, each y^(p^j) one `frobenius`
+step from the last, instead of e products.  No Hopf law is assumed: each
+defect is still computed from the generator maps alone.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from typing import Callable, Iterable, Optional
 
 from .algebra import (
     AlgebraElement,
-    AlgebraError,
     AlgebraPresentation,
     EnumerationError,
     Generator,
     accumulate,
     adjoin_epsilon,
     component_monomials,
+    embed,
     frobenius,
     sparse_add,
     sparse_neg,
@@ -216,12 +216,9 @@ def dual_mod_J(p: int, k: int, N: int = 4) -> HopfPresentation:
 
 
 class TensorElement(AlgebraElement):
-    """Sparse element of the two-fold tensor square, with Koszul signs.
-
-    An AlgebraElement over `base.square()`: the term a (x) b is keyed by the
-    packed monomial (a << base.width) | b, so its product is the algebra
-    product.  `pairs` splits the keys again.
-    """
+    """Sparse element of the tensor square `base.power(2)`: an AlgebraElement,
+    so its product is the algebra product, Koszul sign included; `pairs`
+    splits each term's monomial into a (x) b."""
 
     __slots__ = ()
 
@@ -234,41 +231,33 @@ class TensorElement(AlgebraElement):
     scale = sparse_scale
 
     @classmethod
-    def zero(cls, base: AlgebraPresentation) -> "TensorElement":
-        return cls(base.square(), {})
-
-    @classmethod
     def of(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        p, w = x.pres.p, x.pres.width
-        terms = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                c = c1 * c2 % p
-                if c:
-                    terms[m1 << w | m2] = c
-        return cls(x.pres.square(), terms)
+        square = x.pres.power(2)
+        return cls(square, {m: c % square.p for m, c in square.join(x.terms, y.terms)})
 
     def pairs(self):
         """The terms as ((a, b), c) for c * a (x) b, a and b packed monomials."""
-        w = self.pres.width >> 1
-        low = (1 << w) - 1
-        return (((m >> w, m & low), c) for m, c in self.terms.items())
+        return self.pres.split(self.terms)
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        n = self.pres.ngens >> 1
-        exps = [(self.pres.exponents(m), c) for m, c in sorted(self.terms.items())]
-        return " + ".join(f"{c}*{e[:n]}(x){e[n:]}" for e, c in exps)
+        exps = self.pres.factor.exponents
+        return " + ".join(f"{c}*{exps(a)}(x){exps(b)}" for (a, b), c in sorted(self.pairs()))
+
+
+def _on_copies(power: AlgebraPresentation, image: Callable) -> Callable:
+    """The `extend` image out of a tensor power: copy j of generator n -> image(j, n)."""
+    names = [g.name for g in power.factor.generators]
+    images = [image(j, n) for j in range(power.copies) for n in names]
+    return dict(zip([g.name for g in power.generators], images)).__getitem__
 
 
 def switch(t: TensorElement) -> TensorElement:
-    """The switching map x(x)y -> (-1)^(|x||y|) y(x)x."""
-    p, odd, w = t.pres.p, t.pres.odd, t.pres.width >> 1
-    return TensorElement(t.pres, {
-        m2 << w | m1: -c % p if (m1 & odd).bit_count() & (m2 & odd).bit_count() & 1 else c
-        for (m1, m2), c in t.pairs()
-    })
+    """x(x)y -> (-1)^(|x||y|) y(x)x: the algebra map that swaps the copies, signed by the product."""
+    square, base = t.pres, t.pres.factor
+    image = _on_copies(square, lambda j, n: square.inject(base.gen(n), 1 - j))
+    return extend(square, t, image, TensorElement.of(base.one(), base.one()))
 
 
 # -- structure maps ------------------------------------------------------------
@@ -281,12 +270,10 @@ def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
     shifted generators obey the same, and quotient caps kill the rest."""
     is_tau, n = _parse(name)
     right = hp.tau if is_tau else hp.xi
-    acc = TensorElement.zero(hp.algebra)
-    for j in range(n + 1):
-        acc = acc + TensorElement.of(hp.xi(n - j, hp.p**j), right(j))
+    terms = [TensorElement.of(hp.xi(n - j, hp.p**j), right(j)) for j in range(n + 1)]
     if is_tau:
-        acc = acc + TensorElement.of(right(n), hp.algebra.one())
-    return acc
+        terms.append(TensorElement.of(right(n), hp.algebra.one()))
+    return sum(terms[1:], terms[0])
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> TensorElement:
@@ -295,7 +282,8 @@ def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> T
     top = max(map(alg.mono_degree, x.terms), default=0) if check_cap else 0
     if top > hp.degree_cap:
         raise HopfError(f"degree {top} exceeds cap D={hp.D}")
-    return extend(alg, x, functools.partial(coproduct_gen, hp), TensorElement.of(alg.one(), alg.one()))
+    square = alg.power(2)
+    return extend(alg, x, functools.partial(coproduct_gen, hp), TensorElement(square, square.one().terms))
 
 
 def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement) -> AlgebraElement:
@@ -362,22 +350,21 @@ def counit(x: HopfElement) -> int:
 
 
 def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
-    """(mu (x) id) mu(x) - (id (x) mu) mu(x) as a sparse triple tensor: the
-    term a (x) b (x) c is keyed by (a << 2w) | (b << w) | c, w = the width."""
+    """(mu (x) id) mu(x) - (id (x) mu) mu(x), as the terms of an element of `power(3)`."""
     alg = hp.algebra
-    w = alg.width
+    cube = alg.power(3)
     mu = coproduct(hp, x)
     memo: dict = {}  # monomial -> its coproduct's terms, for this call only
 
     def delta(m):
         if m not in memo:
             memo[m] = coproduct(hp, AlgebraElement(alg, {m: 1}), check_cap=False).terms
-        return memo[m].items()
+        return memo[m]
 
     terms: dict = {}
     for (m1, m2), c in mu.pairs():
-        accumulate(terms, ((ab << w | m2, c * c2) for ab, c2 in delta(m1)), alg.p)
-        accumulate(terms, ((m1 << 2 * w | bc, -c * c2) for bc, c2 in delta(m2)), alg.p)
+        accumulate(terms, cube.join(delta(m1), {m2: c}), alg.p)
+        accumulate(terms, cube.join({m1: -c}, delta(m2), 2), alg.p)
     return terms
 
 
@@ -465,8 +452,7 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
         gen_monos.append(next(iter(g.terms)))
 
     def in_ideal(m) -> bool:
-        # m divisible by gm: no field of m | guard borrows when gm is subtracted
-        return any(((m | alg.guard) - gm) & alg.guard == alg.guard for gm in gen_monos)
+        return any(alg.divides(gm, m) for gm in gen_monos)
 
     if any(g.degree <= 0 for g in alg.generators):
         raise EnumerationError("requires strictly positive generator degrees")
@@ -521,32 +507,19 @@ class GeneratorAssignment:
 def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> GeneratorAssignment:
     """The point-group product: x -> m(psi (x) phi)(mu(x)) on each generator,
     where m(psi (x) phi) is the map out of the tensor square that `extend`s
-    g -> psi(g) and the primed copy g' -> phi(g)."""
+    psi on the first copy and phi on the second."""
     if phi.hopf != psi.hopf or phi.target != psi.target:
         raise HopfError("convolution needs matching presentations")
     hp, alg = phi.hopf, phi.hopf.algebra
-
-    def image(name):
-        return phi.value(name[:-1]) if name.endswith("'") else psi.value(name)
-
+    square = alg.power(2)
+    image = _on_copies(square, lambda j, n: (psi, phi)[j].value(n))
     values = {}
     for g in alg.generators:
         mu = coproduct(hp, alg.gen(g.name), check_cap=False)
-        v = extend(alg.square(), mu, image, phi.target.one())
+        v = extend(square, mu, image, phi.target.one())
         if not v.is_zero():
             values[g.name] = v
     return GeneratorAssignment(hp, phi.target, values)
-
-
-def embed(x: AlgebraElement, big: AlgebraPresentation) -> AlgebraElement:
-    """Extend an element along an append-only extension of its presentation,
-    whose new generators take the lowest fields: each monomial shifts up."""
-    if x.pres == big:
-        return x
-    if big.generators[: x.pres.ngens] != x.pres.generators:
-        raise AlgebraError("not an append-only extension")
-    shift = big.width - x.pres.width
-    return AlgebraElement(big, {m << shift: c for m, c in x.terms.items()})
 
 
 def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
@@ -564,6 +537,17 @@ def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
     # alpha_i = phi(xi_i) + phi(tau_i) eps, where xi_0 = 1
     xi = [galg.one()] + [value(i, False) for i in range(1, trunc + 1)]
     return GroupElement(hp.p, trunc, hp.shift, galg, tuple(x + times_eps(value(i, True)) for i, x in enumerate(xi)))
+
+
+def universal_points(hp: HopfPresentation, c: int) -> tuple[GroupElement, ...]:
+    """theta of the c injections of hp's algebra into its c-th tensor power.
+    Over dual_steenrod(p, N), below its degree cap, each copy is the
+    coordinate ring of G_p^N, so an identity in c elements that holds at
+    these points holds over every algebra (the Yoneda lemma)."""
+    alg, power = hp.algebra, hp.algebra.power(c)
+    target = adjoin_epsilon(power)  # once, so that the points share it
+    copies = [{g: embed(power.inject(alg.gen(g), j), target) for g in hp.gen_names()} for j in range(c)]
+    return tuple(theta(GeneratorAssignment(hp, target, values), hp.N) for values in copies)
 
 
 def restrict_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:

@@ -69,12 +69,7 @@ def random_group_element(
         if i <= zero_prefix:
             coeffs.append(algebra.zero())
             continue
-        d = coeff_degree(p, level, i)
-        if p == 2 or level == 0:
-            c = random_homogeneous(rng, algebra, d)
-        else:
-            c = random_homogeneous(rng, algebra, d, eps_free=True)
-        coeffs.append(c)
+        coeffs.append(random_homogeneous(rng, algebra, coeff_degree(p, level, i), eps_free=level != 0))
     return GroupElement(p, k, level, algebra, tuple(coeffs))
 
 

@@ -33,9 +33,9 @@ from .group import (
     pi_ev,
     project,
     rho,
+    zero_prefix_length,
 )
 from .hopf import (
-    GeneratorAssignment,
     TensorElement,
     antipode_gen,
     axiom_counterexamples,
@@ -50,6 +50,7 @@ from .hopf import (
     primitivity_check,
     rho_diagram_check,
     theta,
+    universal_points,
 )
 from .milnor import DualSymbol, in_J_basis, in_dual_span
 from .partitions import enumerate_compositions, extend_F
@@ -81,19 +82,14 @@ def _ce_group(**named) -> dict:
     return {k: group_to_obj(v) if isinstance(v, GroupElement) else repr(v) for k, v in named.items()}
 
 
-# the generic point's inverses take milliseconds at t = 8 and grow steeply with t
+# the universal points' inverses take milliseconds at t = 8 and grow steeply with t
 GENERIC_TRUNCATION = 8
 
 
-def generic_point(p: int, k: int) -> GroupElement:
-    """theta of the identity assignment of dual_steenrod(p, t) into itself,
-    t = min(k, GENERIC_TRUNCATION).  Below its degree cap, coeff_degree(t),
-    that algebra is the coordinate ring of G_p^t, so a law that holds at this
-    point holds at every point of G_p^t, top coefficients included (over the
-    samples' algebras every alpha_k is zero at odd p and k >= 4)."""
-    hp = dual_steenrod(p, N=min(k, GENERIC_TRUNCATION))
-    alg = hp.algebra
-    return theta(GeneratorAssignment(hp, alg, {g: alg.gen(g) for g in hp.gen_names()}), hp.N)
+def generic_points(p: int, k: int, c: int) -> tuple[GroupElement, ...]:
+    """The universal points of G_p^t, t = min(k, GENERIC_TRUNCATION), over c copies
+    of dual_steenrod(p, t); the samples' alpha_k are all zero at odd p, k >= 4."""
+    return universal_points(dual_steenrod(p, N=min(k, GENERIC_TRUNCATION)), c)
 
 
 def _unit_laws(a: GroupElement) -> Optional[dict]:
@@ -104,24 +100,25 @@ def _unit_laws(a: GroupElement) -> Optional[dict]:
         return _ce_group(law="inverse", a=a)
 
 
+def _associativity(a: GroupElement, b: GroupElement, c: GroupElement) -> Optional[dict]:
+    if compose(compose(a, b), c) != compose(a, compose(b, c)):
+        return _ce_group(law="associativity", a=a, b=b, c=c)
+
+
 def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     for _ in range(samples):
-        a = random_group_element(rng, p, k, alg)
-        b = random_group_element(rng, p, k, alg)
-        c = random_group_element(rng, p, k, alg)
-        if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            return _ce_group(law="associativity", a=a, b=b, c=c)
-        ce = _unit_laws(a)
+        a, b, c = (random_group_element(rng, p, k, alg) for _ in range(3))
+        ce = _associativity(a, b, c) or _unit_laws(a)
         if ce is not None:
             return ce
-    return _unit_laws(generic_point(p, k))
+    return _unit_laws(*generic_points(p, k, 1)) or _associativity(*generic_points(p, k, 3))
 
 
 def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     points = (random_group_element(rng, p, k, alg) for _ in range(samples))
-    for a in itertools.chain(points, [generic_point(p, k)]):
+    for a in itertools.chain(points, generic_points(p, k, 1)):
         r = invert_recursive(a)
         c = invert_closed(a)
         if r != c:
@@ -134,8 +131,6 @@ def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> O
 
 def _sample_with_prefix(rng, p, k, alg, want: int) -> GroupElement:
     """Random element whose leading vanishing-coefficient count is exactly want."""
-    from .group import zero_prefix_length
-
     for _ in range(100):
         a = random_group_element(rng, p, k, alg, zero_prefix=want)
         if zero_prefix_length(a) == want:
@@ -272,20 +267,27 @@ def check_subgroup_closure(p: int, k: int, rng: random.Random, samples: int) -> 
             return _ce_group(a=a, inverse=inv)
 
 
+def _homomorphism_laws(a: GroupElement, b: GroupElement, truncations) -> Optional[dict]:
+    ab = compose(a, b)
+    if any(project(ab, k2) != compose(project(a, k2), project(b, k2)) for k2 in truncations):
+        return _ce_group(law="project", a=a, b=b)
+    if rho(ab) != compose(rho(a), rho(b)):
+        return _ce_group(law="rho", a=a, b=b)
+    if a.p != 2 and pi_ev(ab) != compose(pi_ev(a), pi_ev(b)):
+        return _ce_group(law="pi_ev", a=a, b=b)
+
+
 def check_homomorphisms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     for _ in range(samples):
         a = random_group_element(rng, p, k, alg)
         b = random_group_element(rng, p, k, alg)
-        ab = compose(a, b)
-        k2 = rng.randint(0, k)
-        if project(ab, k2) != compose(project(a, k2), project(b, k2)):
-            return _ce_group(law="project", a=a, b=b)
-        if rho(ab) != compose(rho(a), rho(b)):
-            return _ce_group(law="rho", a=a, b=b)
-        if p != 2:
-            if pi_ev(ab) != compose(pi_ev(a), pi_ev(b)):
-                return _ce_group(law="pi_ev", a=a, b=b)
+        ce = _homomorphism_laws(a, b, [rng.randint(0, k)])
+        if ce is not None:
+            return ce
+    # rho's p-th powers pass the points' degree cap: rho is checked modulo the caps
+    a, b = generic_points(p, k, 2)
+    return _homomorphism_laws(a, b, range(a.k + 1))
 
 
 def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:

@@ -545,7 +545,7 @@ def ref_extend_monomial(alg, mono, image, out):
 
 def ref_coproduct(hp, x):
     alg = hp.algebra
-    one, acc = TensorElement.of(alg.one(), alg.one()), TensorElement.zero(alg)
+    one, acc = TensorElement.of(alg.one(), alg.one()), TensorElement.of(alg.zero(), alg.zero())
     for mono, c in x.terms.items():
         acc = acc + ref_extend_monomial(alg, mono, lambda name: hopf.coproduct_gen(hp, name), one).scale(c)
     return acc
@@ -642,13 +642,13 @@ TERM_DEGREE = 110
 
 
 @st.composite
-def hopf_elements(draw):
-    """A preset at p in {2, 3} and an element of it below its degree cap: up
+def hopf_elements(draw, primes=(2, 3)):
+    """A preset at p in primes and an element of it below its degree cap: up
     to five terms of up to three generators each, with coefficients other
     than 1 where p allows.  Each exponent is drawn up to its generator's cap
     - 1, as far as the degree left allows, so that powers have several
     non-zero base-p digits (z1^14 at p = 2, x1^26 at p = 3)."""
-    hp = PRESETS[draw(st.sampled_from(sorted(PRESETS)))](draw(st.sampled_from([2, 3])))
+    hp = PRESETS[draw(st.sampled_from(sorted(PRESETS)))](draw(st.sampled_from(primes)))
     alg = hp.algebra
     terms = {}
     for _ in range(draw(st.integers(2, 5))):
@@ -681,6 +681,23 @@ def test_assignments_match_their_per_term_sums(case, seed):
     phi, psi = random_assignment(rng, hp, target), random_assignment(rng, hp, target)
     assert phi.eval(x) == ref_eval(phi, x)
     assert convolution(phi, psi).values == ref_convolution(phi, psi)
+
+
+def ref_switch(t):
+    """switch as written before it became an `extend`: a (x) b goes to
+    b (x) a, negated when both have an odd number of odd generators."""
+    p, odd = t.pres.p, t.pres.factor.odd
+    return {
+        (m2, m1): -c % p if (m1 & odd).bit_count() & (m2 & odd).bit_count() & 1 else c
+        for (m1, m2), c in t.pairs()
+    }
+
+
+@given(hopf_elements(primes=(3,)))
+def test_switch_matches_the_sign_rule(case):
+    hp, x = case
+    for t in (coproduct(hp, x), TensorElement.of(x, antipode(hp, x))):
+        assert dict(switch(t).pairs()) == ref_switch(t)
 
 
 HIGH_POWERS = [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from steenrodgroup.algebra import (
     EPSILON,
     AlgebraError,
+    AlgebraPresentation,
     adjoin_epsilon,
     component_monomials,
     eps_part,
@@ -149,7 +150,7 @@ def element(draw, pres):
 
 @st.composite
 def tensor(draw, pres):
-    s = TensorElement.zero(pres)
+    s = TensorElement.of(pres.zero(), pres.zero())
     for _ in range(draw(st.integers(0, 4))):
         s = s + TensorElement.of(draw(element(pres)), draw(element(pres)))
     return s
@@ -191,6 +192,31 @@ def test_tensor_products_match_reference(pst):
         return {(pres.exponents(a), pres.exponents(b)): c for (a, b), c in u.pairs()}
 
     assert ref(s * t) == ref_tensor_mul(pres, ref(s), ref(t))
+
+
+@given(presentations.flatmap(lambda a: st.tuples(st.just(a), monomials(a), monomials(a), monomials(a))))
+def test_tensor_power_keys_are_the_hand_packed_triple(pabc):
+    pres, *monos = pabc
+    cube = pres.power(3)
+    assert pres.power(1) is pres and pres.power(3) is cube and cube.factor is pres
+    a, b, c = (pres.pack(m) for m in monos)
+    w = pres.width
+    triple = a << 2 * w | b << w | c
+    assert cube.pack(monos[0] + monos[1] + monos[2]) == triple
+    assert dict(cube.join({a: 1}, dict(pres.power(2).join({b: 1}, {c: 1})), 2)) == {triple: 1}
+    assert list(cube.split({triple: 1})) == [((a << w | b, c), 1)]
+    x = pres.monomial(monos[1], pres.p - 1)
+    assert tuples(cube.inject(x, 1)) == {(0,) * pres.ngens + monos[1] + (0,) * pres.ngens: pres.p - 1}
+
+
+def test_tensor_power_layout_stays_out_of_equality():
+    pres = PRESENTATIONS["A_dual(3,5)"]
+    square = pres.power(2)
+    twin = AlgebraPresentation(pres.p, square.generators)
+    assert [g.name for g in square.generators[pres.ngens:]] == [g.name + "'" for g in pres.generators]
+    assert square == twin and hash(square) == hash(twin) and repr(square) == repr(twin)
+    assert (square.factor, square.copies, twin.factor, twin.copies) == (pres, 2, twin, 1)
+    assert pres.power(0).ngens == 0  # the ground field, the unit of the tensor product
 
 
 def test_dual_steenrod_3_5_has_six_odd_generators():

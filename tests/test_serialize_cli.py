@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from steenrodgroup import group, serialize, verify
-from steenrodgroup.algebra import AlgebraElement, AlgebraError, AlgebraPresentation, component_monomials
+from steenrodgroup.algebra import (
+    AlgebraElement,
+    AlgebraError,
+    AlgebraPresentation,
+    component_monomials,
+    eps_reduce,
+    frobenius,
+)
 from steenrodgroup.cli import USAGE_ERROR, run
 from steenrodgroup.group import BOTTOM, TOP, commutator, compose, identity, invert_closed, invert_recursive
 from steenrodgroup.milnor import in_J_basis
@@ -346,11 +353,59 @@ def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
 
 
 def test_generic_point_is_the_identity_assignment():
-    a = verify.generic_point(3, 2)
+    a = verify.generic_points(3, 2, 1)[0]
     alg, eps = a.algebra, a.algebra.gen("eps")
     assert (a.p, a.k, a.level) == (3, 2, 0)
     assert a.coeffs == (alg.one() + alg.gen("t0") * eps, alg.gen("x1") + alg.gen("t1") * eps, alg.gen("x2") + alg.gen("t2") * eps)
-    assert verify.generic_point(2, 20).k == verify.GENERIC_TRUNCATION
+    assert verify.generic_points(2, 20, 1)[0].k == verify.GENERIC_TRUNCATION
+
+
+def test_generic_points_are_the_copies_of_the_generic_point():
+    one, = verify.generic_points(3, 2, 1)
+    points = verify.generic_points(3, 2, 3)
+    alg = points[0].algebra
+    gens = alg.generators[: alg.ngens - 1]  # eps is adjoined last
+    assert [g.name for g in gens] == [g.name + "'" * j for j in range(3) for g in one.algebra.generators[:-1]]
+    assert all(a.algebra is alg and (a.p, a.k, a.level) == (3, 2, 0) for a in points)
+    eps = alg.gen("eps")
+    for j, a in enumerate(points):
+        names = [g + "'" * j for g in ("t0", "t1", "t2", "x1", "x2")]
+        t0, t1, t2, x1, x2 = (alg.gen(n) for n in names)
+        assert a.coeffs == (alg.one() + t0 * eps, x1 + t1 * eps, x2 + t2 * eps)
+
+
+def _skew_top_coefficient(op):
+    """compose plus A_2^3 (A_1 + B_1)^27 B_1 in the top coefficient, A_i and
+    B_i the eps-free parts of alpha_i and beta_i: of degree coeff_degree(4)
+    at p = 3, zero at (e, a), (a, e) and (a, a^-1), so no unit law sees it,
+    and no sample either, as every sampled alpha_4 is zero."""
+
+    def broken(a, b):
+        c = op(a, b)
+        a1, a2, b1 = (eps_reduce(x) for x in (a.coeffs[1], a.coeffs[2], b.coeffs[1]))
+        skew = a2 * a2 * a2 * frobenius(a1 + b1, 3) * b1
+        return replace(c, coeffs=c.coeffs[:-1] + (c.coeffs[-1] + skew,))
+
+    return broken
+
+
+@pytest.mark.parametrize("samples", [5, 50])
+def test_group_axioms_see_a_compose_that_is_not_associative(monkeypatch, samples):
+    monkeypatch.setattr(verify, "compose", _skew_top_coefficient(compose))
+    ce = verify.check_group_axioms(3, 4, random.Random("0:group_axioms"), samples)
+    assert ce is not None and ce["law"] == repr("associativity")
+    a, b, c = verify.generic_points(3, 4, 3)
+    assert (ce["a"], ce["b"], ce["c"]) == tuple(serialize.group_to_obj(x) for x in (a, b, c))
+    assert verify._unit_laws(*verify.generic_points(3, 4, 1)) is None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_homomorphisms_see_a_dropped_top_coefficient_of_pi_ev(monkeypatch, p):
+    # every sampled product has a zero alpha_4 at k = 4; the universal pair's has not
+    monkeypatch.setattr(verify, "pi_ev", _drop_top_coefficient(group.pi_ev))
+    ce = verify.check_homomorphisms(p, 4, random.Random("0:homomorphisms"), 20)
+    assert ce is not None and ce["law"] == repr("pi_ev")
+    assert ce["a"] == serialize.group_to_obj(verify.generic_points(p, 4, 2)[0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -359,7 +414,7 @@ def test_group_axioms_see_a_dropped_top_coefficient(monkeypatch, p):
     monkeypatch.setattr(verify, "compose", _drop_top_coefficient(compose))
     ce = verify.check_group_axioms(p, 4, random.Random("0:group_axioms"), 5)
     assert ce is not None
-    assert verify._unit_laws(verify.generic_point(p, 4))["law"] == repr("identity")
+    assert verify._unit_laws(verify.generic_points(p, 4, 1)[0])["law"] == repr("identity")
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -368,7 +423,7 @@ def test_inverse_oracles_see_a_dropped_top_coefficient(monkeypatch, p, law):
     monkeypatch.setattr(verify, law, _drop_top_coefficient(getattr(verify, law)))
     ce = verify.check_inverse_oracles(p, 4, random.Random("0:inverse_oracles"), 5)
     assert ce is not None and ce["law"] == repr(law.removeprefix("invert_"))
-    assert ce["a"] == serialize.group_to_obj(verify.generic_point(p, 4))
+    assert ce["a"] == serialize.group_to_obj(verify.generic_points(p, 4, 1)[0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
