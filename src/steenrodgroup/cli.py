@@ -1,7 +1,11 @@
 """Command-line front end: JSON in, JSON/CSV out, deterministic for a seed.
 
-Exit codes: 0 success, 1 verification failure (counterexample serialized in
-the report), 2 usage error (bad arguments, malformed JSON, limit exceeded).
+Each command returns its report, a JSON-able object or CSV text, and a
+verdict that is False only when a check failed.  `run` alone writes the
+report, to --out or stdout, and turns the verdict into the exit code:
+0 success, 1 verification failure (counterexample serialized in the report),
+2 usage error (bad arguments, malformed JSON, limit exceeded, an --out that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .grouptheory import (
     LIMIT_ENV,
     SWEEP_GRID,
     GroupTheoryError,
-    SeriesReport,
     enumerate_group,
     ev_subgroup_series,
     lower_central_series,
@@ -70,18 +73,6 @@ def _load_json(path: str):
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _emit(args, payload, is_csv: bool = False):
-    if is_csv:
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _element(obj):
     """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs,
     and whose alpha_i are homogeneous of degree coeff_degree(i)."""
@@ -102,71 +93,64 @@ def _load_pair(args):
     return _element(obj["a"]), _element(obj["b"])
 
 
-def cmd_pair(args) -> int:
+def cmd_pair(args):
     a, b = _load_pair(args)
-    _emit(args, group_to_obj(args.op(a, b)))
-    return 0
+    return group_to_obj(args.op(a, b)), True
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args):
     g = _element(_load_json(args.infile))
     fn = {"recursive": invert_recursive, "closed": invert_closed, "split": invert_split}[args.method]
-    _emit(args, group_to_obj(fn(g)))
-    return 0
+    return group_to_obj(fn(g)), True
 
 
-def cmd_map(args) -> int:
+def cmd_map(args):
     g = _element(_load_json(args.infile))
-    _emit(args, args.op(g))
-    return 0
+    return args.op(g), True
 
 
-def cmd_partitions(args) -> int:
+def cmd_partitions(args):
     comps = enumerate_compositions(args.n)
-    _emit(args, [list(c.parts) for c in comps])
-    return 0
+    return [list(c.parts) for c in comps], True
 
 
-def _series_obj(rep: SeriesReport, order: int, p: int, n: int) -> dict:
-    return {
-        "p": p,
-        "n": n,
-        "order": order,
+def _lower_central(p: int, n: int):
+    """A(n), the finite group of order-n series over it, and that group's
+    lower central series, whose ok says the class is at most n + 1."""
+    hp = milnor_quotient(p, n)
+    G = enumerate_group(hp.algebra, n, p)
+    return hp, G, lower_central_series(G)
+
+
+def cmd_lcs(args):
+    hp, G, rep = _lower_central(args.p, args.n)
+    report = {
+        "p": args.p,
+        "n": args.n,
+        "order": G.order,
         "kind": rep.kind,
         "sizes": rep.sizes,
         "class": rep.length,
         "bound": rep.bound,
         "ok": rep.ok,
     }
-
-
-def cmd_lcs(args) -> int:
-    base = milnor_quotient(args.p, args.n).algebra
-    G = enumerate_group(base, args.n, args.p)
-    rep = lower_central_series(G)
-    payload = _series_obj(rep, G.order, args.p, args.n)
     if args.ev:
-        ev = ev_subgroup_series(base, args.n, args.p)
-        payload["ev"] = {"sizes": ev.sizes, "class": ev.length, "bound": ev.bound, "ok": ev.ok}
-    _emit(args, payload)
-    return 0 if rep.ok in (True, None) else 1
+        ev = ev_subgroup_series(hp.algebra, args.n, args.p)
+        report["ev"] = {"sizes": ev.sizes, "class": ev.length, "bound": ev.bound, "ok": ev.ok}
+    return report, rep.ok
 
 
-def cmd_sweep(args) -> int:
-    grid = [(p, n) for p, n in SWEEP_GRID if args.p in (None, p)]
+def cmd_sweep(args):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "n", "algebra", "order", "class", "bound", "ok"])
-    failed = False
-    for p, n in grid:
-        hp = milnor_quotient(p, n)
-        G = enumerate_group(hp.algebra, n, p)
-        rep = lower_central_series(G)
-        ok = rep.ok is True
-        failed = failed or not ok
-        writer.writerow([p, n, hp.label, G.order, rep.length, rep.bound, ok])
-    _emit(args, buf.getvalue(), is_csv=True)
-    return 1 if failed else 0
+    ok = True
+    for p, n in SWEEP_GRID:
+        if args.p in (None, p):
+            hp, G, rep = _lower_central(p, n)
+            ok = ok and rep.ok
+            writer.writerow([p, n, hp.label, G.order, rep.length, rep.bound, rep.ok])
+    return buf.getvalue(), ok
 
 
 PRESETS = {
@@ -179,7 +163,7 @@ PRESETS = {
 }
 
 
-def cmd_hopf(args) -> int:
+def cmd_hopf(args):
     try:
         hp = PRESETS[args.preset](args)
     except KeyError:
@@ -193,7 +177,7 @@ def cmd_hopf(args) -> int:
         for name, t in cocommutativity_defect(hp)
         if not t.is_zero()
     ]
-    payload = {
+    report = {
         "check": "hopf",
         "preset": args.preset,
         "label": hp.label,
@@ -203,32 +187,30 @@ def cmd_hopf(args) -> int:
         "ok": not counterexamples,
         "counterexamples": counterexamples,
     }
-    _emit(args, payload)
-    return 0 if not counterexamples else 1
+    return report, not counterexamples
 
 
-def cmd_milnor(args) -> int:
+def cmd_milnor(args):
     E, R = args.E, args.R
     if args.action == "in-j":
         verdict = in_J_basis(E, R, args.k, args.p)
     else:
         verdict = in_dual_span(DualSymbol(args.p, R, E), args.k)
-    _emit(args, {"action": args.action, "p": args.p, "k": args.k, "E": list(E), "R": list(R), "result": verdict})
-    return 0
+    report = {"action": args.action, "p": args.p, "k": args.k, "E": list(E), "R": list(R), "result": verdict}
+    return report, True
 
 
-def cmd_verify(args) -> int:
-    results = run_suites(args.p, args.k, args.seed, args.samples)
-    payload = {
+def cmd_verify(args):
+    suites = run_suites(args.p, args.k, args.seed, args.samples)
+    report = {
         "p": args.p,
         "k": args.k,
         "seed": args.seed,
         "samples": args.samples,
-        "suites": [r.to_obj() for r in results],
-        "ok": all(r.ok for r in results),
+        "suites": suites,
+        "ok": all(s["ok"] for s in suites),
     }
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return report, report["ok"]
 
 
 # argument types: a bad value is a usage error (exit 2) before any work starts
@@ -352,7 +334,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report, ok = args.fn(args)
+        text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except (
         CliError,
         SerializeError,
@@ -365,6 +356,7 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -442,8 +442,11 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
     """Verify the Hopf-ideal axioms for a monomial ideal, up to degree d.
 
     Returns (ok, first_violation) where the violation names the offending
-    monomial and axiom.
+    monomial and axiom.  A d above hp's degree cap is refused: the antipode
+    of a monomial of such a degree would be truncated by the caps.
     """
+    if d > hp.degree_cap:
+        raise HopfError(f"degree bound {d} exceeds the degree cap {hp.degree_cap}")
     alg = hp.algebra
     gen_monos = []
     for g in ideal_gens:

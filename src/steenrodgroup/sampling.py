@@ -23,9 +23,14 @@ from .hopf import GeneratorAssignment, HopfPresentation
 
 
 @functools.lru_cache(maxsize=64)
-def _monos(pres: AlgebraPresentation, d: int) -> tuple:
-    """The packed basis monomials of the degree-d component."""
-    return tuple(pres.pack(m) for m in component_monomials(pres, d))
+def _monos(pres: AlgebraPresentation, d: int, eps_free: bool) -> tuple:
+    """The packed basis monomials of the degree-d component, only those
+    without eps if eps_free."""
+    monos = component_monomials(pres, d)
+    if eps_free and pres.has_epsilon:
+        e = pres.epsilon_index
+        monos = [m for m in monos if not m[e]]
+    return tuple(map(pres.pack, monos))
 
 
 def random_homogeneous(
@@ -35,11 +40,8 @@ def random_homogeneous(
     eps_free: bool = False,
 ) -> AlgebraElement:
     """Uniform element of the degree-d component; EnumerationError if it is infinite."""
-    monos = _monos(pres, d)
-    if eps_free:
-        monos = tuple(m for m in monos if not m & pres.eps)
     terms = {}
-    for m in monos:
+    for m in _monos(pres, d, eps_free):
         c = rng.randrange(pres.p)
         if c:
             terms[m] = c

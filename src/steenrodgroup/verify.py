@@ -4,15 +4,14 @@ Each suite checks one family of algebraic laws (group axioms, inverse-oracle
 agreement, commutator-coefficient predictions, filtration bounds, Hopf axioms,
 diagram compatibilities, basis complementarity) and returns its first
 counterexample, fully serialized so the failure can be replayed, or None when
-every sample passes.  `run_suites` turns these into results sorted by suite
-name.
+every sample passes.  `run_suites` turns these into the report's suite
+entries, sorted by suite name.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +41,7 @@ from .hopf import (
     check_hopf_ideal,
     cocommutativity_defect,
     convolution,
+    default_degree_cap,
     dual_mod_J,
     dual_steenrod,
     level_algebra,
@@ -58,20 +58,6 @@ from .sampling import random_assignment, random_group_element
 from .serialize import group_to_obj
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    ok: bool
-    samples: int
-    counterexample: Optional[dict] = field(default=None)
-
-    def to_obj(self) -> dict:
-        out = {"name": self.name, "ok": self.ok, "samples": self.samples}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
-
-
 def group_test_algebra(p: int) -> AlgebraPresentation:
     """Default coefficient algebra for random group-element tests."""
     n = 3 if p == 2 else 2
@@ -86,10 +72,12 @@ def _ce_group(**named) -> dict:
 GENERIC_TRUNCATION = 8
 
 
-def generic_points(p: int, k: int, c: int) -> tuple[GroupElement, ...]:
+def generic_points(p: int, k: int, c: int, scale: int = 1) -> tuple[GroupElement, ...]:
     """The universal points of G_p^t, t = min(k, GENERIC_TRUNCATION), over c copies
-    of dual_steenrod(p, t); the samples' alpha_k are all zero at odd p, k >= 4."""
-    return universal_points(dual_steenrod(p, N=min(k, GENERIC_TRUNCATION)), c)
+    of dual_steenrod(p, t) with its degree cap times scale; the samples' alpha_k
+    are all zero at odd p, k >= 4."""
+    t = min(k, GENERIC_TRUNCATION)
+    return universal_points(dual_steenrod(p, t, scale * default_degree_cap(p, t)), c)
 
 
 def _unit_laws(a: GroupElement) -> Optional[dict]:
@@ -285,9 +273,11 @@ def check_homomorphisms(p: int, k: int, rng: random.Random, samples: int) -> Opt
         ce = _homomorphism_laws(a, b, [rng.randint(0, k)])
         if ce is not None:
             return ce
-    # rho's p-th powers pass the points' degree cap: rho is checked modulo the caps
+    # rho takes p-th powers, whose degrees pass the points' degree cap: so the
+    # laws are checked again at points whose caps reach p times as high
     a, b = generic_points(p, k, 2)
-    return _homomorphism_laws(a, b, range(a.k + 1))
+    truncations = range(a.k + 1)
+    return _homomorphism_laws(a, b, truncations) or _homomorphism_laws(*generic_points(p, k, 2, scale=p), truncations)
 
 
 def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
@@ -306,9 +296,9 @@ def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optio
 
 def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """The named quotient ideals satisfy the Hopf-ideal axioms up to a degree."""
-    hp = dual_steenrod(p, N=3)
-    xi, tau = hp.xi, hp.tau
     d = 2 * p**2 if p != 2 else 15
+    hp = dual_steenrod(p, N=3, D=max(d, default_degree_cap(p, 3)))
+    xi, tau = hp.xi, hp.tau
     ideals = {}
     if p == 2:
         ideals["I<0>"] = [xi(i, 2) for i in range(1, 4)]
@@ -426,9 +416,14 @@ SUITES = {
 }
 
 
-def run_suites(p: int, k: int, seed: int, samples: int) -> list[PropertyResult]:
-    results = []
+def run_suites(p: int, k: int, seed: int, samples: int) -> list[dict]:
+    """One entry per suite, by name: its verdict, its sample count, and its
+    counterexample when it has one."""
+    suites = []
     for name in sorted(SUITES):
         ce = SUITES[name](p, k, random.Random(f"{seed}:{name}"), samples)
-        results.append(PropertyResult(name, ce is None, samples, ce))
-    return results
+        entry = {"name": name, "ok": ce is None, "samples": samples}
+        if ce is not None:
+            entry["counterexample"] = ce
+        suites.append(entry)
+    return suites

@@ -399,6 +399,19 @@ def test_nonmonomial_ideal_generators_rejected():
         check_hopf_ideal(hp, [alg.gen("z1") + alg.gen("z2")], 5)
 
 
+def test_hopf_ideal_check_refuses_a_degree_above_the_cap():
+    # above the cap the caps truncate the antipode: at D = 14 the degree-15
+    # z1^3*z2^4 is its own antipode, without the z1^15 term it has at D = 15
+    hp = H2()
+    z = hp.algebra.gen
+    assert antipode(hp, z("z1", 3) * z("z2", 4)) == z("z1", 3) * z("z2", 4)
+    with pytest.raises(HopfError, match="degree bound 15 exceeds the degree cap 14"):
+        check_hopf_ideal(hp, [z(f"z{i}", 2) for i in (1, 2, 3)], 15)
+    wide = dual_steenrod(2, N=3, D=15)
+    z = wide.algebra.gen
+    assert antipode(wide, z("z1", 3) * z("z2", 4)) == z("z1", 3) * z("z2", 4) + z("z1", 15)
+
+
 # -- assignments, convolution, theta -------------------------------------------
 
 

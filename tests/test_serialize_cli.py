@@ -35,6 +35,7 @@ from steenrodgroup.serialize import (
 )
 from steenrodgroup.sampling import random_group_element, random_homogeneous
 from steenrodgroup.verify import group_test_algebra
+from test_cli_golden import GOLDEN
 
 
 # -- serialization roundtrips --------------------------------------------------
@@ -408,6 +409,16 @@ def test_homomorphisms_see_a_dropped_top_coefficient_of_pi_ev(monkeypatch, p):
     assert ce["a"] == serialize.group_to_obj(verify.generic_points(p, 4, 2)[0])
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_homomorphisms_see_a_dropped_top_coefficient_of_rho(monkeypatch, p):
+    # rho's p-th powers pass the generic pair's caps, so only the pair whose
+    # caps reach p times as high sees the dropped top coefficient
+    monkeypatch.setattr(verify, "rho", _drop_top_coefficient(group.rho))
+    ce = verify.check_homomorphisms(p, 4, random.Random("0:homomorphisms"), 20)
+    assert ce is not None and ce["law"] == repr("rho")
+    assert ce["a"] == serialize.group_to_obj(verify.generic_points(p, 4, 2, scale=p)[0])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_group_axioms_see_a_dropped_top_coefficient(monkeypatch, p):
     # at odd p and k = 4 every sampled alpha_4 is zero; the generic point's is not
@@ -456,6 +467,33 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text()) == [[1, 1], [2]]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    # exit 1 means a failed check, so an --out that cannot be opened is not one
+    dest = tmp_path if where == "directory" else tmp_path / "missing" / "parts.json"
+    code = run(["partitions", "3", "--out", str(dest)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (USAGE_ERROR, "")
+    assert captured.err.startswith(f"error: cannot write {dest}: ")
+
+
+def test_cli_failed_verify_writes_its_report_to_out(tmp_path, capsys, monkeypatch):
+    breaker, _, digest = BROKEN_LAWS["invert_closed"]
+    monkeypatch.setattr(verify, "invert_closed", breaker(verify.invert_closed))
+    dest = tmp_path / "verify.json"
+    code, out = run_cli(capsys, *VERIFY_BROKEN.split(), "--out", str(dest))
+    assert (code, out) == (1, "")
+    # the digest of the bytes that the same command prints without --out
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+
+def test_cli_sweep_out_writes_the_golden_csv(tmp_path, capsys):
+    dest = tmp_path / "sweep.csv"
+    code, out = run_cli(capsys, "sweep", "--out", str(dest))
+    assert (code, out) == (0, "")
+    assert (code, hashlib.sha256(dest.read_bytes()).hexdigest()) == GOLDEN["sweep"]
 
 
 def test_cli_limit_env_respected(tmp_path, capsys, monkeypatch):
