@@ -4,16 +4,18 @@ Each command returns its report, a JSON-able object or CSV text, and a
 verdict that is False only when a check failed.  `run` alone writes the
 report, to --out or stdout, and turns the verdict into the exit code:
 0 success, 1 verification failure (counterexample serialized in the report),
-2 usage error (bad arguments, malformed JSON, limit exceeded, an --out that
-cannot be written).
+2 usage error (bad arguments, malformed JSON, limit exceeded, an --out or a
+stdout that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 from .algebra import AlgebraError, eps_reduce, is_prime
@@ -336,14 +338,14 @@ def run(argv=None) -> int:
     try:
         report, ok = args.fn(args)
         text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise CliError(f"cannot write {args.out}: {exc.strerror}") from exc
-        else:
-            sys.stdout.write(text)
+        try:
+            with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+                print(text, end="", file=fh, flush=True)
+        except OSError as exc:
+            if not args.out:  # stdout's unwritten bytes go to devnull, or the flush at exit fails again
+                with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            raise CliError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
     except (
         CliError,
         SerializeError,

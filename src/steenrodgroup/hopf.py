@@ -5,7 +5,8 @@ generators are the Milnor generators (possibly Frobenius-shifted: the level-k
 subalgebras are generated by zeta_i^(2^k) resp. xi_i^(p^k)), together with a
 generator index bound N, a degree cap D and the Frobenius shift.  All
 quotients in play are by monomial ideals, so ideal membership is decided by
-the caps of the presentation.  Everything is exact below degree D.
+the caps of the presentation.  `coproduct` and `antipode` are exact up to
+`degree_cap`, and refuse an x above it, or of another presentation.
 
 Every preset is one call to `quotient`: the tau_i it lists, then xi_1 .. xi_N
 at its shift, xi_i of the degree of alpha_i, with one cap rule; the full
@@ -134,9 +135,9 @@ class HopfPresentation:
     @property
     def degree_cap(self) -> int:
         # D, relaxed so that every generator itself is admissible (the top
-        # exterior generator outweighs D = 2(p^N - 1) by one)
-        gens = self.algebra.generators
-        return max([self.D] + [g.degree for g in gens])
+        # exterior generator outweighs D = 2(p^N - 1) by one); `quotient`'s
+        # synthetic caps keep every monomial up to it
+        return max([self.D] + [g.degree for g in self.algebra.generators])
 
 
 def default_degree_cap(p: int, N: int = 4) -> int:
@@ -157,14 +158,15 @@ def quotient(p: int, N: int, shift: int, label: str, xi_cap: Optional[Callable[[
     tau_i for each i in taus (none at p = 2), of degree 2p^i - 1 and cap 2,
     then xi_1 .. xi_N, xi_i of degree coeff_degree(p, shift, i), the degree
     of alpha_i, and cap xi_cap(i).  xi_cap None gives the synthetic caps, the
-    smallest that keep every monomial of degree <= D; D None is the top
+    smallest that keep every monomial up to `degree_cap`; D None is the top
     degree of the finite quotient.  A negative N or shift is refused.
     """
     _non_negative(N=N, shift=shift)
     gens = [Generator(_name(p, i, tau=True), 2 * p**i - 1, 2) for i in taus if p != 2]
-    for i in range(1, N + 1):
-        d = coeff_degree(p, shift, i)
-        gens.append(Generator(_name(p, i), d, D // d + 1 if xi_cap is None else xi_cap(i)))
+    degrees = [coeff_degree(p, shift, i) for i in range(1, N + 1)]
+    top = max([D or 0] + degrees + [g.degree for g in gens])
+    for i, d in enumerate(degrees, 1):
+        gens.append(Generator(_name(p, i), d, top // d + 1 if xi_cap is None else xi_cap(i)))
     D = sum((g.cap - 1) * g.degree for g in gens) if D is None else D
     return HopfPresentation(p, N, D, shift, AlgebraPresentation(p, tuple(gens)), label)
 
@@ -276,14 +278,34 @@ def coproduct_gen(hp: HopfPresentation, name: str) -> TensorElement:
     return sum(terms[1:], terms[0])
 
 
-def coproduct(hp: HopfPresentation, x: HopfElement, check_cap: bool = True) -> TensorElement:
-    """Multiplicative extension of the generator coproducts."""
-    alg = hp.algebra
-    top = max(map(alg.mono_degree, x.terms), default=0) if check_cap else 0
+def _admit(hp: HopfPresentation, x: HopfElement) -> None:
+    """Refuse an x above hp's degree cap, where the caps would truncate its images."""
+    top = max(map(x.pres.mono_degree, x.terms), default=0)
     if top > hp.degree_cap:
-        raise HopfError(f"degree {top} exceeds cap D={hp.D}")
-    square = alg.power(2)
-    return extend(alg, x, functools.partial(coproduct_gen, hp), TensorElement(square, square.one().terms))
+        raise HopfError(f"degree {top} exceeds the degree cap {hp.degree_cap}")
+
+
+def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
+    """Refuse an x of another presentation, whose packed monomials alg would misread."""
+    if x.pres is not alg and x.pres != alg:
+        raise HopfError("element of another presentation")
+
+
+def _on_monomials(f: Callable, hp: HopfPresentation, mu: TensorElement) -> dict:
+    """Each distinct monomial of mu's pairs -> f(hp, it), unchecked: mu = coproduct(hp, x) has none above x."""
+    monos = {m for pair, _ in mu.pairs() for m in pair}
+    return {m: f(hp, AlgebraElement(hp.algebra, {m: 1})) for m in monos}
+
+
+def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
+    """Multiplicative extension of the generator coproducts."""
+    _admit(hp, x)
+    return _coproduct(hp, x)
+
+
+def _coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
+    square = hp.algebra.power(2)
+    return extend(hp.algebra, x, functools.partial(coproduct_gen, hp), TensorElement(square, square.one().terms))
 
 
 def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement) -> AlgebraElement:
@@ -297,6 +319,7 @@ def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraEleme
     elements squaring to zero, so y^(p^j) is frobenius(y, j).  The next
     digit's power is frobenius(y^(p^j), 1), so a power below p takes none.
     """
+    _check_pres(alg, x)
     p = one.pres.p
     terms: dict = {}
     for mono, c in x.terms.items():
@@ -339,6 +362,11 @@ def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
 
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     """Multiplicative extension; legitimate because the algebra is graded-commutative."""
+    _admit(hp, x)
+    return _antipode(hp, x)
+
+
+def _antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     return extend(hp.algebra, x, functools.partial(antipode_gen, hp), hp.algebra.one())
 
 
@@ -354,17 +382,11 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     alg = hp.algebra
     cube = alg.power(3)
     mu = coproduct(hp, x)
-    memo: dict = {}  # monomial -> its coproduct's terms, for this call only
-
-    def delta(m):
-        if m not in memo:
-            memo[m] = coproduct(hp, AlgebraElement(alg, {m: 1}), check_cap=False).terms
-        return memo[m]
-
+    delta = _on_monomials(_coproduct, hp, mu)
     terms: dict = {}
     for (m1, m2), c in mu.pairs():
-        accumulate(terms, cube.join(delta(m1), {m2: c}), alg.p)
-        accumulate(terms, cube.join({m1: -c}, delta(m2), 2), alg.p)
+        accumulate(terms, cube.join(delta[m1].terms, {m2: c}), alg.p)
+        accumulate(terms, cube.join({m1: -c}, delta[m2].terms, 2), alg.p)
     return terms
 
 
@@ -380,19 +402,13 @@ def counit_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement,
 def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement, AlgebraElement]:
     """(m(iota (x) id) mu(x) - counit(x) 1,  m(id (x) iota) mu(x) - counit(x) 1)."""
     alg = hp.algebra
-    p = alg.p
-    memo: dict = {}  # monomial -> its antipode, for this call only
-
-    def iota(m):
-        if m not in memo:
-            memo[m] = antipode(hp, AlgebraElement(alg, {m: 1}))
-        return memo[m]
-
+    mu = coproduct(hp, x)
+    iota = _on_monomials(_antipode, hp, mu)
     left, right = {}, {}
-    for (m1, m2), c in coproduct(hp, x).pairs():
+    for (m1, m2), c in mu.pairs():
         a, b = AlgebraElement(alg, {m1: 1}), AlgebraElement(alg, {m2: 1})
-        for acc, y in ((left, iota(m1) * b), (right, a * iota(m2))):
-            accumulate(acc, ((m, c * v) for m, v in y.terms.items()), p)
+        for acc, y in ((left, iota[m1] * b), (right, a * iota[m2])):
+            accumulate(acc, ((m, c * v) for m, v in y.terms.items()), alg.p)
     target = alg.scalar(counit(x))
     return AlgebraElement(alg, left) - target, AlgebraElement(alg, right) - target
 
@@ -430,7 +446,7 @@ def primitivity_check(hp: HopfPresentation) -> bool:
     for g in alg.generators:
         x = alg.gen(g.name)
         expected = TensorElement.of(x, alg.one()) + TensorElement.of(alg.one(), x)
-        if coproduct(hp, x, check_cap=False) != expected:
+        if coproduct(hp, x) != expected:
             return False
     return True
 
@@ -442,14 +458,15 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
     """Verify the Hopf-ideal axioms for a monomial ideal, up to degree d.
 
     Returns (ok, first_violation) where the violation names the offending
-    monomial and axiom.  A d above hp's degree cap is refused: the antipode
-    of a monomial of such a degree would be truncated by the caps.
+    monomial and axiom.  A d above hp's degree cap, or an ideal generator
+    of another presentation, is refused before any monomial is mapped.
     """
     if d > hp.degree_cap:
         raise HopfError(f"degree bound {d} exceeds the degree cap {hp.degree_cap}")
     alg = hp.algebra
     gen_monos = []
     for g in ideal_gens:
+        _check_pres(alg, g)
         if len(g.terms) != 1 or next(iter(g.terms.values())) != 1:
             raise HopfError("ideal generators must be single monomials")
         gen_monos.append(next(iter(g.terms)))
@@ -466,11 +483,11 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
         x = AlgebraElement(alg, {m: 1})
         if counit(x) != 0:
             return False, (mono, "counit")
-        mu = coproduct(hp, x, check_cap=False)
+        mu = _coproduct(hp, x)
         for (m1, m2), c in mu.pairs():
             if not in_ideal(m1) and not in_ideal(m2):
                 return False, (mono, "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
-        conj = antipode(hp, x)
+        conj = _antipode(hp, x)
         for m in conj.terms:
             if not in_ideal(m):
                 return False, (mono, "antipode", alg.exponents(m))
@@ -518,7 +535,7 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
     image = _on_copies(square, lambda j, n: (psi, phi)[j].value(n))
     values = {}
     for g in alg.generators:
-        mu = coproduct(hp, alg.gen(g.name), check_cap=False)
+        mu = coproduct(hp, alg.gen(g.name))
         v = extend(square, mu, image, phi.target.one())
         if not v.is_zero():
             values[g.name] = v

@@ -13,6 +13,7 @@ from steenrodgroup.algebra import (
     AlgebraPresentation,
     Generator,
     adjoin_epsilon,
+    component_monomials,
     frobenius,
     mk_algebra,
 )
@@ -91,6 +92,23 @@ def test_degree_cap_admits_top_exterior_generator():
     assert hp.degree_cap >= hp.gen_degree("t4") > hp.D
 
 
+@pytest.mark.parametrize("D", [4, 15])
+def test_synthetic_caps_keep_every_degree_the_maps_admit(D):
+    # a D below t2's degree 17, or odd at p = 3, is relaxed to the degree cap
+    # 17, and the caps keep every monomial up to it: chi(xi_2) keeps xi_1^4,
+    # and mu(tau_1 xi_1^3) keeps xi_1^4 (x) tau_0
+    hp = dual_steenrod(3, 2, D=D)
+    x, one = hp.algebra.gen, hp.algebra.one()
+    assert hp.degree_cap == 17
+    chi = antipode(hp, x("x2"))
+    assert chi == -x("x2") + x("x1", 4) and len(chi.terms) == 2
+    pairs = [(x("t1") * x("x1", 3), one), (x("t1"), x("x1", 3)), (x("x1", 4), x("t0")),
+             (x("x1"), x("t0") * x("x1", 3)), (x("x1", 3), x("t1")), (one, x("t1") * x("x1", 3))]
+    terms = [TensorElement.of(a, b) for a, b in pairs]
+    mu = coproduct(hp, x("t1") * x("x1", 3))
+    assert mu == sum(terms[1:], terms[0]) and len(list(mu.pairs())) == 6
+
+
 def test_quotient_caps():
     hp = milnor_quotient(2, 2)
     alg = hp.algebra
@@ -138,11 +156,13 @@ def every_preset():
 def test_presets_keep_their_generators_degrees_caps_and_labels():
     # sha256 of every preset's repr, recorded before the presets were built
     # by `hopf.quotient` (names, degrees, caps, D, shift and label all stay),
-    # and again when dual_mod_J(p, 0, N) took the label A_mod_J(0) at odd p
+    # again when dual_mod_J(p, 0, N) took the label A_mod_J(0) at odd p, and
+    # again when the synthetic caps were built from the degree cap: the 286
+    # calls whose D is below a generator's degree got larger caps
     text = "".join(f"{call} {hp!r}\n" for call, hp in every_preset())
     assert text.count("\n") == 840
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "23529994fbe28a4b970807f0aa7370932311fb150cc5db285dfaee63d3e7f02b"
+        "2ac539e4f9227425da56f047a2de61de80bf74cc93049129844a99eac169b6f1"
     )
 
 
@@ -263,10 +283,45 @@ def test_coproduct_multiplicative():
 def test_coproduct_cap_guard():
     hp = dual_steenrod(2, N=2, D=4)
     alg = hp.algebra
-    with pytest.raises(HopfError):
+    with pytest.raises(HopfError, match="degree 5 exceeds the degree cap 4"):
         coproduct(hp, alg.gen("z1", 2) * alg.gen("z2"))
-    # same element passes with the check disabled
-    coproduct(hp, alg.gen("z1", 2) * alg.gen("z2"), check_cap=False)
+    # the antipode refuses the same element: the caps would truncate it too
+    with pytest.raises(HopfError, match="degree 5 exceeds the degree cap 4"):
+        antipode(hp, alg.gen("z1", 2) * alg.gen("z2"))
+
+
+ADMITTING = [coproduct, antipode, coassociativity_defect, counit_defect, antipode_defect]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("fn", ADMITTING, ids=lambda fn: fn.__name__)
+def test_hopf_maps_refuse_above_the_degree_cap(p, fn):
+    # one degree above the cap the caps would truncate the image; the top
+    # generator is admitted, t3 at odd p too, which outweighs D by one
+    hp = dual_steenrod(p, 3)
+    alg = hp.algebra
+    above = alg.monomial(component_monomials(alg, hp.degree_cap + 1)[0])
+    with pytest.raises(HopfError, match=f"^degree {hp.degree_cap + 1} exceeds the degree cap {hp.degree_cap}$"):
+        fn(hp, above)
+    top = max(alg.generators, key=lambda g: g.degree)
+    fn(hp, alg.gen(top.name))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("fn", ADMITTING, ids=lambda fn: fn.__name__)
+def test_hopf_maps_refuse_another_presentation(p, fn):
+    # xi_2 of A(2) would be read in the packed layout of A_dual, N = 3
+    hp, other = dual_steenrod(p, 3), milnor_quotient(p, 2)
+    with pytest.raises(HopfError, match="element of another presentation"):
+        fn(hp, other.xi(2))
+
+
+def test_assignment_refuses_another_presentation():
+    hp, other = dual_steenrod(3, 3), milnor_quotient(3, 2)
+    phi = GeneratorAssignment(hp, hp.algebra, {g: hp.algebra.gen(g) for g in hp.gen_names()})
+    assert phi.eval(hp.xi(2)) == hp.xi(2)
+    with pytest.raises(HopfError, match="element of another presentation"):
+        phi.eval(other.xi(2))
 
 
 def test_antipode_hand_values():
@@ -400,16 +455,26 @@ def test_nonmonomial_ideal_generators_rejected():
 
 
 def test_hopf_ideal_check_refuses_a_degree_above_the_cap():
-    # above the cap the caps truncate the antipode: at D = 14 the degree-15
-    # z1^3*z2^4 is its own antipode, without the z1^15 term it has at D = 15
+    # above the cap the caps would truncate the antipode: at D = 14 the
+    # degree-15 z1^3*z2^4 would lose the z1^15 term it has at D = 15
     hp = H2()
     z = hp.algebra.gen
-    assert antipode(hp, z("z1", 3) * z("z2", 4)) == z("z1", 3) * z("z2", 4)
+    with pytest.raises(HopfError, match="degree 15 exceeds the degree cap 14"):
+        antipode(hp, z("z1", 3) * z("z2", 4))
     with pytest.raises(HopfError, match="degree bound 15 exceeds the degree cap 14"):
         check_hopf_ideal(hp, [z(f"z{i}", 2) for i in (1, 2, 3)], 15)
     wide = dual_steenrod(2, N=3, D=15)
     z = wide.algebra.gen
     assert antipode(wide, z("z1", 3) * z("z2", 4)) == z("z1", 3) * z("z2", 4) + z("z1", 15)
+
+
+def test_hopf_ideal_check_refuses_a_generator_of_another_presentation():
+    # z2 of A(3) is packed in another layout: read in A_dual's it names no
+    # ideal that the check could decide
+    hp = dual_steenrod(2, 3, D=15)
+    with pytest.raises(HopfError, match="element of another presentation"):
+        check_hopf_ideal(hp, [milnor_quotient(2, 3).algebra.gen("z2")], 15)
+    assert check_hopf_ideal(hp, [hp.algebra.gen("z2")], 15)[0] is False
 
 
 # -- assignments, convolution, theta -------------------------------------------

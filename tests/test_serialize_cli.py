@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -477,6 +479,41 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, where):
     captured = capsys.readouterr()
     assert (code, captured.out) == (USAGE_ERROR, "")
     assert captured.err.startswith(f"error: cannot write {dest}: ")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_cli_unwritable_stdout_is_usage_error(capsys, monkeypatch, fails):
+    # a full disk behind stdout (`> /dev/full`): a buffered write fails at the
+    # flush, a short one at the write itself; neither is a failed check
+    class Full(io.StringIO):
+        def write(self, text):
+            if fails == "write":
+                self.flush()
+            return super().write(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = run(["partitions", "3"])
+    assert code == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_stdout_on_dev_full_is_one_usage_error(unbuffered):
+    # buffered, the report is left in stdout's buffer, and the flush at exit
+    # would fail again: one error line and exit 2, not an exit 120
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "steenrodgroup.cli", "partitions", "3"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (USAGE_ERROR, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_cli_failed_verify_writes_its_report_to_out(tmp_path, capsys, monkeypatch):
