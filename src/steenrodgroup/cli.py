@@ -139,6 +139,7 @@ def cmd_lcs(args):
     if args.ev:
         ev = ev_subgroup_series(hp.algebra, args.n, args.p)
         report["ev"] = {"sizes": ev.sizes, "class": ev.length, "bound": ev.bound, "ok": ev.ok}
+        return report, rep.ok and ev.ok
     return report, rep.ok
 
 
@@ -172,7 +173,7 @@ def cmd_hopf(args):
         raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
     work, limit = hp.work(), size_limit()
     if work > limit:
-        raise CliError(f"checking {hp.label} multiplies out about {work} tensor-term pairs, over the limit {limit} ({LIMIT_ENV})")
+        raise CliError(f"checking {hp.label} needs {work} words of antipode terms, over the limit {limit} ({LIMIT_ENV})")
     counterexamples = list(axiom_counterexamples(hp))
     defects = [
         {"generator": name, "defect": repr(t)}

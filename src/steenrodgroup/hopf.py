@@ -112,25 +112,20 @@ class HopfPresentation:
         return self.algebra.gen(name) if self.has_gen(name) else self.algebra.zero()
 
     def work(self) -> int:
-        """The refusal bound of the `hopf` command, in tensor-term pairs.
+        """The refusal bound of the `hopf` command: the terms of the generator
+        antipodes, in 64-bit words of packed monomials.
 
-        The coproduct of g_n holds xi_(n-j)^(p^j) for 0 < j < n, and every
-        such power e = p^j that survives its cap counts e^2: the cost of
-        multiplying g^e out by e tensor products of up to about e terms each.
-        `extend` takes such a power by `frobenius`, with no product, so the
-        bound overestimates the real work by orders of magnitude:
-        `dual_steenrod(3, 8)` counts 12106872 pairs and checks in about
-        0.02 s.  The bound is kept as it stands, so that the presets it
-        refuses stay the same.
+        Milnor's conjugation formula sums over the compositions of n, one
+        term each: 2^(n-1) for xi_n and 2^n for tau_n.  The count is exact
+        where no cap kills a term (`dual_steenrod`, `level_algebra`) and an
+        upper bound on the other presets; a wide monomial (a huge D) makes
+        every term dearer.
         """
-        work = 0
+        terms = 0
         for name in self.gen_names():
-            _, n = _parse(name)
-            for j in range(1, n):
-                e = self.p**j
-                if not self.xi(n - j, e).is_zero():
-                    work += e * e
-        return work
+            is_tau, n = _parse(name)
+            terms += 2**n if is_tau else 2 ** (n - 1)
+        return terms * ((self.algebra.width + 63) // 64)
 
     @property
     def degree_cap(self) -> int:
@@ -430,11 +425,10 @@ def axiom_counterexamples(hp: HopfPresentation):
 
 
 def cocommutativity_defect(hp: HopfPresentation):
-    """Per-generator images of mu - T mu; all zero means cocommutative up to D."""
+    """Per-generator images of mu - T mu; all zero means cocommutative up to
+    `degree_cap`."""
     out = []
     for g in hp.algebra.generators:
-        if g.degree > hp.D:
-            continue
         mu = coproduct(hp, hp.algebra.gen(g.name))
         out.append((g.name, mu - switch(mu)))
     return out

@@ -27,13 +27,15 @@ GOLDEN = {
     "lcs --p 7 --n 1 --ev": (0, "8f71f4bd471e902072332388fe7ac6d6c3d30b71a930fb51adb90487490cd3a7"),
     "lcs --p 2 --n 4": (0, "328614c9916cc90bb9b3c71450429d66cc6d6549d08078cf85da9269615c6062"),
     "lcs --p 3 --n 2 --ev": (0, "4d4bf5bd83e6c17964ce2bf88cd84c6ac06fb65ee647368dde217d19961c67cf"),
-    "hopf --preset A_dual --p 3 --k 1 --N 3": (0, "f6f3045be34b457ae1a8579e75e178b826c31d81f4131dfe670733bdf2f34d88"),
+    "hopf --preset A_dual --p 3 --k 1 --N 3": (0, "0f12ae7f29f98adefe9e55c67cb09a96c638eed54d8ab0f1e171949fe5876ef9"),
     "hopf --preset A --p 3 --k 1 --N 3": (0, "75dd311d1416dcbc02a0cd357209222b42ca211db0f541090758826578407bda"),
     "hopf --preset A_ev --p 3 --k 1 --N 3": (0, "715f1d75f9e326a6ab3bb1c89707022bb256082001d6d92645a61408c30d22c3"),
     "hopf --preset A_angle --p 3 --k 1 --N 3": (0, "c78fa62a968f05474066dedb13f0c329987f67ff7594da3304478d682b06e603"),
     "hopf --preset A_mod_I --p 3 --k 1 --N 3": (0, "e7e97c85ed303b5ddeedfa6e9b2d66807b8dd74ccde0d4c4a23f98775307234c"),
     "hopf --preset A_mod_J --p 3 --k 1 --N 3": (0, "d4576220a595ea96cd8cb1e0808145cc8ba45ff5b99a64b613542b2726b61f43"),
     "hopf --preset A_dual --p 2 --N 4": (0, "a2a228dd18f9f11e2888da605ebc6c6c38fb61a88b85dc6a822638a90610b0f8"),
+    "hopf --preset A_dual --p 2 --N 9": (0, "8c6728b26e0386e4f50b6563d488f3ebf1cbddef4435d604c877d4d9f8f633d2"),
+    "hopf --preset A_dual --p 2 --N 15": (0, "e4084bbdf926c186b5a345bc3d2eff0137d8fb67821eabbc353b006bc9bb4c47"),
     "hopf --preset A --p 2 --n 3": (0, "ee0a0dee9ff7b67aa5526b78bab5c4228dd600f18016bd005879f510b1c77216"),
     "hopf --preset A_mod_J --p 2 --k 1 --N 4": (0, "24ce4eeba38f302d52ee38c28eb727edcc71d801c0abef468490d445006ff626"),
     "milnor in-j --p 2 --k 0 --R 1,1,1": (0, "6b9c06976b243775ad18e56981ed7534fab3185484e139563b2ed7309c1dad46"),
@@ -56,8 +58,8 @@ REFUSED = {
     "milnor in-span --p 3 --E 2 --R 1": "error: exterior exponents must be 0 or 1\n",
     "milnor in-j --p 2 --E 1 --R 1": "error: p = 2 monomials carry no exterior part\n",
     "milnor in-span --p 2 --E 1 --R 1": "error: p = 2 symbols carry no exterior part\n",
-    "hopf --preset A_dual --p 2 --N 9": (
-        "error: checking A_dual(p=2) multiplies out about 116496 tensor-term pairs,"
+    "hopf --preset A_dual --p 2 --N 16": (
+        "error: checking A_dual(p=2) needs 196605 words of antipode terms,"
         " over the limit 100000 (STEENROD_LIMIT)\n"
     ),
 }

@@ -398,6 +398,14 @@ def test_not_cocommutative_odd():
     assert defects["t1"] == witness
 
 
+def test_cocommutativity_defect_covers_every_generator_the_maps_admit():
+    # the top tau, t2 of degree 17, lies above D = 16 but not above degree_cap
+    hp = dual_steenrod(3, 2)
+    defects = dict(cocommutativity_defect(hp))
+    assert list(defects) == hp.gen_names() == ["t0", "t1", "t2", "x1", "x2"]
+    assert not defects["t2"].is_zero()
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cocommutative_quotients_are_primitive(p, k):
@@ -877,10 +885,39 @@ def test_equal_presentations_hash_once_and_share_cache_entries():
     assert AlgebraPresentation(3, tuple(gens)) != a.algebra
 
 
-@pytest.mark.parametrize("p, N", [(2, 9), (3, 8), (5, 6)])
+def _presets(p, N):
+    """(preset, whether no cap kills an antipode term) at bound N, levels 0..2;
+    level 0 of `level_algebra` is `dual_steenrod`."""
+    yield milnor_quotient(p, N), False
+    if p != 2:
+        yield milnor_quotient_ev(p, N), False
+    for k in range(3):
+        yield level_algebra(p, k, N), True
+        yield level_mod_I(p, k, N), False
+        yield dual_mod_J(p, k, N), False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", range(8))
+def test_work_counts_the_generator_antipode_terms(p, N):
+    # Milnor's conjugation has one term per composition of n; a cap can
+    # only kill terms, so the count bounds every quotient's antipodes
+    for hp, exact in _presets(p, N):
+        terms = sum(len(antipode_gen(hp, g).terms) for g in hp.gen_names())
+        words = terms * ((hp.algebra.width + 63) // 64)
+        assert hp.work() == words if exact else hp.work() >= words, hp.label
+
+
+def test_work_weighs_each_term_by_its_packed_words():
+    # a huge D widens every field: refused at N = 7, where the default D
+    # is admitted up to N = 13
+    assert dual_steenrod(3, 7, 10**1000).work() > 100000 >= dual_steenrod(3, 13).work()
+
+
+@pytest.mark.parametrize("p, N", [(2, 16), (3, 14), (5, 14)])
 def test_hopf_laws_hold_past_the_default_refusal_bound(p, N):
-    # each is refused by the hopf command at the default STEENROD_LIMIT,
-    # and each is checked here in hundredths of a second
+    # the first N that the hopf command refuses at the default STEENROD_LIMIT,
+    # each checked here in about half a second
     hp = dual_steenrod(p, N)
-    assert hp.work() > 100000
+    assert hp.work() > 100000 >= dual_steenrod(p, N - 1).work()
     assert list(axiom_counterexamples(hp)) == []

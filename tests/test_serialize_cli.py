@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from steenrodgroup import group, serialize, verify
+from steenrodgroup import cli, group, serialize, verify
 from steenrodgroup.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -253,6 +253,16 @@ def test_cli_lcs_order_2401(capsys):
     assert payload["sizes"] == [2401, 7, 1]
     assert payload["class"] == 2 <= payload["bound"] == 2
     assert payload["ev"]["sizes"] == [7, 1]
+
+
+def test_cli_lcs_ev_verdict_needs_the_eps_free_bound(capsys, monkeypatch):
+    real = cli.ev_subgroup_series
+    monkeypatch.setattr(cli, "ev_subgroup_series", lambda *args: replace(real(*args), ok=False))
+    code, out = run_cli(capsys, "lcs", "--p", "3", "--n", "1", "--ev")
+    payload = json.loads(out)
+    assert (code, payload["ok"], payload["ev"]["ok"]) == (1, True, False)
+    # without --ev the eps-free series is neither built nor judged
+    assert run_cli(capsys, "lcs", "--p", "3", "--n", "1")[0] == 0
 
 
 def test_cli_sweep_csv(capsys):
@@ -557,12 +567,12 @@ def test_cli_lcs_is_bounded_before_enumerating_layers(p, n, e):
 
 
 def test_cli_hopf_work_is_bounded_before_any_coproduct(capsys, monkeypatch):
-    # A_dual at p = 3, N = 9 multiplies out x1^6561 and ran for minutes
+    # A_dual at p = 3, N = 20: the antipode of tau_20 alone has 2^20 terms
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     started = time.monotonic()
     done = subprocess.run(
-        [sys.executable, "-m", "steenrodgroup.cli", "hopf", "--preset", "A_dual", "--p", "3", "--N", "9"],
+        [sys.executable, "-m", "steenrodgroup.cli", "hopf", "--preset", "A_dual", "--p", "3", "--N", "20"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -572,9 +582,9 @@ def test_cli_hopf_work_is_bounded_before_any_coproduct(capsys, monkeypatch):
     assert "error:" in done.stderr and "STEENROD_LIMIT" in done.stderr
     assert time.monotonic() - started < 10
     # the bound is the same limit as for group sizes, so it can be raised
-    monkeypatch.setenv("STEENROD_LIMIT", "197")
+    monkeypatch.setenv("STEENROD_LIMIT", "21")
     assert run(["hopf", "--preset", "A_dual", "--p", "3", "--N", "3"]) == USAGE_ERROR
-    monkeypatch.setenv("STEENROD_LIMIT", "198")
+    monkeypatch.setenv("STEENROD_LIMIT", "22")
     assert run(["hopf", "--preset", "A_dual", "--p", "3", "--N", "3"]) == 0
     capsys.readouterr()
 
