@@ -14,8 +14,11 @@ it, so the eps operations ask the algebra, never p, and are identities at p = 2.
 
 Evaluation builds each output coefficient in one normal-form dict: the terms
 of every product are added into it with `algebra.accumulate`, so no partial
-sum is ever materialised as an element.  `compose` and `invert_recursive`
-take one Frobenius power and one product per (i, j) pair.  The two
+sum is ever materialised as an element.  `compose` takes one Frobenius power
+and one product per (i, j) pair.  One triangular solve, `_divide(u, v)` =
+u^{-1} . v, serves `invert_recursive` (v = 1) and `commutator`: it takes them
+only for the pairs whose two factors are both non-zero, and [a, b] is
+`_divide(compose(b, a), compose(a, b))`, three series passes.  The two
 partition-sum inverses make one walk of the composition tree: the child
 nu + (m) of a composition nu of n carries nu's product times alpha_m^(p^n),
 so each product costs one multiply, and a zero product cuts its subtree.
@@ -166,21 +169,41 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(a.p, a.k, a.level, alg, tuple(out))
 
 
-def invert_recursive(a: GroupElement) -> GroupElement:
-    """Inverse by solving sum_j alpha_{i-j}^(p^j) beta_j = 0 coefficient by coefficient."""
-    alg, p = a.algebra, a.p
-    drop = a.level == 1
-    betas = [alg.scalar(2) - a.coeffs[0]]  # alpha_0^{-1} = 2 - alpha_0
-    for i in range(1, a.k + 1):
+def _divide(u: GroupElement, v: GroupElement | None = None) -> GroupElement:
+    """u^{-1} . v (u^{-1} for v None), the c with compose(u, c) = v.
+
+    Solves sum_{j<=i} u_{i-j}^(p^j) c_j = v_i coefficient by coefficient:
+    c_0 = u_0^{-1} v_0 with u_0^{-1} = 2 - u_0, and, as u_0^(p^i) = 1 for
+    i >= 1, c_i = v_i - sum_{j<i} u_{i-j}^(p^j) c_j.  Both steps need
+    u_0 = 1 + (square-zero).  At level 1, c_i (i >= 1) is eps-reduced as
+    compose's coefficients are.  A pair with u_{i-j} = 0 or c_j = 0 is
+    skipped: it takes no Frobenius power and no product."""
+    alg, p = u.algebra, u.p
+    drop = u.level == 1
+    inv0 = alg.scalar(2) - u.coeffs[0]
+    out = [inv0 if v is None else inv0 * v.coeffs[0]]
+    for i in range(1, u.k + 1):
         terms: dict = {}
         for j in range(i):
-            accumulate(terms, (frobenius(a.coeffs[i - j], j) * betas[j]).terms.items(), p)
-        # alpha_0^(p^i) = 1 for i >= 1, so beta_i is minus the sum
-        acc = AlgebraElement(alg, {m: p - c for m, c in terms.items()})
+            x, y = u.coeffs[i - j], out[j]
+            if x.terms and y.terms:
+                accumulate(terms, (frobenius(x, j) * y).terms.items(), p)
+        terms = {m: p - c for m, c in terms.items()}
+        if v is not None:
+            accumulate(terms, v.coeffs[i].terms.items(), p)
+        acc = AlgebraElement(alg, terms)
         if drop:
             acc = eps_reduce(acc)
-        betas.append(acc)
-    return GroupElement(a.p, a.k, a.level, alg, tuple(betas))
+        out.append(acc)
+    return GroupElement(u.p, u.k, u.level, alg, tuple(out))
+
+
+def invert_recursive(a: GroupElement) -> GroupElement:
+    """Inverse by solving sum_j alpha_{i-j}^(p^j) beta_j = 0 coefficient by
+    coefficient for i >= 1, from beta_0 = 2 - alpha_0: `_divide` with no v,
+    so no identity element is built.  It is the recursive construction, an
+    oracle for the two partition-sum inverses."""
+    return _divide(a)
 
 
 def invert_closed(a: GroupElement) -> GroupElement:
@@ -227,9 +250,12 @@ def invert_split(a: GroupElement) -> GroupElement:
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    """[a, b] = (a^{-1} . b^{-1}) . (a . b) in the composition product order."""
+    """[a, b] = (a^{-1} . b^{-1}) . (a . b) in the composition product order.
+
+    a^{-1} . b^{-1} = (b . a)^{-1}, so [a, b] is the one c with
+    (b . a) . c = a . b: two composes and one `_divide`."""
     _check_compatible(a, b)
-    return compose(compose(invert_recursive(a), invert_recursive(b)), compose(a, b))
+    return _divide(compose(b, a), compose(a, b))
 
 
 def zero_prefix_length(a: GroupElement) -> int:

@@ -23,8 +23,9 @@ at its shift, xi_i of the degree of alpha_i, with one cap rule; the full
 p = 2 has no tau.  Naming: "z{i}" is xi_i at p = 2 (Milnor's zeta_i), "x{i}"
 xi_i and "t{i}" tau_i at odd p; `_name` writes and `_parse` reads the names,
 and code outside this module reaches the generators through
-`HopfPresentation.xi` and `HopfPresentation.tau`.  A negative level or
-generator bound is refused with a HopfError before anything is built.
+`HopfPresentation.xi` and `HopfPresentation.tau`.  A negative level,
+generator bound or degree cap is refused with a HopfError before anything is
+built.
 
 Every map given on generators (coproduct, antipode, assignment, convolution,
 the switch of tensor copies) is one `extend`.  Milnor's coproduct is built
@@ -140,7 +141,7 @@ def default_degree_cap(p: int, N: int = 4) -> int:
 
 
 def _non_negative(**values: int) -> None:
-    """Refuse a negative level or generator bound before anything is built."""
+    """Refuse a negative level, generator bound or degree cap before anything is built."""
     for name, v in values.items():
         if v < 0:
             raise HopfError(f"{name} = {v} is negative")
@@ -154,9 +155,9 @@ def quotient(p: int, N: int, shift: int, label: str, xi_cap: Optional[Callable[[
     then xi_1 .. xi_N, xi_i of degree coeff_degree(p, shift, i), the degree
     of alpha_i, and cap xi_cap(i).  xi_cap None gives the synthetic caps, the
     smallest that keep every monomial up to `degree_cap`; D None is the top
-    degree of the finite quotient.  A negative N or shift is refused.
+    degree of the finite quotient.  A negative N, shift or D is refused.
     """
-    _non_negative(N=N, shift=shift)
+    _non_negative(N=N, shift=shift, D=D or 0)
     gens = [Generator(_name(p, i, tau=True), 2 * p**i - 1, 2) for i in taus if p != 2]
     degrees = [coeff_degree(p, shift, i) for i in range(1, N + 1)]
     top = max([D or 0] + degrees + [g.degree for g in gens])
@@ -286,10 +287,12 @@ def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
         raise HopfError("element of another presentation")
 
 
-def _on_monomials(f: Callable, hp: HopfPresentation, mu: TensorElement) -> dict:
-    """Each distinct monomial of mu's pairs -> f(hp, it), unchecked: mu = coproduct(hp, x) has none above x."""
+def _on_monomials(f: Callable, hp: HopfPresentation, mu: TensorElement, known: Optional[dict] = None) -> dict:
+    """Each distinct monomial of mu's pairs -> f(hp, it), or its image in known,
+    unchecked: mu = coproduct(hp, x) has none above x."""
+    known = known or {}
     monos = {m for pair, _ in mu.pairs() for m in pair}
-    return {m: f(hp, AlgebraElement(hp.algebra, {m: 1})) for m in monos}
+    return {m: known[m] if m in known else f(hp, AlgebraElement(hp.algebra, {m: 1})) for m in monos}
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
@@ -377,7 +380,9 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     alg = hp.algebra
     cube = alg.power(3)
     mu = coproduct(hp, x)
-    delta = _on_monomials(_coproduct, hp, mu)
+    # when x is one monomial with coefficient 1, mu is that monomial's coproduct
+    known = {m: mu for m, c in x.terms.items() if c == 1} if len(x.terms) == 1 else None
+    delta = _on_monomials(_coproduct, hp, mu, known)
     terms: dict = {}
     for (m1, m2), c in mu.pairs():
         accumulate(terms, cube.join(delta[m1].terms, {m2: c}), alg.p)

@@ -62,6 +62,7 @@ REFUSED = {
         "error: checking A_dual(p=2) needs 196605 words of antipode terms,"
         " over the limit 100000 (STEENROD_LIMIT)\n"
     ),
+    "hopf --preset A_dual --p 2 --N 2 --D -5": "error: D = -5 is negative\n",
 }
 
 

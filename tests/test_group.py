@@ -606,3 +606,54 @@ def test_level_one_group_law_matches_the_prime_forks(seed, p, k):
     assert compose(a, b) == ref_compose(a, b)
     assert invert_recursive(a) == ref_invert_recursive(a)
     assert invert_closed(a) == ref_invert_closed(a)
+
+
+# -- the triangular solve behind invert_recursive and commutator ---------------
+
+
+def ref_commutator(a, b):
+    """The five-pass commutator: two inverses by the old recursive loop,
+    `ref_invert_recursive`, then three composes."""
+    return ref_compose(ref_compose(ref_invert_recursive(a), ref_invert_recursive(b)), ref_compose(a, b))
+
+
+def divide_counting(u, v=None):
+    """group._divide(u, v) and the number of Frobenius powers it took."""
+    calls = []
+    frobenius = group.frobenius
+    group.frobenius = lambda x, j: calls.append(j) or frobenius(x, j)
+    try:
+        return group._divide(u, v), len(calls)
+    finally:
+        group.frobenius = frobenius
+
+
+def live_pairs(u, c):
+    """The pairs (i, j), j < i, of the solve for c whose u_{i-j} and c_j are both non-zero."""
+    return sum(1 for i in range(1, u.k + 1) for j in range(i) if u.coeffs[i - j].terms and c.coeffs[j].terms)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.sets(st.integers(1, 8), max_size=3)),
+)
+def test_divide_matches_the_old_inverse_and_commutator(seed, p, level, k, dense_zeros):
+    # The solve gives the old loop's inverse and the five-pass commutator only
+    # because every alpha_0 here is 1 + (square-zero): then 2 - alpha_0 is its
+    # inverse and alpha_0^(p^i) = 1 for i >= 1, as invert_recursive assumed.
+    if dense_zeros is not None and p in DENSE:
+        a, b = (dense_element(seed + s, p, k, level, dense_zeros) for s in (0, 1))
+    else:
+        a, b = (sample(seed + s, p, k, level) for s in (0, 1))
+    assert invert_recursive(a) == ref_invert_recursive(a)
+    assert commutator(a, b) == ref_commutator(a, b)
+    # u^{-1} . (u . c) = c, with one Frobenius power and product per live pair
+    c, calls = divide_counting(a, compose(a, b))
+    assert c == b
+    assert calls == live_pairs(a, c)
+    inv, calls = divide_counting(a)
+    assert calls == live_pairs(a, inv)

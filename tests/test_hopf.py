@@ -196,6 +196,11 @@ NEGATIVE = [
     (milnor_quotient_ev, (3, -1), "n = -1"),
     (hopf.quotient, (2, -1, 0, "q", None, ()), "N = -1"),
     (hopf.quotient, (3, 2, -1, "q", lambda i: 3, ()), "shift = -1"),
+    (dual_steenrod, (2, 2, -5), "D = -5"),
+    (dual_steenrod, (3, 2, -1), "D = -1"),
+    (level_algebra, (2, 2, 2, -1), "D = -1"),
+    (level_algebra, (3, 1, 2, -5), "D = -5"),
+    (hopf.quotient, (3, 2, 0, "q", None, (), -1), "D = -1"),
 ]
 
 
