@@ -31,14 +31,20 @@ Every map given on generators (coproduct, antipode, assignment, convolution,
 the switch of tensor copies) is one `extend`.  Milnor's coproduct is built
 from p^j-th powers, and in characteristic p such a power is termwise, so
 `extend` takes y^e by the base-p digits of e, each y^(p^j) one `frobenius`
-step from the last, instead of e products.  No Hopf law is assumed: each
-defect is still computed from the generator maps alone.
+step from the last, instead of e products.
+
+`coproduct` and `antipode` sum c * image(m) over the terms c * m of x, where
+image(m) is the `extend` of one monomial with coefficient 1, computed once per
+presentation: `HopfPresentation._images` holds it under (map, m) for as long
+as the presentation lives, and the law defects read the same entries for the
+monomials of mu(x).  No Hopf law is assumed: every entry is an `extend` of
+the generator maps, so each defect is still computed from them alone.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -84,6 +90,9 @@ class HopfPresentation:
     shift: int  # generators are the (p^shift)-th powers of the Milnor generators
     algebra: AlgebraPresentation
     label: str
+    # (`_coproduct` or `_antipode`, packed monomial) -> that map's image of
+    # the monomial, filled by `_image`; it lives as long as the presentation
+    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def gen_names(self) -> list[str]:
         return [g.name for g in self.algebra.generators]
@@ -287,18 +296,31 @@ def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
         raise HopfError("element of another presentation")
 
 
-def _on_monomials(f: Callable, hp: HopfPresentation, mu: TensorElement, known: Optional[dict] = None) -> dict:
-    """Each distinct monomial of mu's pairs -> f(hp, it), or its image in known,
-    unchecked: mu = coproduct(hp, x) has none above x."""
-    known = known or {}
-    monos = {m for pair, _ in mu.pairs() for m in pair}
-    return {m: known[m] if m in known else f(hp, AlgebraElement(hp.algebra, {m: 1})) for m in monos}
+def _image(hp: HopfPresentation, f: Callable, m: int) -> AlgebraElement:
+    """f(hp, m) for the packed monomial m of hp, f `_coproduct` or `_antipode`,
+    computed once per presentation and unchecked: callers admit m first."""
+    key = f, m
+    images = hp._images
+    if key not in images:
+        images[key] = f(hp, AlgebraElement(hp.algebra, {m: 1}))
+    return images[key]
+
+
+def _linear(hp: HopfPresentation, f: Callable, x: HopfElement) -> dict:
+    """The terms of sum c * f(hp, m) over x's terms c * m; an x above the
+    degree cap or of another presentation is refused before any lookup."""
+    _admit(hp, x)
+    _check_pres(hp.algebra, x)
+    terms: dict = {}
+    for m, c in x.terms.items():
+        accumulate(terms, ((k, c * v) for k, v in _image(hp, f, m).terms.items()), hp.p)
+    return terms
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
-    """Multiplicative extension of the generator coproducts."""
-    _admit(hp, x)
-    return _coproduct(hp, x)
+    """Multiplicative extension of the generator coproducts, summed from the
+    images of x's monomials."""
+    return TensorElement(hp.algebra.power(2), _linear(hp, _coproduct, x))
 
 
 def _coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
@@ -359,9 +381,9 @@ def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
 
 
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
-    """Multiplicative extension; legitimate because the algebra is graded-commutative."""
-    _admit(hp, x)
-    return _antipode(hp, x)
+    """Multiplicative extension, summed from the images of x's monomials;
+    legitimate because the algebra is graded-commutative."""
+    return AlgebraElement(hp.algebra, _linear(hp, _antipode, x))
 
 
 def _antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
@@ -379,14 +401,11 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     """(mu (x) id) mu(x) - (id (x) mu) mu(x), as the terms of an element of `power(3)`."""
     alg = hp.algebra
     cube = alg.power(3)
-    mu = coproduct(hp, x)
-    # when x is one monomial with coefficient 1, mu is that monomial's coproduct
-    known = {m: mu for m, c in x.terms.items() if c == 1} if len(x.terms) == 1 else None
-    delta = _on_monomials(_coproduct, hp, mu, known)
+    mu = coproduct(hp, x)  # no monomial of mu outweighs x
     terms: dict = {}
     for (m1, m2), c in mu.pairs():
-        accumulate(terms, cube.join(delta[m1].terms, {m2: c}), alg.p)
-        accumulate(terms, cube.join({m1: -c}, delta[m2].terms, 2), alg.p)
+        accumulate(terms, cube.join(_image(hp, _coproduct, m1).terms, {m2: c}), alg.p)
+        accumulate(terms, cube.join({m1: -c}, _image(hp, _coproduct, m2).terms, 2), alg.p)
     return terms
 
 
@@ -402,12 +421,11 @@ def counit_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement,
 def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElement, AlgebraElement]:
     """(m(iota (x) id) mu(x) - counit(x) 1,  m(id (x) iota) mu(x) - counit(x) 1)."""
     alg = hp.algebra
-    mu = coproduct(hp, x)
-    iota = _on_monomials(_antipode, hp, mu)
+    mu = coproduct(hp, x)  # no monomial of mu outweighs x
     left, right = {}, {}
     for (m1, m2), c in mu.pairs():
         a, b = AlgebraElement(alg, {m1: 1}), AlgebraElement(alg, {m2: 1})
-        for acc, y in ((left, iota[m1] * b), (right, a * iota[m2])):
+        for acc, y in ((left, _image(hp, _antipode, m1) * b), (right, a * _image(hp, _antipode, m2))):
             accumulate(acc, ((m, c * v) for m, v in y.terms.items()), alg.p)
     target = alg.scalar(counit(x))
     return AlgebraElement(alg, left) - target, AlgebraElement(alg, right) - target
@@ -479,17 +497,14 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
         m = alg.pack(mono)
         if not in_ideal(m):
             continue
-        x = AlgebraElement(alg, {m: 1})
-        if counit(x) != 0:
+        if m == 0:  # the monomial 1, the only one of non-zero counit
             return False, (mono, "counit")
-        mu = _coproduct(hp, x)
-        for (m1, m2), c in mu.pairs():
+        for (m1, m2), c in _image(hp, _coproduct, m).pairs():
             if not in_ideal(m1) and not in_ideal(m2):
                 return False, (mono, "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
-        conj = _antipode(hp, x)
-        for m in conj.terms:
-            if not in_ideal(m):
-                return False, (mono, "antipode", alg.exponents(m))
+        for t in _image(hp, _antipode, m).terms:
+            if not in_ideal(t):
+                return False, (mono, "antipode", alg.exponents(t))
     return True, None
 
 

@@ -890,6 +890,95 @@ def test_equal_presentations_hash_once_and_share_cache_entries():
     assert AlgebraPresentation(3, tuple(gens)) != a.algebra
 
 
+# -- the per-presentation memo of monomial images -------------------------------
+
+MEMOISED = {coproduct: hopf._coproduct, antipode: hopf._antipode}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("fn", list(MEMOISED), ids=lambda fn: fn.__name__)
+def test_memo_lookup_comes_after_the_boundary_checks(p, fn):
+    hp, other = dual_steenrod(p, 3), milnor_quotient(p, 2)
+    alg, f = hp.algebra, MEMOISED[fn]
+    # xi_2 of A(2) packs to the int that is xi_3 in A_dual's layout
+    stranger = other.xi(2)
+    (m,) = stranger.terms
+    fn(hp, AlgebraElement(alg, {m: 1}))
+    assert (f, m) in hp._images
+    with pytest.raises(HopfError, match="element of another presentation"):
+        fn(hp, stranger)
+    # above the cap: refused with the memo cold, and with an entry planted
+    above = alg.monomial(component_monomials(alg, hp.degree_cap + 1)[0])
+    (m,) = above.terms
+    message = f"^degree {hp.degree_cap + 1} exceeds the degree cap {hp.degree_cap}$"
+    with pytest.raises(HopfError, match=message):
+        fn(hp, above)
+    assert (f, m) not in hp._images
+    hopf._image(hp, f, m)
+    with pytest.raises(HopfError, match=message):
+        fn(hp, above)
+
+
+MEMO_PRESETS = [
+    # (preset, the top degree of the basis monomials checked)
+    pytest.param(lambda: dual_steenrod(2, 4), 20, id="A_dual(2,4)"),
+    pytest.param(lambda: dual_mod_J(3, 2, N=2), 40, id="A_mod_J(3,2)"),
+    pytest.param(lambda: level_algebra(3, 1), 130, id="A_angle(3,1)"),
+]
+
+
+@pytest.mark.parametrize("make, top", MEMO_PRESETS)
+def test_memoised_maps_match_the_references_cold_and_warm(make, top):
+    hp = make()
+    alg = hp.algebra
+    monos = [alg.pack(e) for d in range(top + 1) for e in component_monomials(alg, d)]
+    random.Random(top).shuffle(monos)
+    want = {}
+    for m in monos:
+        x = AlgebraElement(alg, {m: 1})
+        want[m] = (ref_coproduct(hp, x), ref_antipode(hp, x), ref_coassociativity_defect(hp, x),
+                   ref_counit_defect(hp, x), ref_antipode_defect(hp, x))
+    for _ in range(2):  # the memo cold, then warm
+        for m in monos:
+            x = AlgebraElement(alg, {m: 1})
+            got = (coproduct(hp, x), antipode(hp, x), coassociativity_defect(hp, x),
+                   counit_defect(hp, x), antipode_defect(hp, x))
+            assert got == want[m], alg.exponents(m)
+    # a sum with coefficients other than 1 where p allows
+    rng = random.Random(1)
+    terms = {m: rng.randrange(1, hp.p) for m in monos[:6]}
+    assert hp.p == 2 or set(terms.values()) != {1}
+    x = AlgebraElement(alg, terms)
+    mu, iota = TensorElement.of(alg.zero(), alg.zero()), alg.zero()
+    for m, c in terms.items():
+        mu, iota = mu + want[m][0].scale(c), iota + want[m][1].scale(c)
+    assert coproduct(hp, x) == mu and antipode(hp, x) == iota
+    # no caller changed an image it was handed
+    fresh = make()
+    assert fresh == hp and not fresh._images
+    for (f, m), image in hp._images.items():
+        assert image == f(fresh, AlgebraElement(fresh.algebra, {m: 1}))
+
+
+def test_equal_presentations_keep_separate_memos(monkeypatch):
+    a, b = H2(), H2()
+    assert a == b and hash(a) == hash(b)
+    z2 = a.algebra.gen("z2")
+    assert coassociativity_defect(a, z2) == {}
+    assert a._images and not b._images
+    # the generator caches are still shared
+    assert hopf.coproduct_gen(b, "z2") is hopf.coproduct_gen(a, "z2")
+    full = hopf.coproduct_gen
+    dropped = TensorElement.of(z2, a.algebra.one())
+    monkeypatch.setattr(
+        hopf, "coproduct_gen", lambda hp_, name: full(hp_, name) - dropped if name == "z2" else full(hp_, name)
+    )
+    # b, first used under the patch, sees it; a keeps the images it computed
+    w, z1 = b.algebra.width, b.algebra.pack((1, 0, 0))
+    assert coassociativity_defect(b, z2) == {b.algebra.pack((2, 0, 0)) << 2 * w | z1 << w: 1}
+    assert coassociativity_defect(a, z2) == {}
+
+
 def _presets(p, N):
     """(preset, whether no cap kills an antipode term) at bound N, levels 0..2;
     level 0 of `level_algebra` is `dual_steenrod`."""
