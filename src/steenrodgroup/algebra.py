@@ -485,54 +485,64 @@ def times_eps(x: AlgebraElement) -> AlgebraElement:
 
 
 def component_monomials(a: AlgebraPresentation, d: int) -> list[tuple[int, ...]]:
-    """All normal-form monomials of degree d, or EnumerationError if infinite."""
+    """All normal-form monomials of degree d, or EnumerationError if infinite.
+
+    A capless generator's exponent is bounded by what the capped generators
+    of the other degree sign can offset, so every bound is an exact integer.
+    The walk picks the next generator with a non-zero exponent, so its depth
+    is the number of non-zero exponents, not the number of generators.
+    """
     gens = a.generators
     n = len(gens)
-    capless_pos = [g for g in gens if g.cap is None and g.degree > 0]
-    capless_neg = [g for g in gens if g.cap is None and g.degree < 0]
-    if any(g.cap is None and g.degree == 0 for g in gens):
-        raise EnumerationError("capless degree-0 generator: component infinite")
-    if capless_pos and capless_neg:
-        raise EnumerationError(
-            "capless generators of both degree signs: component may be infinite"
-        )
-
-    # min/max achievable degree of each suffix of the generator list
-    INF = float("inf")
-    suffix_min = [0.0] * (n + 1)
-    suffix_max = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        g = gens[i]
-        top = INF if g.cap is None else (g.cap - 1) * abs(g.degree)
-        lo = -top if g.degree < 0 else 0
-        hi = top if g.degree > 0 else 0
-        suffix_min[i] = suffix_min[i + 1] + lo
-        suffix_max[i] = suffix_max[i + 1] + hi
+    degrees = [g.degree for g in gens]
+    tops = [None if g.cap is None else g.cap - 1 for g in gens]
+    if None in tops:
+        signs = {(deg > 0) - (deg < 0) for deg, top in zip(degrees, tops) if top is None}
+        if 0 in signs:
+            raise EnumerationError("capless degree-0 generator: component infinite")
+        if len(signs) > 1:
+            raise EnumerationError(
+                "capless generators of both degree signs: component may be infinite"
+            )
+        capped = [top * deg for deg, top in zip(degrees, tops) if top is not None]
+        pos, neg = sum(c for c in capped if c > 0), sum(c for c in capped if c < 0)
+        tops = [max(0, (d - (neg if deg > 0 else pos)) // deg) if top is None else top
+                for deg, top in zip(degrees, tops)]
+    # the walk takes the generators by ascending degree; the output is sorted
+    # at the end, so it does not depend on the order
+    order = sorted(range(n), key=degrees.__getitem__)
+    # min/max achievable degree of each suffix of that order
+    suffix_min = [0] * (n + 1)
+    suffix_max = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        c = tops[order[j]] * degrees[order[j]]
+        suffix_min[j] = suffix_min[j + 1] + (c if c < 0 else 0)
+        suffix_max[j] = suffix_max[j + 1] + (c if c > 0 else 0)
 
     out: list[tuple[int, ...]] = []
     mono = [0] * n
 
-    def walk(i: int, remaining: int):
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(mono))
-            return
-        g = gens[i]
-        e = 0
-        while True:
-            if g.cap is not None and e >= g.cap:
-                break
-            contrib = e * g.degree
-            rest = remaining - contrib
-            if g.degree > 0 and rest < suffix_min[i + 1]:
-                break
-            if g.degree < 0 and rest > suffix_max[i + 1]:
-                break
-            if suffix_min[i + 1] <= rest <= suffix_max[i + 1]:
-                mono[i] = e
-                walk(i + 1, rest)
-                mono[i] = 0
-            e += 1
+    def walk(k: int, remaining: int):
+        # the exponents of order[:k] are set; the later generators are still 0
+        if remaining == 0:
+            out.append(tuple(mono))
+        for j in range(k, n):
+            if not suffix_min[j] <= remaining <= suffix_max[j]:
+                return
+            i, lo, hi = order[j], suffix_min[j + 1], suffix_max[j + 1]
+            deg = degrees[i]
+            for e in range(1, tops[i] + 1):
+                rest = remaining - e * deg
+                if lo <= rest <= hi:
+                    mono[i] = e
+                    walk(j + 1, rest)
+                elif deg > 0 and rest < lo:
+                    if e == 1:
+                        return  # so does every later generator, of degree >= deg
+                    break
+                elif deg <= 0 and rest > hi:
+                    break
+            mono[i] = 0
 
     walk(0, d)
     out.sort()

@@ -11,15 +11,15 @@ sequence (pcgs) of G, and an element's coordinates on a layer are its
 coefficients at the layer's monomials.
 
 No element is enumerated.  A subgroup is an induced pcgs: rows in echelon
-form, one per depth (layer, monomial), each with its inverse powers.  Sifting
-an element divides it by the rows in depth order; it reaches the identity
-exactly when the element lies in the subgroup, whose order is p^(rows).  A
-subgroup is closed by sifting the p-th power of each new row and its
-commutators with the rows before it, and, for a normal closure in G, with
-G's generators.  The lower central and derived series are then normal
-closures of the commutators of pcgs elements (Holt, Eick & O'Brien, Handbook
-of Computational Group Theory, 2005, ch. 8), on O(r^2) commutators of the r
-generators instead of |G| r products.
+form, one per depth (layer, monomial), each with its powers h .. h^(p-1).
+Sifting left-divides an element by the rows in depth order (`group._divide`);
+it reaches the identity exactly when the element lies in the subgroup, whose
+order is p^(rows).  A subgroup is closed by sifting the p-th power of each new
+row and its commutators (`group.commutator`) with the rows before it, and, for
+a normal closure in G, with G's generators.  The lower central and derived
+series are then normal closures of the commutators of pcgs elements (Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8), on
+O(r^2) commutators of the r generators instead of |G| r products.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from .algebra import (
 )
 from .group import (
     GroupElement,
+    _divide,
     coeff_degree,
+    commutator,
     compose,
     filtration_level,
     identity,
@@ -74,24 +76,24 @@ class _Row:
     """One element h of an induced pcgs, at its depth (layer, position).
 
     h^-t clears the coordinate c at the depth for t = c * scale mod p;
-    inverses[t - 1] = h^-t.  position is h's index in G's pcgs when h is one
+    powers[t - 1] = h^t.  position is h's index in G's pcgs when h is one
     of G's generators, and comms[j] memoizes [h, G.gens[j]].
     """
 
     depth: tuple[int, int]
     element: GroupElement
     scale: int
-    inverses: list[GroupElement]
+    powers: list[GroupElement]
     position: Optional[int] = None
     comms: dict = field(default_factory=dict)
 
 
-def _row(depth, h: GroupElement, scale: int, inverse: GroupElement, position=None) -> _Row:
-    """The row of h, with h^-1 .. h^-(p-1) taken from inverse = h^-1."""
-    inverses = [inverse]
+def _row(depth, h: GroupElement, scale: int, position=None) -> _Row:
+    """The row of h, with its powers h .. h^(p-1)."""
+    powers = [h]
     for _ in range(h.p - 2):
-        inverses.append(compose(inverses[-1], inverse))
-    return _Row(depth, h, scale, inverses, position)
+        powers.append(compose(powers[-1], h))
+    return _Row(depth, h, scale, powers, position)
 
 
 @dataclass
@@ -173,22 +175,22 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
 
 
 def _comm(h: _Row, x: _Row) -> GroupElement:
-    """[h, x] = (h^-1 x^-1)(h x), memoized on h when x is one of G's generators."""
+    """[h, x], memoized on h when x is one of G's generators."""
     c = h.comms.get(x.position)
     if c is None:
-        c = compose(compose(h.inverses[0], x.inverses[0]), compose(h.element, x.element))
+        c = commutator(h.element, x.element)
         if x.position is not None:
             h.comms[x.position] = c
     return c
 
 
 def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
-    """Divide g by the rows in depth order.
+    """Left-divide g by the rows in depth order.
 
     None if g reaches the identity, which is when it lies in the rows'
     subgroup; otherwise (depth, scale, residue) for the first coordinate no
-    row clears.  A layer left non-zero after its coordinates are cleared
-    means a product left G.
+    row clears; the layer map is additive, so h^-t g clears it as g h^-t does.
+    A layer left non-zero after its coordinates are cleared means a product left G.
     """
     p, one = G.p, G.algebra.one()
     for i, basis in enumerate(G.layers):
@@ -198,16 +200,16 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
                 row = rows.get((i, j))
                 if row is None:
                     return (i, j), pow(c, -1, p), g
-                g = compose(g, row.inverses[c * row.scale % p - 1])
+                g = _divide(row.powers[c * row.scale % p - 1], g)
         if (g.coeffs[i] - one if i == 0 else g.coeffs[i]).terms:
             raise GroupTheoryError(f"a product left the group: its layer-{i} coefficient is not in the layer's span")
     return None
 
 
 def _relations(G: FiniteGroup, h: _Row, earlier, normal: bool) -> list[GroupElement]:
-    """h^-p (in a subgroup exactly when h^p is), [h, x] for the earlier rows
-    x and, for a normal closure in G, [h, y] for G's generators y."""
-    out = [compose(h.inverses[-1], h.inverses[0])]
+    """h^p, [h, x] for the earlier rows x and, for a normal closure in G,
+    [h, y] for G's generators y."""
+    out = [compose(h.powers[-1], h.element)]
     out += [_comm(h, x) for x in earlier]
     if normal:
         out += [_comm(h, y) for y in G.rows.values()]
@@ -221,7 +223,7 @@ def _close(G: FiniteGroup, rows: dict, queue, normal: bool) -> dict:
         found = _sift(G, rows, queue.popleft())
         if found is not None:
             depth, scale, h = found
-            row = _row(depth, h, scale, invert_recursive(h))
+            row = _row(depth, h, scale)
             queue.extend(_relations(G, row, rows.values(), normal))
             rows[depth] = row
     return rows
@@ -243,7 +245,7 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
             raise GroupTheoryError("the group law breaks the identity or inverse law on a generator")
         depth = (i, len(G.layers[i]))
         G.layers[i].append((mono, pow(c, -1, p)))
-        G.rows[depth] = _row(depth, g, 1, inverse, len(G.gens))
+        G.rows[depth] = _row(depth, g, 1, len(G.gens))
         G.gens.append(g)
     # the generators are a pcgs of G exactly when closing them adds no row
     rows = list(G.rows.values())

@@ -7,7 +7,10 @@ is self-contained:
 {"p", "k", "flavor", "algebra": <presentation>, "coeffs": [<element>, ...]}.
 
 Every number on the wire is a JSON integer: a float such as 4.0 or a boolean
-is refused with SerializeError, as is a generator name that is not a string.
+is refused with SerializeError, as is a generator name that is not a string, a
+list (of generators, coefficients or terms) that is not a JSON array, an
+object with a key the format does not name, and a term whose keys are not
+exactly coeff and exponents.
 Each distinct presentation is decoded once (a bounded cache), so the elements
 of one request share one `AlgebraPresentation` object.
 """
@@ -23,6 +26,11 @@ from .group import BOTTOM, TOP, GroupElement
 
 class SerializeError(Exception):
     pass
+
+
+_PRESENTATION_KEYS = frozenset(("p", "generators"))
+_GENERATOR_KEYS = frozenset(("name", "degree", "cap"))
+_GROUP_KEYS = frozenset(("p", "k", "flavor", "algebra", "coeffs"))
 
 
 def presentation_to_obj(a: AlgebraPresentation) -> dict:
@@ -41,6 +49,22 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    """value itself if it is a JSON array."""
+    if type(value) is not list:
+        raise SerializeError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def _object(value, keys: frozenset, what: str) -> dict:
+    """value itself if it is a JSON object whose keys are all among keys."""
+    if type(value) is not dict:
+        raise SerializeError(f"{what} must be a JSON object, not {value!r}")
+    if not value.keys() <= keys:
+        raise SerializeError(f"unknown {what} keys {sorted(value.keys() - keys)}")
+    return value
+
+
 @functools.lru_cache(maxsize=64)
 def _presentation(p: int, gens: tuple) -> AlgebraPresentation:
     """The presentation of checked (name, degree, cap) triples; the key holds
@@ -51,8 +75,8 @@ def _presentation(p: int, gens: tuple) -> AlgebraPresentation:
 def presentation_from_obj(obj: dict) -> AlgebraPresentation:
     try:
         gens = []
-        for g in obj["generators"]:
-            name, cap = g["name"], g.get("cap")
+        for g in _list(_object(obj, _PRESENTATION_KEYS, "presentation")["generators"], "generators"):
+            name, cap = _object(g, _GENERATOR_KEYS, "generator")["name"], g.get("cap")
             if type(name) is not str:
                 raise SerializeError(f"generator name must be a string, not {name!r}")
             gens.append((name, _int(g["degree"], "degree"), None if cap is None else _int(cap, "cap")))
@@ -70,7 +94,9 @@ def element_to_obj(x: AlgebraElement) -> list:
 def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
     try:
         pairs = []
-        for term in obj:
+        for term in _list(obj, "a term list"):
+            if len(term) != 2:  # with both lookups below, exactly coeff and exponents
+                raise SerializeError(f"a term has the keys coeff and exponents only, not {term!r}")
             exponents, coeff = term["exponents"], _int(term["coeff"], "coeff")
             if not set(map(type, exponents)) <= {int}:
                 raise SerializeError(f"exponents must be integers, not {exponents!r}")
@@ -94,8 +120,8 @@ def group_to_obj(g: GroupElement) -> dict:
 
 def group_from_obj(obj: dict) -> GroupElement:
     try:
-        pres = presentation_from_obj(obj["algebra"])
-        coeffs = tuple(element_from_obj(pres, c) for c in obj["coeffs"])
+        pres = presentation_from_obj(_object(obj, _GROUP_KEYS, "group element")["algebra"])
+        coeffs = tuple(element_from_obj(pres, c) for c in _list(obj["coeffs"], "coeffs"))
         return GroupElement(
             _int(obj["p"], "p"), _int(obj["k"], "k"), _int(obj.get("flavor", 0), "flavor"), pres, coeffs
         )

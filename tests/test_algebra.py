@@ -240,6 +240,22 @@ def test_mixed_sign_capless_is_rejected():
         component_monomials(a, 0)
 
 
+def test_component_of_2000_generators_with_huge_caps():
+    # x_i of degree 2^i - 1 with caps 2^(2001 - i), most above 2^1100, and a
+    # capless y of degree 2: the bounds stay exact integers and the walk does
+    # not recurse once per generator
+    a = mk_algebra(2, [(f"x{i}", 2**i - 1, 2 ** (2001 - i)) for i in range(1, 2001)] + [("y", 2, None)])
+
+    def support(d):
+        return sorted(tuple((i, e) for i, e in enumerate(m) if e) for m in component_monomials(a, d))
+
+    assert support(3) == [((0, 1), (2000, 1)), ((0, 3),), ((1, 1),)]
+    assert len(support(7)) == 9
+    # every generator can carry degree 1 alone
+    flat = mk_algebra(2, [(f"z{i}", 1, 2**1200) for i in range(2000)])
+    assert len(component_monomials(flat, 1)) == 2000
+
+
 def test_random_homogeneous_refuses_an_infinite_component():
     a = mk_algebra(3, [("u", 0, None)])
     with pytest.raises(EnumerationError):

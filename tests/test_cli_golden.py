@@ -63,6 +63,11 @@ REFUSED = {
         " over the limit 100000 (STEENROD_LIMIT)\n"
     ),
     "hopf --preset A_dual --p 2 --N 2 --D -5": "error: D = -5 is negative\n",
+    # more generators than the recursion limit, and caps past float range
+    "lcs --p 2 --n 1000": "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n",
+    "lcs --p 3 --n 600": "error: group order 3^11 or more is over the limit 100000 (STEENROD_LIMIT)\n",
+    "lcs --p 2 --n 1100": "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n",
+    "lcs --p 2 --n 2000": "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n",
 }
 
 

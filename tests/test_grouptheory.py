@@ -235,6 +235,32 @@ def test_series_at_order_32768_compose_fewer_than_an_eighth_of_the_elements(monk
     assert len(calls) < G.order / 8
 
 
+# (p, n): the orders of the lower central series, the class, the orders of
+# the derived series and of the eps-free lower central series, as exponents
+# of p, for groups past the default limit
+ABOVE_LIMIT = {
+    (2, 5): ([34, 13, 5, 1, 0], 4, [34, 13, 0], None),
+    (3, 3): ([27, 12, 5, 1, 0], 4, [27, 12, 0], [7, 1, 0]),
+    (5, 2): ([10, 4, 1, 0], 3, [10, 4, 0], [3, 0]),
+    (7, 2): ([10, 4, 1, 0], 3, [10, 4, 0], [3, 0]),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(ABOVE_LIMIT))
+def test_series_of_groups_above_the_default_limit(monkeypatch, p, n):
+    monkeypatch.setenv("STEENROD_LIMIT", str(10**50))
+    lower, cls, derived, ev = ABOVE_LIMIT[p, n]
+    A = milnor_quotient(p, n).algebra
+    G = enumerate_group(A, n, p)
+    rep = lower_central_series(G)
+    assert (rep.sizes, rep.length, rep.ok) == ([p**e for e in lower], cls, True)
+    assert derived_series(G).sizes == [p**e for e in derived]
+    assert check_filtration_bounds(G)
+    if ev is not None:
+        rep = ev_subgroup_series(A, n, p)
+        assert (rep.sizes, rep.ok) == ([p**e for e in ev], True)
+
+
 def test_order_check_catches_a_wrong_law(monkeypatch):
     def lossy(a, b):
         c = compose(a, b)

@@ -17,7 +17,15 @@ from steenrodgroup.algebra import (
     frobenius,
     mk_algebra,
 )
-from steenrodgroup.group import GroupElement, coeff_degree, compose, rho
+from steenrodgroup.group import (
+    GroupElement,
+    coeff_degree,
+    compose,
+    invert_closed,
+    invert_recursive,
+    invert_split,
+    rho,
+)
 from steenrodgroup.hopf import (
     GeneratorAssignment,
     HopfError,
@@ -43,6 +51,7 @@ from steenrodgroup.hopf import (
     rho_diagram_check,
     switch,
     theta,
+    universal_points,
 )
 from steenrodgroup.sampling import random_assignment
 from steenrodgroup.verify import theta_target
@@ -558,6 +567,19 @@ def test_theta_odd_head_carries_t0():
 
     assert eps_reduce(g.coeffs[0]) == g.algebra.one()
     assert eps_part(g.coeffs[0]) == g.algebra.gen("t0")
+
+
+@pytest.mark.parametrize("p,N", [(2, 6), (2, 8), (3, 4), (3, 6), (5, 3), (7, 3)])
+def test_milnor_antipode_is_the_group_inverse(p, N):
+    # theta of xi -> S(xi), tau -> S(tau) is the inverse of the universal
+    # point, by each of the three power-series inverses
+    hp = dual_steenrod(p, N)
+    (u,) = universal_points(hp, 1)
+    S = GeneratorAssignment(hp, hp.algebra, {g: antipode_gen(hp, g) for g in hp.gen_names()})
+    inverse = theta(S, N)
+    assert inverse == invert_recursive(u) == invert_closed(u)
+    if p != 2:
+        assert inverse == invert_split(u)
 
 
 @given(st.integers(0, 10**6), st.sampled_from([2, 3]))

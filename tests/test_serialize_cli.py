@@ -725,6 +725,32 @@ NON_INTEGER = {
 }
 
 
+# a list that is not a JSON array, a term whose keys are not exactly coeff and
+# exponents, and an unknown key on an object; each once read as a zero
+# coefficient or ignored, with exit 0
+MALFORMED = {
+    "coeff-object": (("coeffs", 1), {}),
+    "coeff-string": (("coeffs", 1), ""),
+    "coeffs-object": (("coeffs",), {}),
+    "generators-object": (("algebra", "generators"), {}),
+    "term-extra-key": (("coeffs", 1, 0), {"coeff": 1, "exponents": [1], "bogus": 7}),
+    "term-missing-coeff": (("coeffs", 1, 0), {"exponents": [1], "bogus": 7}),
+    "term-list": (("coeffs", 1, 0), [1, [1]]),
+    "generator-extra-key": (("algebra", "generators", 0, "bogus"), 7),
+    "generator-list": (("algebra", "generators", 0), ["z1", 1, 4]),
+    "presentation-extra-key": (("algebra", "bogus"), 7),
+    "element-extra-key": (("bogus",), 7),
+}
+
+
+@pytest.mark.parametrize("where,value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_lists_and_keys_are_refused(tmp_path, capsys, where, value):
+    g = _with(where, value)
+    with pytest.raises(SerializeError):
+        group_from_obj(g)
+    assert_refused(tmp_path, capsys, "invert", g)
+
+
 def test_unit_element_is_accepted(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(UNIT))
