@@ -12,6 +12,7 @@ from .algebra import (  # noqa: F401
     EnumerationError,
     Generator,
     adjoin_epsilon,
+    component,
     component_dimension,
     component_monomials,
     enumerate_component,

@@ -21,7 +21,9 @@ and an exponent that outgrows it raises AlgebraError instead of vanishing.
 Exponent vectors go in through `AlgebraPresentation.monomial` (or `pack`) and
 come back out through `AlgebraPresentation.exponents` only where a monomial
 is handed out: `repr`, the wire format, `component_monomials` and the
-boundaries of `hopf` and `milnor`.
+boundaries of `hopf` and `milnor`.  `component(a, d)` is the packed basis of a
+graded component, in the order of the exponent vectors, so every reader of a
+basis takes packed monomials from here and none packs one itself.
 
 The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation is the
@@ -161,6 +163,8 @@ class AlgebraPresentation:
             raise AlgebraError("exponent vector has wrong length")
         m = 0
         for e, g, (shift, mask) in zip(mono, self.generators, self.fields):
+            if not e:  # no cap kills it, and OR-ing it in would copy m
+                continue
             if e < 0:
                 raise AlgebraError(f"exponent {e} of {g.name} is negative")
             if g.cap is not None and e >= g.cap:
@@ -171,8 +175,16 @@ class AlgebraPresentation:
         return m
 
     def exponents(self, m: int) -> tuple[int, ...]:
-        """The exponent vector of a packed monomial."""
-        return tuple([(m >> shift) & mask for shift, mask in self.fields])
+        """The exponent vector of a packed monomial, read from the top field
+        down.  A field read is cleared from m, so each shift copies only the
+        field it reads, and a wide monomial costs its non-zero fields."""
+        out = []
+        for shift, _ in self.fields:
+            e = m >> shift
+            out.append(e)
+            if e:
+                m ^= e << shift
+        return tuple(out)
 
     def mono_degree(self, m: int) -> int:
         return sum(e * g.degree for e, g in zip(self.exponents(m), self.generators))
@@ -181,9 +193,11 @@ class AlgebraPresentation:
         """The bias whose add sets a guard bit iff some exponent times q reaches
         its cap (2^CAPLESS_BITS for a capless generator)."""
         if q not in self._frobenius_bias:
-            self._frobenius_bias[q] = sum(  # per field: mask + 1 - ceil(cap / q)
+            # per field: mask + 1 - ceil(cap / q); lowest field first, so each
+            # add copies only the fields below the one it adds
+            self._frobenius_bias[q] = sum(
                 (mask + 1 + -(g.cap or mask + 1) // q) << shift
-                for g, (shift, mask) in zip(self.generators, self.fields)
+                for g, (shift, mask) in zip(reversed(self.generators), reversed(self.fields))
             )
         return self._frobenius_bias[q]
 
@@ -484,84 +498,88 @@ def times_eps(x: AlgebraElement) -> AlgebraElement:
 # -- graded component enumeration ---------------------------------------------
 
 
-def component_monomials(a: AlgebraPresentation, d: int) -> list[tuple[int, ...]]:
-    """All normal-form monomials of degree d, or EnumerationError if infinite.
+def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
+    """Call emit on each packed monomial of degree d, without eps if eps_free.
 
     A capless generator's exponent is bounded by what the capped generators
-    of the other degree sign can offset, so every bound is an exact integer.
-    The walk picks the next generator with a non-zero exponent, so its depth
-    is the number of non-zero exponents, not the number of generators.
-    """
-    gens = a.generators
-    n = len(gens)
-    degrees = [g.degree for g in gens]
-    tops = [None if g.cap is None else g.cap - 1 for g in gens]
-    if None in tops:
-        signs = {(deg > 0) - (deg < 0) for deg, top in zip(degrees, tops) if top is None}
+    of the other degree sign can offset, so every bound is an exact integer;
+    a monomial whose exponent outgrows its capless field raises AlgebraError.
+    The walk takes the generators by ascending degree, each with just the
+    exponents its suffix can complete, and picks the next generator with a
+    non-zero exponent, so its depth is the number of non-zero exponents."""
+    # (degree, top exponent, shift, mask) of each generator in the walk
+    gens = [(g.degree, None if g.cap is None else g.cap - 1) + f
+            for g, f in zip(a.generators, a.fields) if not (eps_free and g.name == EPSILON)]
+    if any(top is None for _, top, _, _ in gens):
+        signs = {(deg > 0) - (deg < 0) for deg, top, _, _ in gens if top is None}
         if 0 in signs:
             raise EnumerationError("capless degree-0 generator: component infinite")
         if len(signs) > 1:
-            raise EnumerationError(
-                "capless generators of both degree signs: component may be infinite"
-            )
-        capped = [top * deg for deg, top in zip(degrees, tops) if top is not None]
+            raise EnumerationError("capless generators of both degree signs: component may be infinite")
+        capped = [top * deg for deg, top, _, _ in gens if top is not None]
         pos, neg = sum(c for c in capped if c > 0), sum(c for c in capped if c < 0)
-        tops = [max(0, (d - (neg if deg > 0 else pos)) // deg) if top is None else top
-                for deg, top in zip(degrees, tops)]
-    # the walk takes the generators by ascending degree; the output is sorted
-    # at the end, so it does not depend on the order
-    order = sorted(range(n), key=degrees.__getitem__)
-    # min/max achievable degree of each suffix of that order
-    suffix_min = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
+        gens = [(deg, max(0, (d - (neg if deg > 0 else pos)) // deg) if top is None else top, shift, mask)
+                for deg, top, shift, mask in gens]
+    gens.sort(key=lambda g: g[0])
+    n = len(gens)
+    # min/max achievable degree of each suffix of gens
+    suffix_min, suffix_max = [0] * (n + 1), [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        c = tops[order[j]] * degrees[order[j]]
+        c = gens[j][0] * gens[j][1]
         suffix_min[j] = suffix_min[j + 1] + (c if c < 0 else 0)
         suffix_max[j] = suffix_max[j + 1] + (c if c > 0 else 0)
 
-    out: list[tuple[int, ...]] = []
-    mono = [0] * n
-
-    def walk(k: int, remaining: int):
-        # the exponents of order[:k] are set; the later generators are still 0
+    def walk(k: int, remaining: int, m: int):
+        # the exponents of gens[:k] are set in m, which is -1 once one is
+        # past its capless field (-1 | x is -1); the later generators are 0
         if remaining == 0:
-            out.append(tuple(mono))
+            if m < 0:
+                capless_overflow()
+            emit(m)
         for j in range(k, n):
             if not suffix_min[j] <= remaining <= suffix_max[j]:
                 return
-            i, lo, hi = order[j], suffix_min[j + 1], suffix_max[j + 1]
-            deg = degrees[i]
-            for e in range(1, tops[i] + 1):
-                rest = remaining - e * deg
-                if lo <= rest <= hi:
-                    mono[i] = e
-                    walk(j + 1, rest)
-                elif deg > 0 and rest < lo:
-                    if e == 1:
-                        return  # so does every later generator, of degree >= deg
-                    break
-                elif deg <= 0 and rest > hi:
-                    break
-            mono[i] = 0
+            (deg, top, shift, mask), lo, hi = gens[j], suffix_min[j + 1], suffix_max[j + 1]
+            # the exponents e with lo <= remaining - e * deg <= hi
+            if deg > 0:
+                first, last = -((hi - remaining) // deg), (remaining - lo) // deg
+                if last < 1:
+                    return  # so does every later generator, of degree >= deg
+            elif deg < 0:
+                first, last = -((lo - remaining) // deg), (remaining - hi) // deg
+            else:
+                first, last = 1, top
+            for e in range(max(first, 1), min(last, top) + 1):
+                walk(j + 1, remaining - e * deg, m | e << shift if e <= mask else -1)
 
-    walk(0, d)
+    walk(0, d, 0)
+
+
+def component(a: AlgebraPresentation, d: int, eps_free: bool = False) -> list[int]:
+    """The packed monomials of degree d, without eps if eps_free, in increasing
+    order (that of their exponent vectors); EnumerationError if infinitely many."""
+    out: list[int] = []
+    _walk(a, d, eps_free, out.append)
+    out.sort()
+    return out
+
+
+def component_monomials(a: AlgebraPresentation, d: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of `component(a, d)`, in its order, each read as
+    the walk finds it: a wide presentation holds one packed monomial at a time."""
+    out: list[tuple[int, ...]] = []
+    _walk(a, d, False, lambda m: out.append(a.exponents(m)))
     out.sort()
     return out
 
 
 def component_dimension(a: AlgebraPresentation, d: int) -> int:
-    return len(component_monomials(a, d))
+    return len(component(a, d))
 
 
 def enumerate_component(a: AlgebraPresentation, d: int) -> list[AlgebraElement]:
     """All p^dim homogeneous elements of degree d, including 0."""
-    monos = component_monomials(a, d)
-    p = a.p
     out = [a.zero()]
-    for mono in monos:
-        new = []
-        for x in out:
-            for c in range(1, p):
-                new.append(x + a.monomial(mono, c))
-        out.extend(new)
+    for m in component(a, d):
+        out += [x + AlgebraElement(a, {m: c}) for x in out for c in range(1, a.p)]
     return out

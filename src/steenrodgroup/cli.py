@@ -18,9 +18,10 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraError, eps_reduce, is_prime
+from .algebra import AlgebraError, is_prime
 from .group import (
     GroupError,
+    check_head,
     commutator,
     compose,
     filtration_level,
@@ -78,9 +79,7 @@ def _load_json(path: str):
 def _element(obj):
     """A group element whose head alpha_0 = 1 + b*eps, as every inverse needs,
     and whose alpha_i are homogeneous of degree coeff_degree(i)."""
-    g = group_from_obj(obj)
-    if not g.coeffs or eps_reduce(g.coeffs[0]) != g.algebra.one():
-        raise CliError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
+    g = check_head(group_from_obj(obj))
     for i, c in enumerate(g.coeffs):
         d = g.coeff_degree(i)
         if any(g.algebra.mono_degree(m) != d for m in c.terms):

@@ -112,6 +112,14 @@ def is_identity(a: GroupElement) -> bool:
     return a.coeffs[0] == a.algebra.one() and all(c.is_zero() for c in a.coeffs[1:])
 
 
+def check_head(a: GroupElement) -> GroupElement:
+    """a, if its head alpha_0 is 1 + b*eps, the unit head that every inverse
+    needs; GroupError otherwise."""
+    if eps_reduce(a.coeffs[0]) != a.algebra.one():
+        raise GroupError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
+    return a
+
+
 class _Powers(dict):
     """(m, s) -> coeffs[m]^(p^s), each Frobenius power taken on first use."""
 
@@ -175,9 +183,10 @@ def _divide(u: GroupElement, v: GroupElement | None = None) -> GroupElement:
     Solves sum_{j<=i} u_{i-j}^(p^j) c_j = v_i coefficient by coefficient:
     c_0 = u_0^{-1} v_0 with u_0^{-1} = 2 - u_0, and, as u_0^(p^i) = 1 for
     i >= 1, c_i = v_i - sum_{j<i} u_{i-j}^(p^j) c_j.  Both steps need
-    u_0 = 1 + (square-zero).  At level 1, c_i (i >= 1) is eps-reduced as
-    compose's coefficients are.  A pair with u_{i-j} = 0 or c_j = 0 is
-    skipped: it takes no Frobenius power and no product."""
+    u_0 = 1 + (square-zero): the public callers `check_head` their inputs,
+    and a sift's rows all have such heads.  At level 1, c_i (i >= 1) is
+    eps-reduced as compose's coefficients are.  A pair with u_{i-j} = 0 or
+    c_j = 0 is skipped: it takes no Frobenius power and no product."""
     alg, p = u.algebra, u.p
     drop = u.level == 1
     inv0 = alg.scalar(2) - u.coeffs[0]
@@ -203,7 +212,7 @@ def invert_recursive(a: GroupElement) -> GroupElement:
     coefficient for i >= 1, from beta_0 = 2 - alpha_0: `_divide` with no v,
     so no identity element is built.  It is the recursive construction, an
     oracle for the two partition-sum inverses."""
-    return _divide(a)
+    return _divide(check_head(a))
 
 
 def invert_closed(a: GroupElement) -> GroupElement:
@@ -212,6 +221,7 @@ def invert_closed(a: GroupElement) -> GroupElement:
         beta_i = alpha_0^{-1} sum_nu (-1)^l(nu) prod_j alpha_{nu(j)}^(p^sigma(nu)(j))
 
     over the compositions nu of i."""
+    check_head(a)
     alg, p = a.algebra, a.p
     sums = _composition_sums([(c,) for c in a.coeffs], _Powers(a.coeffs), a.k, p)
     inv0 = alg.scalar(2) - a.coeffs[0]
@@ -236,6 +246,7 @@ def invert_split(a: GroupElement) -> GroupElement:
         raise GroupError("eps-split inverse requires odd p")
     if a.level != 0:
         raise GroupError("eps-split inverse is for the base flavor")
+    check_head(a)
     alg, p = a.algebra, a.p
     even = [eps_reduce(c) for c in a.coeffs]
     odd = [eps_part(c) for c in a.coeffs]
@@ -255,6 +266,8 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     a^{-1} . b^{-1} = (b . a)^{-1}, so [a, b] is the one c with
     (b . a) . c = a . b: two composes and one `_divide`."""
     _check_compatible(a, b)
+    check_head(a)
+    check_head(b)
     return _divide(compose(b, a), compose(a, b))
 
 

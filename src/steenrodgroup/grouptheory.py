@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
+    AlgebraElement,
     AlgebraPresentation,
     adjoin_epsilon,
-    component_monomials,
-    eps_reduce,
+    component,
     frobenius,
     times_eps,
 )
@@ -156,8 +156,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
         return i, GroupElement(p, n, 0, galg, tuple(coeffs))
 
     def basis(d, only_eps_free):
-        monos = (galg.monomial(m) for m in component_monomials(galg, d))
-        return [m for m in monos if not only_eps_free or eps_reduce(m) == m]
+        return [AlgebraElement(galg, {m: 1}) for m in component(galg, d, only_eps_free)]
 
     def layers():
         if galg.has_epsilon and not eps_free:

@@ -54,7 +54,7 @@ from .algebra import (
     Generator,
     accumulate,
     adjoin_epsilon,
-    component_monomials,
+    component,
     embed,
     frobenius,
     sparse_add,
@@ -493,18 +493,17 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
 
     if any(g.degree <= 0 for g in alg.generators):
         raise EnumerationError("requires strictly positive generator degrees")
-    for mono in (mono for deg in range(d + 1) for mono in component_monomials(alg, deg)):
-        m = alg.pack(mono)
+    for m in (m for deg in range(d + 1) for m in component(alg, deg)):
         if not in_ideal(m):
             continue
         if m == 0:  # the monomial 1, the only one of non-zero counit
-            return False, (mono, "counit")
+            return False, (alg.exponents(m), "counit")
         for (m1, m2), c in _image(hp, _coproduct, m).pairs():
             if not in_ideal(m1) and not in_ideal(m2):
-                return False, (mono, "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
+                return False, (alg.exponents(m), "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
         for t in _image(hp, _antipode, m).terms:
             if not in_ideal(t):
-                return False, (mono, "antipode", alg.exponents(t))
+                return False, (alg.exponents(m), "antipode", alg.exponents(t))
     return True, None
 
 

@@ -15,7 +15,7 @@ import random
 from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
-    component_monomials,
+    component,
     times_eps,
 )
 from .group import GroupElement, coeff_degree
@@ -26,11 +26,7 @@ from .hopf import GeneratorAssignment, HopfPresentation
 def _monos(pres: AlgebraPresentation, d: int, eps_free: bool) -> tuple:
     """The packed basis monomials of the degree-d component, only those
     without eps if eps_free."""
-    monos = component_monomials(pres, d)
-    if eps_free and pres.has_epsilon:
-        e = pres.epsilon_index
-        monos = [m for m in monos if not m[e]]
-    return tuple(map(pres.pack, monos))
+    return tuple(component(pres, d, eps_free))
 
 
 def random_homogeneous(

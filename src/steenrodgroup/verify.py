@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, AlgebraPresentation, adjoin_epsilon, component_monomials, eps_part, frobenius, times_eps
+from .algebra import AlgebraElement, AlgebraPresentation, adjoin_epsilon, component, eps_part, frobenius, times_eps
 from .group import (
     GroupElement,
     coeff_degree,
@@ -133,7 +133,7 @@ def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -
     # a zero prefix m needs a non-zero alpha_(m+1): draw m only below the
     # first empty alpha_(m+1) component of alg
     top = 1
-    while top < k - 2 and component_monomials(alg, coeff_degree(p, 0, top + 2)):
+    while top < k - 2 and component(alg, coeff_degree(p, 0, top + 2)):
         top += 1
     for case in (1, 2, 3):
         for _ in range(per_case):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrodgroup.algebra import (
@@ -11,6 +11,7 @@ from steenrodgroup.algebra import (
     EnumerationError,
     Generator,
     adjoin_epsilon,
+    component,
     component_dimension,
     component_monomials,
     enumerate_component,
@@ -240,11 +241,15 @@ def test_mixed_sign_capless_is_rejected():
         component_monomials(a, 0)
 
 
-def test_component_of_2000_generators_with_huge_caps():
+def huge_caps():
     # x_i of degree 2^i - 1 with caps 2^(2001 - i), most above 2^1100, and a
-    # capless y of degree 2: the bounds stay exact integers and the walk does
-    # not recurse once per generator
-    a = mk_algebra(2, [(f"x{i}", 2**i - 1, 2 ** (2001 - i)) for i in range(1, 2001)] + [("y", 2, None)])
+    # capless y of degree 2
+    return mk_algebra(2, [(f"x{i}", 2**i - 1, 2 ** (2001 - i)) for i in range(1, 2001)] + [("y", 2, None)])
+
+
+def test_component_of_2000_generators_with_huge_caps():
+    # the bounds stay exact integers and the walk does not recurse once per generator
+    a = huge_caps()
 
     def support(d):
         return sorted(tuple((i, e) for i, e in enumerate(m) if e) for m in component_monomials(a, d))
@@ -254,6 +259,106 @@ def test_component_of_2000_generators_with_huge_caps():
     # every generator can carry degree 1 alone
     flat = mk_algebra(2, [(f"z{i}", 1, 2**1200) for i in range(2000)])
     assert len(component_monomials(flat, 1)) == 2000
+
+
+def tuple_walk(a, d):
+    """The exponent vectors of degree d by a walk over a mutable exponent
+    list, each appended as a tuple: the enumeration that `component` replaced."""
+    gens = a.generators
+    n = len(gens)
+    degrees = [g.degree for g in gens]
+    tops = [None if g.cap is None else g.cap - 1 for g in gens]
+    if None in tops:
+        signs = {(deg > 0) - (deg < 0) for deg, top in zip(degrees, tops) if top is None}
+        if 0 in signs or len(signs) > 1:
+            raise EnumerationError("infinite")
+        capped = [top * deg for deg, top in zip(degrees, tops) if top is not None]
+        pos, neg = sum(c for c in capped if c > 0), sum(c for c in capped if c < 0)
+        tops = [max(0, (d - (neg if deg > 0 else pos)) // deg) if top is None else top
+                for deg, top in zip(degrees, tops)]
+    order = sorted(range(n), key=degrees.__getitem__)
+    suffix_min, suffix_max = [0] * (n + 1), [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        c = tops[order[j]] * degrees[order[j]]
+        suffix_min[j] = suffix_min[j + 1] + min(c, 0)
+        suffix_max[j] = suffix_max[j + 1] + max(c, 0)
+    out, mono = [], [0] * n
+
+    def walk(k, remaining):
+        if remaining == 0:
+            out.append(tuple(mono))
+        for j in range(k, n):
+            if not suffix_min[j] <= remaining <= suffix_max[j]:
+                return
+            i, lo, hi = order[j], suffix_min[j + 1], suffix_max[j + 1]
+            deg = degrees[i]
+            for e in range(1, tops[i] + 1):
+                rest = remaining - e * deg
+                if lo <= rest <= hi:
+                    mono[i] = e
+                    walk(j + 1, rest)
+                elif deg > 0 and rest < lo:
+                    if e == 1:
+                        return  # so does every later generator, of degree >= deg
+                    break
+                elif deg <= 0 and rest > hi:
+                    break
+            mono[i] = 0
+
+    walk(0, d)
+    return sorted(out)
+
+
+def agrees_with_the_tuple_walk(a, d):
+    try:
+        expected = tuple_walk(a, d)
+    except EnumerationError:
+        for enumerate_ in (component_monomials, component):
+            with pytest.raises(EnumerationError):
+                enumerate_(a, d)
+        return
+    assert component_monomials(a, d) == expected
+    assert component(a, d) == [a.pack(m) for m in component_monomials(a, d)]
+    # eps_free keeps the component's eps-free monomials, as a filter of the tuples did
+    eps_free = [m for m in expected if not a.has_epsilon or not m[a.epsilon_index]]
+    assert component(a, d, eps_free=True) == [a.pack(m) for m in eps_free]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(st.integers(-4, 6), st.sampled_from([None, 1, 2, 3, 5])), max_size=9),
+    st.booleans(),
+    st.integers(-12, 24),
+)
+def test_component_agrees_with_the_tuple_walk(p, gens, eps, d):
+    a = mk_algebra(p, [(f"g{i}", deg, cap) for i, (deg, cap) in enumerate(gens)])
+    agrees_with_the_tuple_walk(adjoin_epsilon(a) if eps else a, d)
+
+
+def test_component_of_2000_generators_agrees_with_the_tuple_walk():
+    a = huge_caps()
+    for d in (0, 1, 3, 7):
+        agrees_with_the_tuple_walk(a, d)
+    # 2000 monomials of 300 kB each packed: only the tuples are compared
+    flat = mk_algebra(2, [(f"z{i}", 1, 2**1200) for i in range(2000)])
+    assert component_monomials(flat, 1) == tuple_walk(flat, 1)
+
+
+def test_capless_overflow_raises_in_the_walk():
+    # a^(2^32) is past its 32-bit field: the walk refuses it, where the tuple
+    # walk handed it on and `pack` refused it one step later
+    a = mk_algebra(2, [("a", 1, None)])
+    assert component_monomials(a, 2**32 - 1) == [(2**32 - 1,)]
+    for enumerate_ in (component, component_monomials):
+        with pytest.raises(AlgebraError, match="capless"):
+            enumerate_(a, 2**32)
+    ab = mk_algebra(2, [("a", 2, None), ("b", 4, 2)])
+    with pytest.raises(AlgebraError, match="capless"):
+        component(ab, 2**33)
+    # at odd degree the walk tries a's exponents past 2^32 - 1 but completes
+    # no monomial with them, so nothing is refused
+    assert component(ab, 2**33 + 1) == []
 
 
 def test_random_homogeneous_refuses_an_infinite_component():

@@ -269,6 +269,23 @@ def test_partition_inverses_multiply_once_per_live_composition(monkeypatch, p):
         assert 0 < len(calls) <= bound, invert.__name__
 
 
+def test_a_head_that_is_not_a_unit_is_refused():
+    # alpha_0 = 2 over group_test_algebra(3): invert_recursive returned
+    # alpha_0 = 0, whose product with the element is not the identity
+    A = group_test_algebra(3)
+    g = GroupElement(3, 2, 0, A, (A.scalar(2), A.zero(), A.zero()))
+    one = identity(3, 2, A)
+    refusals = (invert_recursive, invert_closed, invert_split,
+                lambda x: commutator(x, one), lambda x: commutator(one, x))
+    for refuse in refusals:
+        with pytest.raises(GroupError, match=r"^head alpha_0 is not of the form 1 \+ b\*eps"):
+            refuse(g)
+    # the heads 1 + b*eps pass
+    head = A.one() + times_eps(A.gen("t0"))
+    h = GroupElement(3, 2, 0, A, (head, A.zero(), A.zero()))
+    assert is_identity(compose(h, invert_recursive(h))) and is_identity(commutator(h, one))
+
+
 # -- commutators ---------------------------------------------------------------
 
 

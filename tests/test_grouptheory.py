@@ -221,18 +221,25 @@ def test_filtration_level_sets_are_subgroups(A, p, n, order):
             assert min((filtration_level(h) for h in H), default=TOP) == least
 
 
+def count_series_passes(monkeypatch) -> list:
+    """Count every group-law entry grouptheory makes, in series passes: one
+    per `compose` and `_divide`, three per `commutator`."""
+    passes = []
+    for name, cost in (("compose", 1), ("_divide", 1), ("commutator", 3)):
+        def counted(*args, real=getattr(grouptheory, name), cost=cost):
+            passes.append(cost)
+            return real(*args)
+
+        monkeypatch.setattr(grouptheory, name, counted)
+    return passes
+
+
 def test_series_at_order_32768_compose_fewer_than_an_eighth_of_the_elements(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return compose(a, b)
-
-    monkeypatch.setattr(grouptheory, "compose", counted)
+    passes = count_series_passes(monkeypatch)
     G = enumerate_group(milnor_quotient(2, 4).algebra, 4, 2)
     assert lower_central_series(G).sizes == [32768, 16, 2, 1]
     assert derived_series(G).sizes == [32768, 16, 1]
-    assert len(calls) < G.order / 8
+    assert sum(passes) < G.order / 8
 
 
 # (p, n): the orders of the lower central series, the class, the orders of
@@ -273,16 +280,10 @@ def test_order_check_catches_a_wrong_law(monkeypatch):
 
 
 def test_enumeration_composes_each_element_with_each_generator_once(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return compose(a, b)
-
-    monkeypatch.setattr(grouptheory, "compose", counted)
+    passes = count_series_passes(monkeypatch)
     G = enumerate_group(milnor_quotient(2, 3).algebra, 3, 2)
     assert G.order == 128 and len(G.gens) == 7
-    assert len(calls) <= G.order * len(G.gens)
+    assert sum(passes) <= G.order * len(G.gens)
 
 
 def test_table_matches_compose():
@@ -348,8 +349,8 @@ def test_ev_subgroup_series_is_limited_by_its_own_order(monkeypatch):
 def test_limit_refuses_before_the_next_layer_is_enumerated(monkeypatch, p, n, e):
     # the order p^(generators so far) passes the limit inside an early layer,
     # so the top layer's component, the costliest, is never enumerated
-    real, degrees = grouptheory.component_monomials, []
-    monkeypatch.setattr(grouptheory, "component_monomials", lambda a, d: degrees.append(d) or real(a, d))
+    real, degrees = grouptheory.component, []
+    monkeypatch.setattr(grouptheory, "component", lambda a, d, eps_free=False: degrees.append(d) or real(a, d, eps_free))
     with pytest.raises(GroupTheoryError, match=rf"group order {p}\^{e} or more is over the limit 100000"):
         enumerate_group(milnor_quotient(p, n).algebra, n, p)
     assert coeff_degree(p, 0, n) not in degrees
