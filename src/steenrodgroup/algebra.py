@@ -21,9 +21,12 @@ and an exponent that outgrows it raises AlgebraError instead of vanishing.
 Exponent vectors go in through `AlgebraPresentation.monomial` (or `pack`) and
 come back out through `AlgebraPresentation.exponents` only where a monomial
 is handed out: `repr`, the wire format, `component_monomials` and the
-boundaries of `hopf` and `milnor`.  `component(a, d)` is the packed basis of a
-graded component, in the order of the exponent vectors, so every reader of a
-basis takes packed monomials from here and none packs one itself.
+boundaries of `hopf` and `milnor`.  The wire format keeps what it packs and
+unpacks in two memos of the presentation, `wire_packs` and `wire_exponents`;
+`pack` and `exponents` themselves keep nothing.  `component(a, d)` is the
+packed basis of a graded component, in the order of the exponent vectors, so
+every reader of a basis takes packed monomials from here and none packs one
+itself.
 
 The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation is the
@@ -87,7 +90,8 @@ class AlgebraPresentation:
     # p = 2, where signs vanish); the value field of eps (0 when absent); the
     # bit width of a monomial; the hash of (p, generators), which `__eq__`
     # compares, taken once, as every lru_cache lookup keyed on a
-    # presentation hashes it; the factor and copies of a `power` (self and 1 if none)
+    # presentation hashes it; the factor and copies of a `power` (self and 1 if
+    # none); the wire format's memos, which only `serialize` fills
     fields: tuple = _layout()
     bias: int = _layout()
     guard: int = _layout()
@@ -100,6 +104,8 @@ class AlgebraPresentation:
     factor: "AlgebraPresentation" = _layout()
     copies: int = _layout()
     _powers: dict = _layout()  # c -> the c-th tensor power, once built (1 -> self)
+    wire_packs: dict = _layout()  # exponent tuple of exact ints -> pack(tuple)
+    wire_exponents: dict = _layout()  # packed monomial -> exponents(m)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -109,7 +115,7 @@ class AlgebraPresentation:
             raise AlgebraError("duplicate generator names")
         if EPSILON in names and (self.p == 2 or Generator(EPSILON, -1, 2) not in self.generators):
             raise AlgebraError(EPSILON_RULE)
-        fields, bias, guard, wide, odd, eps, shift = [], 0, 0, 0, 0, 0, 0
+        fields, guard, wide, odd, eps, shift = [], 0, 0, 0, 0, 0
         for g in reversed(self.generators):
             if g.cap is not None and (type(g.cap) is not int or g.cap < 1):
                 raise AlgebraError(f"cap of {g.name} must be an integer >= 1")
@@ -119,19 +125,19 @@ class AlgebraPresentation:
             guard |= 1 << (shift + width)
             if g.cap is None:
                 wide |= 1 << (shift + width)
-            else:
-                bias |= ((1 << width) - g.cap) << shift
             if self.p != 2 and g.degree % 2 == 1:
                 odd |= 1 << shift
             if g.name == EPSILON:
                 eps = ((1 << width) - 1) << shift
             fields.insert(0, (shift, (1 << width) - 1))
             shift += width + 1
-        layout = (tuple(fields), bias, guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, self, 1, {1: self})
-        names = ("fields", "bias", "guard", "wide", "odd", "eps", "width", "_hash",
-                 "_frobenius_bias", "factor", "copies", "_powers")
+        layout = (tuple(fields), guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, self, 1,
+                  {1: self}, {}, {})
+        names = ("fields", "guard", "wide", "odd", "eps", "width", "_hash", "_frobenius_bias", "factor", "copies",
+                 "_powers", "wire_packs", "wire_exponents")
         for name, value in zip(names, layout):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "bias", self.frobenius_bias(1))
 
     def __hash__(self):
         return self._hash
@@ -193,12 +199,13 @@ class AlgebraPresentation:
         """The bias whose add sets a guard bit iff some exponent times q reaches
         its cap (2^CAPLESS_BITS for a capless generator)."""
         if q not in self._frobenius_bias:
-            # per field: mask + 1 - ceil(cap / q); lowest field first, so each
-            # add copies only the fields below the one it adds
-            self._frobenius_bias[q] = sum(
-                (mask + 1 + -(g.cap or mask + 1) // q) << shift
-                for g, (shift, mask) in zip(reversed(self.generators), reversed(self.fields))
-            )
+            # per field: mask + 1 - ceil(cap / q) below a 0 guard bit, as the
+            # binary digits of the fields, top field first, read into one int
+            # at once: linear in the width, where a sum of shifted fields is not
+            self._frobenius_bias[q] = int("0" + "".join(
+                format(mask + 1 + -(g.cap or mask + 1) // q, f"0{mask.bit_length() + 1}b")
+                for g, (_, mask) in zip(self.generators, self.fields)
+            ), 2)
         return self._frobenius_bias[q]
 
     def divides(self, d: int, m: int) -> bool:

@@ -10,9 +10,19 @@ Every number on the wire is a JSON integer: a float such as 4.0 or a boolean
 is refused with SerializeError, as is a generator name that is not a string, a
 list (of generators, coefficients or terms) that is not a JSON array, an
 object with a key the format does not name, and a term whose keys are not
-exactly coeff and exponents.
+exactly coeff and exponents.  A group element's truncation k is at most
+MAX_WIRE_K = 1000: a larger k is refused before any coefficient is decoded.
+
 Each distinct presentation is decoded once (a bounded cache), so the elements
-of one request share one `AlgebraPresentation` object.
+of one request share one `AlgebraPresentation` object.  That object also
+holds the codec's two memos, `wire_packs` (an exponent tuple to its packed
+monomial, or None if a cap kills it) and `wire_exponents` (a packed monomial
+to its exponent tuple), so each distinct monomial is packed and unpacked once
+for as long as the presentation lives, which is while the cache keeps it or a
+caller holds it.  The reader looks a term up only after its type checks, so
+an equal vector of bools or floats is still refused; an exponent vector that
+`pack` refuses is never stored.  Each memo stops growing at WIRE_MEMO_LIMIT
+entries.
 """
 
 from __future__ import annotations
@@ -26,6 +36,16 @@ from .group import BOTTOM, TOP, GroupElement
 
 class SerializeError(Exception):
     pass
+
+
+# the largest truncation k the reader admits: the cost of a group law is
+# quadratic in k, and a commutator of two series with two non-zero
+# coefficients each took about 1 s at k = 1000 (2 vCPUs, Python 3.11)
+MAX_WIRE_K = 1000
+# the most monomials each wire memo of one presentation keeps, so that a
+# long-lived process reading ever new vectors holds a bounded memo
+WIRE_MEMO_LIMIT = 1 << 12
+_MISS = object()
 
 
 _PRESENTATION_KEYS = frozenset(("p", "generators"))
@@ -86,12 +106,21 @@ def presentation_from_obj(obj: dict) -> AlgebraPresentation:
 
 
 def element_to_obj(x: AlgebraElement) -> list:
-    return [
-        {"coeff": c, "exponents": list(x.pres.exponents(m))} for m, c in sorted(x.terms.items())
-    ]
+    pres = x.pres
+    memo = pres.wire_exponents
+    out = []
+    for m, c in sorted(x.terms.items()):
+        exponents = memo.get(m)
+        if exponents is None:
+            exponents = pres.exponents(m)
+            if len(memo) < WIRE_MEMO_LIMIT:
+                memo[m] = exponents
+        out.append({"coeff": c, "exponents": list(exponents)})
+    return out
 
 
 def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
+    memo = pres.wire_packs
     try:
         pairs = []
         for term in _list(obj, "a term list"):
@@ -100,7 +129,12 @@ def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
             exponents, coeff = term["exponents"], _int(term["coeff"], "coeff")
             if not set(map(type, exponents)) <= {int}:
                 raise SerializeError(f"exponents must be integers, not {exponents!r}")
-            m = pres.pack(exponents)
+            key = tuple(exponents)  # exact ints only, so equal keys are equal inputs
+            m = memo.get(key, _MISS)
+            if m is _MISS:
+                m = pres.pack(key)
+                if len(memo) < WIRE_MEMO_LIMIT:
+                    memo[key] = m
             if m is not None:
                 pairs.append((m, coeff))
         return AlgebraElement(pres, accumulate({}, pairs, pres.p))
@@ -121,10 +155,11 @@ def group_to_obj(g: GroupElement) -> dict:
 def group_from_obj(obj: dict) -> GroupElement:
     try:
         pres = presentation_from_obj(_object(obj, _GROUP_KEYS, "group element")["algebra"])
+        k = _int(obj["k"], "k")
+        if k > MAX_WIRE_K:
+            raise SerializeError(f"truncation k = {k} above the wire bound {MAX_WIRE_K}")
         coeffs = tuple(element_from_obj(pres, c) for c in _list(obj["coeffs"], "coeffs"))
-        return GroupElement(
-            _int(obj["p"], "p"), _int(obj["k"], "k"), _int(obj.get("flavor", 0), "flavor"), pres, coeffs
-        )
+        return GroupElement(_int(obj["p"], "p"), k, _int(obj.get("flavor", 0), "flavor"), pres, coeffs)
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed group element: {exc}") from exc
 

@@ -361,6 +361,37 @@ def test_capless_overflow_raises_in_the_walk():
     assert component(ab, 2**33 + 1) == []
 
 
+def shifted_sum_bias(a, q):
+    """frobenius_bias(q) as a sum of shifted fields, lowest first: the
+    construction that the one-pass join replaced."""
+    return sum(
+        (mask + 1 + -(g.cap or mask + 1) // q) << shift
+        for g, (shift, mask) in zip(reversed(a.generators), reversed(a.fields))
+    )
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(st.integers(-4, 6), st.sampled_from([None, 1, 2, 3, 5, 2**40])), max_size=9),
+    st.booleans(),
+    st.integers(0, 45),
+)
+def test_frobenius_bias_is_the_sum_of_its_shifted_fields(p, gens, eps, j):
+    a = mk_algebra(p, [(f"g{i}", deg, cap) for i, (deg, cap) in enumerate(gens)])
+    a = adjoin_epsilon(a) if eps else a
+    assert a.frobenius_bias(p**j) == shifted_sum_bias(a, p**j)
+    # the layout's own bias is the bias at q = 1
+    assert a.bias == shifted_sum_bias(a, 1)
+
+
+def test_frobenius_bias_of_2000_generators_is_the_sum_of_its_shifted_fields():
+    flat = mk_algebra(2, [(f"z{i}", 1, 2**1200) for i in range(2000)])
+    for a in (flat, huge_caps()):
+        for q in (1, 2, 2**600, 2**1300):
+            assert a.frobenius_bias(q) == shifted_sum_bias(a, q)
+
+
 def test_random_homogeneous_refuses_an_infinite_component():
     a = mk_algebra(3, [("u", 0, None)])
     with pytest.raises(EnumerationError):

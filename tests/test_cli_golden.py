@@ -7,6 +7,7 @@ record new hashes.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -71,6 +72,26 @@ REFUSED = {
 }
 
 
+def _series(k):
+    """The identity series at p = 2 over one generator, truncated at k."""
+    return {
+        "p": 2,
+        "k": k,
+        "flavor": 0,
+        "algebra": {"p": 2, "generators": [{"name": "z1", "degree": 1, "cap": 4}]},
+        "coeffs": [[{"coeff": 1, "exponents": [0]}]] + [[] for _ in range(k)],
+    }
+
+
+# command reading an --in file -> (the file's JSON, stderr of the refusal);
+# k = 1001 is one above serialize.MAX_WIRE_K, and commutator's a is admitted
+REFUSED_IN = {
+    "compose": ({"a": _series(1001), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
+    "commutator": ({"a": _series(1), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
+    "invert": (_series(1001), "error: truncation k = 1001 above the wire bound 1000\n"),
+}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_cli_output_bytes(capsys, command):
     code = run(command.split())
@@ -83,6 +104,16 @@ def test_cli_refusal_bytes(capsys, command):
     code = run(command.split())
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", REFUSED[command])
+
+
+@pytest.mark.parametrize("command", sorted(REFUSED_IN))
+def test_cli_refusal_bytes_of_an_input_file(tmp_path, capsys, command):
+    obj, err = REFUSED_IN[command]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code = run([command, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
 
 
 def test_module_entry_point_prints_golden_sweep():
