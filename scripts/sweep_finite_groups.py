@@ -15,9 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from steenrodgroup.algebra import SteenrodError
 from steenrodgroup.grouptheory import (
     SWEEP_GRID,
-    GroupTheoryError,
     check_filtration_bounds,
     derived_series,
     enumerate_group,
@@ -64,7 +64,7 @@ def main() -> int:
     args = ap.parse_args()
     try:
         return run(args.p)
-    except GroupTheoryError as exc:
+    except SteenrodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

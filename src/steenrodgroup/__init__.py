@@ -11,6 +11,7 @@ from .algebra import (  # noqa: F401
     AlgebraPresentation,
     EnumerationError,
     Generator,
+    SteenrodError,
     adjoin_epsilon,
     component,
     component_dimension,

@@ -45,7 +45,12 @@ EPSILON_RULE = "eps must be adjoined, of degree -1 and cap 2, for odd p and only
 CAPLESS_BITS = 32  # value bits of a capless generator's field
 
 
-class AlgebraError(Exception):
+class SteenrodError(Exception):
+    """Base of every refusal raised by this package: an input that breaks a
+    precondition or a size bound.  The CLI turns each one into exit 2."""
+
+
+class AlgebraError(SteenrodError):
     pass
 
 

@@ -18,9 +18,8 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraError, is_prime
+from .algebra import SteenrodError, is_prime
 from .group import (
-    GroupError,
     check_head,
     commutator,
     compose,
@@ -33,14 +32,12 @@ from .group import (
 from .grouptheory import (
     LIMIT_ENV,
     SWEEP_GRID,
-    GroupTheoryError,
     enumerate_group,
     ev_subgroup_series,
     lower_central_series,
     size_limit,
 )
 from .hopf import (
-    HopfError,
     axiom_counterexamples,
     cocommutativity_defect,
     dual_mod_J,
@@ -51,21 +48,12 @@ from .hopf import (
     milnor_quotient_ev,
     primitivity_check,
 )
-from .milnor import DualSymbol, MilnorError, in_dual_span, in_J_basis
-from .partitions import PartitionError, enumerate_compositions
-from .serialize import (
-    SerializeError,
-    filtration_to_str,
-    group_from_obj,
-    group_to_obj,
-)
+from .milnor import DualSymbol, in_dual_span, in_J_basis
+from .partitions import enumerate_compositions
+from .serialize import filtration_to_str, group_from_obj, group_to_obj
 from .verify import run_suites
 
 USAGE_ERROR = 2
-
-
-class CliError(Exception):
-    pass
 
 
 def _load_json(path: str):
@@ -73,7 +61,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read JSON from {path}: {exc}") from exc
+        raise SteenrodError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _element(obj):
@@ -83,14 +71,14 @@ def _element(obj):
     for i, c in enumerate(g.coeffs):
         d = g.coeff_degree(i)
         if any(g.algebra.mono_degree(m) != d for m in c.terms):
-            raise CliError(f"coefficient alpha_{i} is not homogeneous of degree {d}")
+            raise SteenrodError(f"coefficient alpha_{i} is not homogeneous of degree {d}")
     return g
 
 
 def _load_pair(args):
     obj = _load_json(args.infile)
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-        raise CliError('expected {"a": <group element>, "b": <group element>}')
+        raise SteenrodError('expected {"a": <group element>, "b": <group element>}')
     return _element(obj["a"]), _element(obj["b"])
 
 
@@ -166,13 +154,10 @@ PRESETS = {
 
 
 def cmd_hopf(args):
-    try:
-        hp = PRESETS[args.preset](args)
-    except KeyError:
-        raise CliError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+    hp = PRESETS[args.preset](args)
     work, limit = hp.work(), size_limit()
     if work > limit:
-        raise CliError(f"checking {hp.label} needs {work} words of antipode terms, over the limit {limit} ({LIMIT_ENV})")
+        raise SteenrodError(f"checking {hp.label} needs {work} words of antipode terms, over the limit {limit} ({LIMIT_ENV})")
     counterexamples = list(axiom_counterexamples(hp))
     defects = [
         {"generator": name, "defect": repr(t)}
@@ -300,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("hopf", help="Hopf-axiom report for a named preset")
-    sp.add_argument("--preset", required=True)
+    sp.add_argument("--preset", required=True, choices=sorted(PRESETS), metavar="PRESET")
     sp.add_argument("--p", type=prime, default=2)
     sp.add_argument("--k", type=non_negative, default=0)
     sp.add_argument("--n", type=non_negative, default=2)
@@ -345,17 +330,8 @@ def run(argv=None) -> int:
             if not args.out:  # stdout's unwritten bytes go to devnull, or the flush at exit fails again
                 with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
                     os.dup2(null.fileno(), sys.stdout.fileno())
-            raise CliError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
-    except (
-        CliError,
-        SerializeError,
-        AlgebraError,
-        GroupError,
-        GroupTheoryError,
-        HopfError,
-        MilnorError,
-        PartitionError,
-    ) as exc:
+            raise SteenrodError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
+    except SteenrodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0 if ok else 1

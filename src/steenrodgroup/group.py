@@ -37,6 +37,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
     EPSILON_RULE,
+    SteenrodError,
     accumulate,
     eps_part,
     eps_reduce,
@@ -49,7 +50,7 @@ BOTTOM = Fraction(-1)  # filtration verdict for alpha_0 != 1
 TOP = Fraction(10**9)  # identity up to truncation
 
 
-class GroupError(Exception):
+class GroupError(SteenrodError):
     pass
 
 

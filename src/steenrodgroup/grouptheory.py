@@ -33,6 +33,7 @@ from typing import Optional
 from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
+    SteenrodError,
     adjoin_epsilon,
     component,
     frobenius,
@@ -57,7 +58,7 @@ LIMIT_ENV = "STEENROD_LIMIT"
 SWEEP_GRID = ((2, 1), (2, 2), (3, 0), (3, 1))
 
 
-class GroupTheoryError(Exception):
+class GroupTheoryError(SteenrodError):
     pass
 
 

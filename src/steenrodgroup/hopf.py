@@ -52,6 +52,7 @@ from .algebra import (
     AlgebraPresentation,
     EnumerationError,
     Generator,
+    SteenrodError,
     accumulate,
     adjoin_epsilon,
     component,
@@ -68,7 +69,7 @@ from .group import GroupElement, GroupError, coeff_degree, rho
 HopfElement = AlgebraElement
 
 
-class HopfError(Exception):
+class HopfError(SteenrodError):
     pass
 
 

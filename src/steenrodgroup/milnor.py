@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import SteenrodError
 from .hopf import HopfElement, HopfPresentation
 
 
-class MilnorError(Exception):
+class MilnorError(SteenrodError):
     pass
 
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import SteenrodError
+
 DEFAULT_MAX_N = 20
 
 
-class PartitionError(Exception):
+class PartitionError(SteenrodError):
     pass
 
 

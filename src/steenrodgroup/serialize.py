@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraPresentation, Generator, accumulate
+from .algebra import AlgebraElement, AlgebraPresentation, Generator, SteenrodError, accumulate
 from .group import BOTTOM, TOP, GroupElement
 
 
-class SerializeError(Exception):
+class SerializeError(SteenrodError):
     pass
 
 
