@@ -18,8 +18,9 @@ import json
 import os
 import sys
 
-from .algebra import SteenrodError, is_prime
+from .algebra import SteenrodError, check_prime
 from .group import (
+    MAX_LEVEL,
     check_head,
     commutator,
     compose,
@@ -32,6 +33,7 @@ from .group import (
 from .grouptheory import (
     LIMIT_ENV,
     SWEEP_GRID,
+    check_order,
     enumerate_group,
     ev_subgroup_series,
     lower_central_series,
@@ -49,18 +51,26 @@ from .hopf import (
     primitivity_check,
 )
 from .milnor import DualSymbol, in_dual_span, in_J_basis
-from .partitions import enumerate_compositions
+from .partitions import DEFAULT_MAX_N, enumerate_compositions
 from .serialize import filtration_to_str, group_from_obj, group_to_obj
 from .verify import run_suites
 
 USAGE_ERROR = 2
+# hopf's generator bound N (n for A and A_ev): the antipode of xi_N alone
+# has 2^(N-1) terms, so no STEENROD_LIMIT a machine can meet admits more
+MAX_N = 64
+# verify's samples per suite, 200 times the default: about 17 s at p = 2,
+# k = 4 (2 vCPUs, Python 3.11)
+MAX_SAMPLES = 10_000
 
 
 def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad syntax, or an int of more than 4300 digits;
+    # RecursionError: arrays or objects nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise SteenrodError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -106,6 +116,7 @@ def cmd_partitions(args):
 def _lower_central(p: int, n: int):
     """A(n), the finite group of order-n series over it, and that group's
     lower central series, whose ok says the class is at most n + 1."""
+    check_order(p, n)  # layer i of A(n) holds xi_i, so the group has n generators or more
     hp = milnor_quotient(p, n)
     G = enumerate_group(hp.algebra, n, p)
     return hp, G, lower_central_series(G)
@@ -204,10 +215,10 @@ def cmd_verify(args):
 
 
 def prime(raw: str) -> int:
-    p = int(raw)
-    if not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
-    return p
+    try:
+        return check_prime(int(raw))
+    except SteenrodError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def non_negative(raw: str) -> int:
@@ -222,6 +233,19 @@ def positive(raw: str) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError(f"{v} is not positive")
     return v
+
+
+def at_most(bound: int, kind=non_negative):
+    """The argument type kind, refusing a value above bound."""
+
+    def bounded(raw: str) -> int:
+        v = kind(raw)
+        if v > bound:
+            raise argparse.ArgumentTypeError(f"{v} is above the bound {bound}")
+        return v
+
+    bounded.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return bounded
 
 
 def int_list(raw: str) -> tuple:
@@ -287,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hopf", help="Hopf-axiom report for a named preset")
     sp.add_argument("--preset", required=True, choices=sorted(PRESETS), metavar="PRESET")
     sp.add_argument("--p", type=prime, default=2)
-    sp.add_argument("--k", type=non_negative, default=0)
-    sp.add_argument("--n", type=non_negative, default=2)
-    sp.add_argument("--N", type=non_negative, default=4)
+    sp.add_argument("--k", type=at_most(MAX_LEVEL), default=0)
+    sp.add_argument("--n", type=at_most(MAX_N), default=2)
+    sp.add_argument("--N", type=at_most(MAX_N), default=4)
     sp.add_argument("--D", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_hopf)
@@ -297,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("milnor", help="basis membership predicates")
     sp.add_argument("action", choices=["in-j", "in-span"])
     sp.add_argument("--p", type=prime, required=True)
-    sp.add_argument("--k", type=non_negative, default=0)
+    sp.add_argument("--k", type=at_most(MAX_LEVEL), default=0)
     sp.add_argument("--E", type=int_list, default="")
     sp.add_argument("--R", type=int_list, default="")
     common(sp)
@@ -305,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run all property suites")
     sp.add_argument("--p", type=prime, default=2)
-    sp.add_argument("--k", type=non_negative, default=4)
+    sp.add_argument("--k", type=at_most(DEFAULT_MAX_N), default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=positive, default=50)
+    sp.add_argument("--samples", type=at_most(MAX_SAMPLES, positive), default=50)
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

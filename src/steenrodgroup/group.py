@@ -48,6 +48,10 @@ from .partitions import DEFAULT_MAX_N, PartitionError
 
 BOTTOM = Fraction(-1)  # filtration verdict for alpha_0 != 1
 TOP = Fraction(10**9)  # identity up to truncation
+# the largest level the wire and the CLI admit: degrees grow as p^level, and
+# at MAX_PRIME the degree p^(MAX_LEVEL + 64) of hopf's largest N still prints
+# in about 3000 digits, under Python's 4300-digit int-to-str limit
+MAX_LEVEL = 256
 
 
 class GroupError(SteenrodError):

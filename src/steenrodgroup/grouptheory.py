@@ -72,6 +72,22 @@ def size_limit() -> int:
         raise GroupTheoryError(f"bad {LIMIT_ENV} value {raw!r}") from exc
 
 
+def _over_limit(p: int, e: int, limit: int) -> GroupTheoryError:
+    return GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
+
+
+def check_order(p: int, gens: int) -> None:
+    """GroupTheoryError if a group with at least gens layer generators, so of
+    order p^gens or more, is over the limit, naming the least such power;
+    p^gens itself is never computed."""
+    limit = size_limit()
+    e, order = 1, p
+    while order <= limit and e < gens:
+        e, order = e + 1, order * p
+    if gens > 0 and order > limit:
+        raise _over_limit(p, e, limit)
+
+
 @dataclass(eq=False)
 class _Row:
     """One element h of an induced pcgs, at its depth (layer, position).
@@ -170,7 +186,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     for g in layers():
         gens.append(g)
         if p ** len(gens) > limit:
-            raise GroupTheoryError(f"group order {p}^{len(gens)} or more is over the limit {limit} ({LIMIT_ENV})")
+            raise _over_limit(p, len(gens), limit)
     return gens
 
 

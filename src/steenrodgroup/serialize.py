@@ -31,7 +31,7 @@ import functools
 from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraPresentation, Generator, SteenrodError, accumulate
-from .group import BOTTOM, TOP, GroupElement
+from .group import BOTTOM, MAX_LEVEL, TOP, GroupElement
 
 
 class SerializeError(SteenrodError):
@@ -158,8 +158,11 @@ def group_from_obj(obj: dict) -> GroupElement:
         k = _int(obj["k"], "k")
         if k > MAX_WIRE_K:
             raise SerializeError(f"truncation k = {k} above the wire bound {MAX_WIRE_K}")
+        level = _int(obj.get("flavor", 0), "flavor")
+        if level > MAX_LEVEL:
+            raise SerializeError(f"flavor = {level} above the level bound {MAX_LEVEL}")
         coeffs = tuple(element_from_obj(pres, c) for c in _list(obj["coeffs"], "coeffs"))
-        return GroupElement(_int(obj["p"], "p"), k, _int(obj.get("flavor", 0), "flavor"), pres, coeffs)
+        return GroupElement(_int(obj["p"], "p"), k, level, pres, coeffs)
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed group element: {exc}") from exc
 

@@ -69,6 +69,11 @@ REFUSED = {
     "lcs --p 3 --n 600": "error: group order 3^11 or more is over the limit 100000 (STEENROD_LIMIT)\n",
     "lcs --p 2 --n 1100": "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n",
     "lcs --p 2 --n 2000": "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n",
+    # refused before A(n) is built; both ran for minutes
+    "lcs --p 2 --n 1000000000000000000000000000000": (
+        "error: group order 2^17 or more is over the limit 100000 (STEENROD_LIMIT)\n"
+    ),
+    "lcs --p 2147483647 --n 2000": "error: group order 2147483647^1 or more is over the limit 100000 (STEENROD_LIMIT)\n",
 }
 
 
@@ -83,12 +88,21 @@ def _series(k):
     }
 
 
+# a prime above algebra.MAX_PRIME on the wire
+_BIG_PRIME = 1000000000000000003
+
 # command reading an --in file -> (the file's JSON, stderr of the refusal);
-# k = 1001 is one above serialize.MAX_WIRE_K, and commutator's a is admitted
+# k = 1001 is one above serialize.MAX_WIRE_K, and commutator's a is admitted;
+# the flavor and the prime, each above its bound, both ran for minutes
 REFUSED_IN = {
     "compose": ({"a": _series(1001), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
     "commutator": ({"a": _series(1), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
     "invert": (_series(1001), "error: truncation k = 1001 above the wire bound 1000\n"),
+    "filtration": (dict(_series(1), flavor=10**30), f"error: flavor = {10**30} above the level bound 256\n"),
+    "rho": (
+        dict(_series(1), p=_BIG_PRIME, algebra=dict(_series(1)["algebra"], p=_BIG_PRIME)),
+        f"error: p = {_BIG_PRIME} above the prime bound 2147483647\n",
+    ),
 }
 
 

@@ -604,14 +604,30 @@ def test_cli_hopf_work_is_bounded_before_any_coproduct(capsys, monkeypatch):
         ["verify", "--k", "-1"],
         ["lcs", "--p", "4"],
         ["lcs", "--n", "-1"],
+        ["verify", "--k", "21"],
+        ["hopf", "--preset", "nope"],
+        # each below ran past `timeout 20` (the first past `timeout 5`), or
+        # ended, the k = 100000 hopf, in a json.dumps ValueError with exit 1
+        ["verify", "--p", "1000000000000000003"],
+        ["verify", "--p", "2", "--k", "2000", "--samples", "1"],
+        ["verify", "--k", "1", "--samples", str(10**30)],
+        ["milnor", "in-j", "--p", "3", "--k", "100000000", "--R", "5"],
+        ["milnor", "in-span", "--p", "3", "--k", "100000000", "--R", "5"],
+        ["hopf", "--preset", "A_angle", "--p", "2", "--k", "100000", "--N", "2"],
+        ["hopf", "--preset", "A_dual", "--N", str(10**30)],
+        ["hopf", "--preset", "A", "--n", str(10**30)],
+        ["lcs", "--n", str(10**30)],
+        ["lcs", "--p", "2147483647", "--n", "2000"],
     ],
 )
 def test_cli_bad_input_is_usage_error(capsys, argv):
+    started = time.monotonic()
     code = run(argv)
     captured = capsys.readouterr()
     assert code == USAGE_ERROR
     assert "error:" in captured.err
     assert captured.out == ""
+    assert time.monotonic() - started < 1
 
 
 def test_cli_sweep_names_the_grid_primes(capsys):
@@ -791,3 +807,26 @@ def assert_refused(tmp_path, capsys, command, g, *options):
     assert "error:" in captured.err
     assert captured.out == ""
     return captured.err
+
+
+# JSON that Python will not read: an int of more than 4300 digits, and arrays
+# nested past the recursion limit; each ended in a traceback with exit 1
+UNREADABLE_JSON = {
+    "cap-of-5001-digits": json.dumps(UNIT).replace('"cap": 4', '"cap": 1' + "0" * 5000),
+    "nested-200000-deep": "[" * 200000,
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+@pytest.mark.parametrize("command", ["invert", "compose"])
+def test_cli_unreadable_json_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    started = time.monotonic()
+    code = run([command, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (USAGE_ERROR, "")
+    # Python's own text after the prefix differs between versions
+    assert captured.err.startswith(f"error: cannot read JSON from {path}: ")
+    assert captured.err.count("\n") == 1
+    assert time.monotonic() - started < 1
