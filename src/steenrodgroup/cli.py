@@ -4,8 +4,9 @@ Each command returns its report, a JSON-able object or CSV text, and a
 verdict that is False only when a check failed.  `run` alone writes the
 report, to --out or stdout, and turns the verdict into the exit code:
 0 success, 1 verification failure (counterexample serialized in the report),
-2 usage error (bad arguments, malformed JSON, limit exceeded, an --out or a
-stdout that cannot be written).
+2 usage error: an argparse error (bad arguments, a size above its bound) or
+a SteenrodError (malformed JSON, limit exceeded, an --out or a stdout that
+cannot be written, any refusal of the library).
 """
 
 from __future__ import annotations
