@@ -26,7 +26,10 @@ unpacks in two memos of the presentation, `wire_packs` and `wire_exponents`;
 `pack` and `exponents` themselves keep nothing.  `component(a, d)` is the
 packed basis of a graded component, in the order of the exponent vectors, so
 every reader of a basis takes packed monomials from here and none packs one
-itself.
+itself.  Its walk takes the generators of degree <= 0 first and then the
+positive ones, largest degree first, so the small generators come last and
+fill in what the larger ones leave; it stops once less degree is left than the
+smallest positive one's.
 
 The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation is the
@@ -528,9 +531,12 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
     A capless generator's exponent is bounded by what the capped generators
     of the other degree sign can offset, so every bound is an exact integer;
     a monomial whose exponent outgrows its capless field raises AlgebraError.
-    The walk takes the generators by ascending degree, each with just the
-    exponents its suffix can complete, and picks the next generator with a
-    non-zero exponent, so its depth is the number of non-zero exponents."""
+    The walk takes the generators of degree <= 0 first, then the positive
+    ones by descending degree, each with just the exponents its suffix can
+    complete, and picks the next generator with a non-zero exponent, so its
+    depth is the number of non-zero exponents.  Past the first positive
+    generator every one is positive, so the walk stops once less degree is
+    left than the smallest one's."""
     # (degree, top exponent, shift, mask) of each generator in the walk
     gens = [(g.degree, None if g.cap is None else g.cap - 1) + f
             for g, f in zip(a.generators, a.fields) if not (eps_free and g.name == EPSILON)]
@@ -544,7 +550,7 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
         pos, neg = sum(c for c in capped if c > 0), sum(c for c in capped if c < 0)
         gens = [(deg, max(0, (d - (neg if deg > 0 else pos)) // deg) if top is None else top, shift, mask)
                 for deg, top, shift, mask in gens]
-    gens.sort(key=lambda g: g[0])
+    gens.sort(key=lambda g: (g[0] > 0, -abs(g[0])))
     n = len(gens)
     # min/max achievable degree of each suffix of gens
     suffix_min, suffix_max = [0] * (n + 1), [0] * (n + 1)
@@ -564,15 +570,13 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
             if not suffix_min[j] <= remaining <= suffix_max[j]:
                 return
             (deg, top, shift, mask), lo, hi = gens[j], suffix_min[j + 1], suffix_max[j + 1]
-            # the exponents e with lo <= remaining - e * deg <= hi
-            if deg > 0:
-                first, last = -((hi - remaining) // deg), (remaining - lo) // deg
-                if last < 1:
-                    return  # so does every later generator, of degree >= deg
-            elif deg < 0:
-                first, last = -((lo - remaining) // deg), (remaining - hi) // deg
-            else:
-                first, last = 1, top
+            if deg > 0 and remaining < gens[-1][0]:
+                return  # no later generator fits: each is positive, of degree >= gens[-1][0]
+            # the exponents e with lo <= remaining - e * deg <= hi; dividing by
+            # a negative deg turns each inequality round, so the bounds swap
+            if deg < 0:
+                lo, hi = hi, lo
+            first, last = (-((hi - remaining) // deg), (remaining - lo) // deg) if deg else (1, top)
             for e in range(max(first, 1), min(last, top) + 1):
                 walk(j + 1, remaining - e * deg, m | e << shift if e <= mask else -1)
 

@@ -82,7 +82,11 @@ def _element(obj):
     for i, c in enumerate(g.coeffs):
         d = g.coeff_degree(i)
         if any(g.algebra.mono_degree(m) != d for m in c.terms):
-            raise SteenrodError(f"coefficient alpha_{i} is not homogeneous of degree {d}")
+            try:
+                shown = str(d)
+            except ValueError:  # an int of more than 4300 digits, which Python will not print
+                shown = f"coeff_degree({g.p}, {g.level}, {i}), an int of {d.bit_length()} bits"
+            raise SteenrodError(f"coefficient alpha_{i} is not homogeneous of degree {shown}")
     return g
 
 

@@ -12,6 +12,8 @@ list (of generators, coefficients or terms) that is not a JSON array, an
 object with a key the format does not name, and a term whose keys are not
 exactly coeff and exponents.  A group element's truncation k is at most
 MAX_WIRE_K = 1000: a larger k is refused before any coefficient is decoded.
+Its flavor is at most group.MAX_LEVEL, on the way in and on the way out, so
+`group_to_obj` never writes what `group_from_obj` refuses.
 
 Each distinct presentation is decoded once (a bounded cache), so the elements
 of one request share one `AlgebraPresentation` object.  That object also
@@ -142,11 +144,18 @@ def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
         raise SerializeError(f"malformed element: {exc}") from exc
 
 
+def _level(level: int) -> int:
+    """The flavor, refused above MAX_LEVEL by the reader and the writer alike."""
+    if level > MAX_LEVEL:
+        raise SerializeError(f"flavor = {level} above the level bound {MAX_LEVEL}")
+    return level
+
+
 def group_to_obj(g: GroupElement) -> dict:
     return {
         "p": g.p,
         "k": g.k,
-        "flavor": g.level,
+        "flavor": _level(g.level),
         "algebra": presentation_to_obj(g.algebra),
         "coeffs": [element_to_obj(c) for c in g.coeffs],
     }
@@ -158,9 +167,7 @@ def group_from_obj(obj: dict) -> GroupElement:
         k = _int(obj["k"], "k")
         if k > MAX_WIRE_K:
             raise SerializeError(f"truncation k = {k} above the wire bound {MAX_WIRE_K}")
-        level = _int(obj.get("flavor", 0), "flavor")
-        if level > MAX_LEVEL:
-            raise SerializeError(f"flavor = {level} above the level bound {MAX_LEVEL}")
+        level = _level(_int(obj.get("flavor", 0), "flavor"))
         coeffs = tuple(element_from_obj(pres, c) for c in _list(obj["coeffs"], "coeffs"))
         return GroupElement(_int(obj["p"], "p"), k, level, pres, coeffs)
     except (KeyError, TypeError) as exc:

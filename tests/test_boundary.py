@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import steenrodgroup
 from steenrodgroup import SteenrodError, cli
+from steenrodgroup.group import MAX_LEVEL
 from steenrodgroup.sampling import random_group_element
 from steenrodgroup.serialize import group_from_obj, group_to_obj
 from steenrodgroup.verify import group_test_algebra
@@ -126,9 +127,10 @@ RAW = {
 
 
 def _bases():
-    """Valid group elements over the sample algebras: p = 2 and 3, k <= 3, level 0 and 1."""
+    """Valid group elements over the sample algebras: p = 2 and 3, k <= 3,
+    level 0, 1 and MAX_LEVEL, where rho's output is refused."""
     out = []
-    for i, (p, k, level) in enumerate([(2, 1, 0), (2, 3, 0), (3, 2, 0), (3, 1, 1), (2, 0, 0)]):
+    for i, (p, k, level) in enumerate([(2, 1, 0), (2, 3, 0), (3, 2, 0), (3, 1, 1), (2, 0, 0), (2, 1, MAX_LEVEL)]):
         g = random_group_element(random.Random(i), p, k, group_test_algebra(p), level)
         out.append(group_to_obj(g))
     return out

@@ -91,9 +91,21 @@ def _series(k):
 # a prime above algebra.MAX_PRIME on the wire
 _BIG_PRIME = 1000000000000000003
 
-# command reading an --in file -> (the file's JSON, stderr of the refusal);
-# k = 1001 is one above serialize.MAX_WIRE_K, and commutator's a is admitted;
-# the flavor and the prime, each above its bound, both ran for minutes
+
+def _unprintable_degree():
+    """A series at p = 1000003, k = 800 whose alpha_800 is x of degree 2: its
+    degree coeff_degree(p, 0, 800) has about 4800 digits, more than Python prints."""
+    p, k = 1000003, 800
+    gens = [{"name": "x", "degree": 2, "cap": None}, {"name": "eps", "degree": -1, "cap": 2}]
+    coeffs = [[{"coeff": 1, "exponents": [0, 0]}]] + [[] for _ in range(k - 1)] + [[{"coeff": 1, "exponents": [1, 0]}]]
+    return {"p": p, "k": k, "flavor": 0, "algebra": {"p": p, "generators": gens}, "coeffs": coeffs}
+
+
+# command reading an --in file, then what the case is if one command has
+# several -> (the file's JSON, stderr of the refusal); k = 1001 is one above
+# serialize.MAX_WIRE_K, and commutator's a is admitted; the flavor and the
+# prime, each above its bound, both ran for minutes; rho at the level bound
+# would write a flavor that the reader refuses
 REFUSED_IN = {
     "compose": ({"a": _series(1001), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
     "commutator": ({"a": _series(1), "b": _series(1001)}, "error: truncation k = 1001 above the wire bound 1000\n"),
@@ -103,6 +115,12 @@ REFUSED_IN = {
         dict(_series(1), p=_BIG_PRIME, algebra=dict(_series(1)["algebra"], p=_BIG_PRIME)),
         f"error: p = {_BIG_PRIME} above the prime bound 2147483647\n",
     ),
+    "filtration of an unprintable degree": (
+        _unprintable_degree(),
+        "error: coefficient alpha_800 is not homogeneous of degree coeff_degree(1000003, 0, 800),"
+        " an int of 15947 bits\n",
+    ),
+    "rho at the level bound": (dict(_series(1), flavor=256), "error: flavor = 257 above the level bound 256\n"),
 }
 
 
@@ -125,7 +143,7 @@ def test_cli_refusal_bytes_of_an_input_file(tmp_path, capsys, command):
     obj, err = REFUSED_IN[command]
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
-    code = run([command, "--in", str(path)])
+    code = run([command.split()[0], "--in", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err)
 

@@ -1,5 +1,5 @@
 """The wire codec's memos against the reader and writer that pack and unpack
-every term on its own, and the bound on the truncation k."""
+every term on its own, and the bounds on the truncation k and the flavor."""
 
 import copy
 import json
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from steenrodgroup import serialize
 from steenrodgroup.algebra import AlgebraElement, AlgebraError, accumulate, adjoin_epsilon, mk_algebra
-from steenrodgroup.group import identity
+from steenrodgroup.group import MAX_LEVEL, identity, rho
 from steenrodgroup.serialize import (
     MAX_WIRE_K,
     SerializeError,
@@ -170,3 +170,13 @@ def test_k_above_the_wire_bound_is_refused_before_any_coefficient(monkeypatch):
     with pytest.raises(SerializeError, match=f"truncation k = {MAX_WIRE_K + 1} above the wire bound {MAX_WIRE_K}"):
         group_from_obj(refused)
     assert calls == []
+
+
+def test_the_writer_refuses_the_flavor_that_the_reader_refuses():
+    a = mk_algebra(2, [("z1", 1, 4)])
+    top = group_from_obj(group_to_obj(identity(2, 1, a, level=MAX_LEVEL)))
+    assert top.level == MAX_LEVEL
+    past = rho(top)  # the library's rho has no bound
+    assert past.level == MAX_LEVEL + 1
+    with pytest.raises(SerializeError, match=f"flavor = {MAX_LEVEL + 1} above the level bound {MAX_LEVEL}"):
+        group_to_obj(past)
