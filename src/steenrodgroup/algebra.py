@@ -7,8 +7,13 @@ exponent reaches a cap is zero.  Elements are sparse maps from monomials to
 residues in 1..p-1, which gives a canonical normal form and exact equality.
 A tensor power is one more presentation, `power(c)`, so its product is the
 algebra product, Koszul sign included; `join`, `split` and `inject` are the
-only ways across its layout.  `hopf`'s tensor elements share the additive
-operations here, and `accumulate` is the one way to add into a normal form.
+only ways across its layout, and `join` adds the joined terms straight into a
+dict.  `hopf`'s tensor elements share the additive operations here.  Two
+kernels add into a normal-form dict in place: `accumulate` adds (monomial,
+coefficient) pairs, and `mul_into` adds a multiple of a product.  `*` is
+`mul_into` into an empty dict, so the product loop exists once, and a caller
+that sums products (`hopf`'s law defects, or c times an image) adds each into
+one dict instead of building it first.
 
 A monomial is a packed exponent vector (Monagan & Pearce, CASC 2007): one int
 with a bit field per generator and a guard bit above each field, generator 0
@@ -28,8 +33,8 @@ packed basis of a graded component, in the order of the exponent vectors, so
 every reader of a basis takes packed monomials from here and none packs one
 itself.  Its walk takes the generators of degree <= 0 first and then the
 positive ones, largest degree first, so the small generators come last and
-fill in what the larger ones leave; it stops once less degree is left than the
-smallest positive one's.
+fill in what the larger ones leave; each step starts at the first positive
+generator whose degree fits what is left.
 
 The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation is the
@@ -39,7 +44,9 @@ identity.  The presentation refuses any other generator named eps, so
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 EPSILON = "eps"
@@ -246,13 +253,31 @@ class AlgebraPresentation:
             object.__setattr__(power, "copies", c)
         return self._powers[c]
 
-    def join(self, left: dict, right: dict, j: int = 1):
-        """The terms (l (x) r, c1 * c2), not reduced mod p, for c1 l in left and
-        c2 r in right, r over the factor's power(j), in the lowest fields."""
-        shift = j * self.factor.width
+    def join(self, terms: dict, left: dict, right: dict, j: int = 1) -> dict:
+        """Add c1 * c2 l (x) r for c1 l in left and c2 r in right, r over the
+        factor's power(j), in the lowest fields, into the normal-form dict
+        terms in place; returns it.  No sign: l stays left of r."""
+        shift, p = j * self.factor.width, self.p
         if len(left) > len(right):  # the smaller side outside: one inner pass per term of it
-            return ((l << shift | r, c1 * c2) for r, c2 in right.items() for l, c1 in left.items())
-        return ((l << shift | r, c1 * c2) for l, c1 in left.items() for r, c2 in right.items())
+            for r, c2 in right.items():
+                for l, c1 in left.items():
+                    m = l << shift | r
+                    v = (terms.get(m, 0) + c1 * c2) % p
+                    if v:
+                        terms[m] = v
+                    else:
+                        terms.pop(m, None)
+            return terms
+        for l, c1 in left.items():
+            l <<= shift
+            for r, c2 in right.items():
+                m = l | r
+                v = (terms.get(m, 0) + c1 * c2) % p
+                if v:
+                    terms[m] = v
+                else:
+                    terms.pop(m, None)
+        return terms
 
     def split(self, terms: dict):
         """The terms of this power as ((l, r), c), r in the last copy: `join` undone."""
@@ -262,7 +287,7 @@ class AlgebraPresentation:
 
     def inject(self, x: "AlgebraElement", j: int) -> "AlgebraElement":
         """x, an element of the factor, in copy j of this power (copy 0 highest)."""
-        return AlgebraElement(self, dict(self.join(x.terms, {0: 1}, self.copies - 1 - j)))
+        return AlgebraElement(self, self.join({}, x.terms, {0: 1}, self.copies - 1 - j))
 
     # -- element constructors -------------------------------------------------
 
@@ -337,6 +362,31 @@ def accumulate(terms: dict, pairs, p: int) -> dict:
             terms[key] = v
         else:
             terms.pop(key, None)
+    return terms
+
+
+def mul_into(terms: dict, pres: AlgebraPresentation, left: dict, right: dict, scale: int = 1) -> dict:
+    """Add scale * left * right, the product of two term dicts of pres, into
+    the normal-form dict terms in place; returns it.  A cap kills a product
+    monomial, the Koszul sign is applied, and a capless exponent that
+    outgrows its field raises AlgebraError.  The one product loop: `*` is
+    this into an empty dict, and c * y is scale c times {0: 1} times y."""
+    p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
+    for m1, c1 in left.items():
+        passed = koszul_mask(odd, m1) if m1 & odd else 0
+        c1 *= scale
+        for m2, c2 in right.items():
+            m = m1 + m2
+            if (m + bias) & guard:
+                if m & wide:
+                    capless_overflow()
+                continue
+            c = -c1 * c2 if (passed & m2).bit_count() & 1 else c1 * c2
+            v = (terms.get(m, 0) + c) % p
+            if v:
+                terms[m] = v
+            else:
+                terms.pop(m, None)
     return terms
 
 
@@ -432,27 +482,11 @@ class AlgebraElement:
     # -- ring operations ------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
-        pres = self.pres
+        if self.pres is not other.pres:
+            _check_same(self, other)
         if not other.terms:
             return other
-        p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            passed = koszul_mask(odd, m1)
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                if (m + bias) & guard:
-                    if m & wide:
-                        capless_overflow()
-                    continue
-                c = -c1 * c2 if (passed & m2).bit_count() & 1 else c1 * c2
-                v = (terms.get(m, 0) + c) % p
-                if v:
-                    terms[m] = v
-                else:
-                    del terms[m]
-        return type(self)(pres, terms)
+        return type(self)(self.pres, mul_into({}, self.pres, self.terms, other.terms))
 
 
 def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
@@ -535,8 +569,8 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
     ones by descending degree, each with just the exponents its suffix can
     complete, and picks the next generator with a non-zero exponent, so its
     depth is the number of non-zero exponents.  Past the first positive
-    generator every one is positive, so the walk stops once less degree is
-    left than the smallest one's."""
+    generator the degrees descend, so a node bisects them for the first one
+    that fits the degree left and tries none above it."""
     # (degree, top exponent, shift, mask) of each generator in the walk
     gens = [(g.degree, None if g.cap is None else g.cap - 1) + f
             for g, f in zip(a.generators, a.fields) if not (eps_free and g.name == EPSILON)]
@@ -552,6 +586,8 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
                 for deg, top, shift, mask in gens]
     gens.sort(key=lambda g: (g[0] > 0, -abs(g[0])))
     n = len(gens)
+    negated = [-g[0] for g in gens if g[0] > 0]  # the positive degrees, negated: ascending
+    pos = n - len(negated)  # the first positive generator
     # min/max achievable degree of each suffix of gens
     suffix_min, suffix_max = [0] * (n + 1), [0] * (n + 1)
     for j in range(n - 1, -1, -1):
@@ -566,12 +602,16 @@ def _walk(a: AlgebraPresentation, d: int, eps_free: bool, emit):
             if m < 0:
                 capless_overflow()
             emit(m)
-        for j in range(k, n):
+        # a positive generator of degree above remaining has no exponent that
+        # fits (every later one is positive), so the loop starts past them,
+        # bisecting only when the first positive candidate does not fit
+        fits = k if k > pos else pos
+        if fits < n and gens[fits][0] > remaining:
+            fits = pos + bisect_left(negated, -remaining, fits - pos)
+        for j in range(fits, n) if k >= pos else chain(range(k, pos), range(fits, n)):
             if not suffix_min[j] <= remaining <= suffix_max[j]:
                 return
             (deg, top, shift, mask), lo, hi = gens[j], suffix_min[j + 1], suffix_max[j + 1]
-            if deg > 0 and remaining < gens[-1][0]:
-                return  # no later generator fits: each is positive, of degree >= gens[-1][0]
             # the exponents e with lo <= remaining - e * deg <= hi; dividing by
             # a negative deg turns each inequality round, so the bounds swap
             if deg < 0:

@@ -38,7 +38,11 @@ image(m) is the `extend` of one monomial with coefficient 1, computed once per
 presentation: `HopfPresentation._images` holds it under (map, m) for as long
 as the presentation lives, and the law defects read the same entries for the
 monomials of mu(x).  No Hopf law is assumed: every entry is an `extend` of
-the generator maps, so each defect is still computed from them alone.
+the generator maps, so each defect is still computed from them alone.  The
+defects sum without building a product or a term stream: each c * S(m1) * m2
+and c * m1 * S(m2) is one `mul_into`, and each mu(m1) (x) m2 and m1 (x) mu(m2)
+one `join`, into the defect's dict; `coproduct`, `antipode` and `extend` add
+c * image(m) as it is at c = 1 and as the product with the scalar c else.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .algebra import (
     component,
     embed,
     frobenius,
+    mul_into,
     sparse_add,
     sparse_neg,
     sparse_scale,
@@ -241,7 +246,7 @@ class TensorElement(AlgebraElement):
     @classmethod
     def of(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
         square = x.pres.power(2)
-        return cls(square, {m: c % square.p for m, c in square.join(x.terms, y.terms)})
+        return cls(square, square.join({}, x.terms, y.terms))
 
     def pairs(self):
         """The terms as ((a, b), c) for c * a (x) b, a and b packed monomials."""
@@ -314,8 +319,17 @@ def _linear(hp: HopfPresentation, f: Callable, x: HopfElement) -> dict:
     _check_pres(hp.algebra, x)
     terms: dict = {}
     for m, c in x.terms.items():
-        accumulate(terms, ((k, c * v) for k, v in _image(hp, f, m).terms.items()), hp.p)
+        _add_multiple(terms, c, _image(hp, f, m))
     return terms
+
+
+def _add_multiple(terms: dict, c: int, y: AlgebraElement) -> None:
+    """Add c * y into the normal-form dict terms: y's terms as they are at
+    c = 1, else the product of the scalar c with y."""
+    if c == 1:
+        accumulate(terms, y.terms.items(), y.pres.p)
+    else:
+        mul_into(terms, y.pres, {0: 1}, y.terms, c)
 
 
 def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
@@ -355,7 +369,7 @@ def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraEleme
                     if not e:
                         break
                     y = frobenius(y, 1)
-        accumulate(terms, ((m, c * v) for m, v in out.terms.items()), p)
+        _add_multiple(terms, c, out)
     return type(one)(one.pres, terms)
 
 
@@ -405,8 +419,8 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     mu = coproduct(hp, x)  # no monomial of mu outweighs x
     terms: dict = {}
     for (m1, m2), c in mu.pairs():
-        accumulate(terms, cube.join(_image(hp, _coproduct, m1).terms, {m2: c}), alg.p)
-        accumulate(terms, cube.join({m1: -c}, _image(hp, _coproduct, m2).terms, 2), alg.p)
+        cube.join(terms, _image(hp, _coproduct, m1).terms, {m2: c})
+        cube.join(terms, {m1: -c}, _image(hp, _coproduct, m2).terms, 2)
     return terms
 
 
@@ -425,9 +439,8 @@ def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElemen
     mu = coproduct(hp, x)  # no monomial of mu outweighs x
     left, right = {}, {}
     for (m1, m2), c in mu.pairs():
-        a, b = AlgebraElement(alg, {m1: 1}), AlgebraElement(alg, {m2: 1})
-        for acc, y in ((left, _image(hp, _antipode, m1) * b), (right, a * _image(hp, _antipode, m2))):
-            accumulate(acc, ((m, c * v) for m, v in y.terms.items()), alg.p)
+        mul_into(left, alg, _image(hp, _antipode, m1).terms, {m2: 1}, c)
+        mul_into(right, alg, {m1: 1}, _image(hp, _antipode, m2).terms, c)
     target = alg.scalar(counit(x))
     return AlgebraElement(alg, left) - target, AlgebraElement(alg, right) - target
 

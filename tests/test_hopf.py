@@ -1,9 +1,11 @@
 import hashlib
 import random
 import re
+from contextlib import nullcontext
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrodgroup import hopf
@@ -886,6 +888,40 @@ def test_wrong_coproduct_gen_gives_the_reference_defects(monkeypatch, cold_cache
         want = ref_coassociativity_defect(hp, x), ref_counit_defect(hp, x), ref_antipode_defect(hp, x)
         assert got == want
         assert got[0] and not got[1][0].is_zero()
+
+
+@settings(max_examples=100)
+@given(hopf_elements(), st.sampled_from([None, "antipode_gen", "coproduct_gen"]), st.data())
+def test_defects_match_the_references_under_a_wrong_generator_map(case, which, data):
+    # the defects add c * S(m1) * m2, c * m1 * S(m2) and the images of mu
+    # into one dict each; the references add whole elements with `+`.  A
+    # wrong antipode_gen adds the generator to its image (a change at p = 2
+    # too, where negation is none), a wrong coproduct_gen drops 1 (x) g
+    hp, x = case
+    alg = hp.algebra
+    used = sorted({g.name for m in x.terms for g, e in zip(alg.generators, alg.exponents(m)) if e})
+    name = data.draw(st.sampled_from(used or hp.gen_names()))
+    caches = (hopf.coproduct_gen, hopf.antipode_gen)
+    full = getattr(hopf, which) if which else None
+
+    def wrong(hp_, n):
+        y, g = full(hp_, n), hp_.algebra.gen(n)
+        if n != name:
+            return y
+        return y + g if which == "antipode_gen" else y - TensorElement.of(hp_.algebra.one(), g)
+
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with patch.object(hopf, which, wrong) if which else nullcontext():
+            got = coassociativity_defect(hp, x), counit_defect(hp, x), antipode_defect(hp, x)
+            want = ref_coassociativity_defect(hp, x), ref_counit_defect(hp, x), ref_antipode_defect(hp, x)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert got == want
+    if which is None:  # the laws hold on a sum of terms with any coefficients
+        assert not got[0] and all(v.is_zero() for v in got[1] + got[2])
 
 
 def test_capless_overflow_still_raises_through_frobenius():

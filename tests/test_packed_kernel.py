@@ -9,19 +9,22 @@ exponent tuples, must equal the reference.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from steenrodgroup.algebra import (
+    CAPLESS_BITS,
     EPSILON,
     AlgebraError,
     AlgebraPresentation,
+    accumulate,
     adjoin_epsilon,
     component_monomials,
     eps_part,
     eps_reduce,
     frobenius,
     mk_algebra,
+    mul_into,
     times_eps,
 )
 from steenrodgroup.hopf import TensorElement, dual_mod_J, dual_steenrod, milnor_quotient
@@ -140,10 +143,11 @@ def monomials(pres):
 
 
 @st.composite
-def element(draw, pres):
+def element(draw, pres, monos=None):
     """A sum of up to six monomials, built through the public way in."""
     x = pres.zero()
-    for m, c in draw(st.lists(st.tuples(monomials(pres), st.integers(1, pres.p - 1)), max_size=6)):
+    monos = monomials(pres) if monos is None else monos
+    for m, c in draw(st.lists(st.tuples(monos, st.integers(1, pres.p - 1)), max_size=6)):
         x = x + pres.monomial(m, c)
     return x
 
@@ -203,7 +207,7 @@ def test_tensor_power_keys_are_the_hand_packed_triple(pabc):
     w = pres.width
     triple = a << 2 * w | b << w | c
     assert cube.pack(monos[0] + monos[1] + monos[2]) == triple
-    assert dict(cube.join({a: 1}, dict(pres.power(2).join({b: 1}, {c: 1})), 2)) == {triple: 1}
+    assert cube.join({}, {a: 1}, pres.power(2).join({}, {b: 1}, {c: 1}), 2) == {triple: 1}
     assert list(cube.split({triple: 1})) == [((a << w | b, c), 1)]
     x = pres.monomial(monos[1], pres.p - 1)
     assert tuples(cube.inject(x, 1)) == {(0,) * pres.ngens + monos[1] + (0,) * pres.ngens: pres.p - 1}
@@ -248,3 +252,104 @@ def test_capless_overflow_raises():
     # just below the field's top the product survives
     half = CAPLESS.gen("a", 2**31 - 1)
     assert tuples(half * CAPLESS.gen("a", 2**31)) == {(2**32 - 1, 0, 0, 0): 1}
+
+
+# -- the multiply-accumulate kernels --------------------------------------------
+#
+# `mul_into` and `join` add into a normal-form dict in place.  The references
+# restate each as the steps it replaced: the product (`ref_mul` on exponent
+# tuples, packed again), or the generator of joined pairs that `join` was,
+# summed into a copy of the target by `accumulate`.
+
+
+def ref_mul_into(terms, x, y, scale):
+    """scale * x * y added into terms.  An exponent that outgrows its capless
+    field raises, even where another factor's cap kills the product: the
+    packed product checks the fields before the caps."""
+    pres, x, y = x.pres, tuples(x), tuples(y)
+    capless = [g.cap is None for g in pres.generators]
+    for m1 in x:
+        for m2 in y:
+            if any(c and a + b >= 2**CAPLESS_BITS for a, b, c in zip(m1, m2, capless)):
+                raise AlgebraError("capless overflow")
+    product = ref_mul(pres, x, y)
+    return accumulate(dict(terms), ((pres.pack(m), scale * c) for m, c in product.items()), pres.p)
+
+
+def ref_join(pres, left, right, j):
+    """The pairs (l (x) r, c1 * c2), not reduced mod p, of `join` before it
+    added into a dict."""
+    shift = j * pres.factor.width
+    return ((l << shift | r, c1 * c2) for l, c1 in left.items() for r, c2 in right.items())
+
+
+def outcome(f):
+    """f(), or AlgebraError if it raises one."""
+    try:
+        return f()
+    except AlgebraError:
+        return AlgebraError
+
+
+# the capless generator a drawn at and next to the top of its field, so
+# that a product can outgrow it
+capless_monomials = st.tuples(
+    st.sampled_from([0, 1, 2**31 - 1, 2**31]), st.integers(0, 1), st.integers(0, 2), st.integers(0, 1)
+)
+kernel_elements = st.one_of(
+    presentations.flatmap(lambda a: st.tuples(element(a), element(a), element(a))),
+    st.tuples(*[element(CAPLESS, capless_monomials)] * 3),
+)
+
+
+@given(kernel_elements, st.integers(-12, 12), st.sampled_from(["target", "empty", "cancel"]))
+# t1 moves left past t0: the Koszul sign
+@example((EPS_FIRST.gen("t1"), EPS_FIRST.gen("t0") + EPS_FIRST.gen("x1"), EPS_FIRST.gen("x1")), -1, "target")
+# a^(2^32) outgrows its field: raised at scale 0 too, as the product raises
+@example((CAPLESS.gen("a", 2**31), CAPLESS.gen("a", 2**31), CAPLESS.gen("t")), 0, "target")
+def test_mul_into_matches_the_product_and_accumulate(xyz, scale, start):
+    x, y, z = xyz
+    pres = x.pres
+    if start == "empty":
+        z = pres.zero()
+    elif start == "cancel":  # the target that scale * x * y cancels to nothing
+        product = outcome(lambda: x * y)
+        z = pres.zero() if product is AlgebraError else product.scale(-scale)
+    target, before = dict(z.terms), (dict(x.terms), dict(y.terms))
+    want = outcome(lambda: ref_mul_into(z.terms, x, y, scale))
+    got = outcome(lambda: mul_into(target, pres, x.terms, y.terms, scale))
+    assert got == want
+    if got is not AlgebraError:
+        assert got is target
+        assert all(0 < c < pres.p for c in got.values())
+        if start == "cancel":
+            assert got == {}
+    assert (x.terms, y.terms) == before
+
+
+@given(
+    presentations.flatmap(lambda a: st.tuples(st.just(a), element(a), tensor(a), element(a), tensor(a))),
+    st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+    st.sampled_from(["target", "empty", "cancel"]),
+    st.booleans(),
+)
+def test_join_matches_its_generator_form(case, power_j, start, negate):
+    pres, x, s, u, t = case
+    c, j = power_j
+    power = pres.power(c)
+    # left over power(c - j), right over power(j)
+    left, right = (x.terms if c - j == 1 else s.terms), (u.terms if j == 1 else t.terms)
+    if negate:  # coefficients outside 1..p-1, as coassociativity_defect passes
+        left = {m: -v for m, v in left.items()}
+    if start == "empty":
+        target = {}
+    elif start == "cancel":
+        target = {m: -v % pres.p for m, v in accumulate({}, ref_join(power, left, right, j), pres.p).items()}
+    else:  # another pair of the same shapes
+        other = (u.terms if c - j == 1 else t.terms), (x.terms if j == 1 else s.terms)
+        target = accumulate({}, ref_join(power, *other, j), pres.p)
+    want = accumulate(dict(target), ref_join(power, left, right, j), pres.p)
+    got = power.join(target, left, right, j)
+    assert got is target and got == want
+    if start == "cancel":
+        assert got == {}
