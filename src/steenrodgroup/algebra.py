@@ -22,7 +22,8 @@ exponent vectors.  The presentation fixes the layout once.  Multiplying
 monomials is one integer add; adding the cap bias sets a guard bit iff some
 exponent reached its cap; the Koszul sign is the parity of a mask of
 odd-generator bits (`koszul_mask`).  A capless generator gets a wide field,
-and an exponent that outgrows it raises AlgebraError instead of vanishing.
+and an exponent that outgrows it raises AlgebraError instead of vanishing,
+unless a cap kills the monomial anyway.
 Exponent vectors go in through `AlgebraPresentation.monomial` (or `pack`) and
 come back out through `AlgebraPresentation.exponents` only where a monomial
 is handed out: `repr`, the wire format, `component_monomials` and the
@@ -220,7 +221,14 @@ class AlgebraPresentation:
         return tuple(out)
 
     def mono_degree(self, m: int) -> int:
-        return sum(e * g.degree for e, g in zip(self.exponents(m), self.generators))
+        """The degree of a packed monomial, its fields read as `exponents` reads them."""
+        d = 0
+        for (shift, _), g in zip(self.fields, self.generators):
+            e = m >> shift
+            if e:
+                d += e * g.degree
+                m ^= e << shift
+        return d
 
     def frobenius_bias(self, q: int) -> int:
         """The bias whose add sets a guard bit iff some exponent times q reaches
@@ -369,8 +377,9 @@ def mul_into(terms: dict, pres: AlgebraPresentation, left: dict, right: dict, sc
     """Add scale * left * right, the product of two term dicts of pres, into
     the normal-form dict terms in place; returns it.  A cap kills a product
     monomial, the Koszul sign is applied, and a capless exponent that
-    outgrows its field raises AlgebraError.  The one product loop: `*` is
-    this into an empty dict, and c * y is scale c times {0: 1} times y."""
+    outgrows its field raises AlgebraError unless a cap kills the monomial.
+    The one product loop: `*` is this into an empty dict, and c * y is scale
+    c times {0: 1} times y."""
     p, bias, guard, wide, odd = pres.p, pres.bias, pres.guard, pres.wide, pres.odd
     for m1, c1 in left.items():
         passed = koszul_mask(odd, m1) if m1 & odd else 0
@@ -378,7 +387,8 @@ def mul_into(terms: dict, pres: AlgebraPresentation, left: dict, right: dict, sc
         for m2, c2 in right.items():
             m = m1 + m2
             if (m + bias) & guard:
-                if m & wide:
+                # a capped field's guard bit kills m; else a capless one overflowed
+                if not (m + bias) & guard & ~wide:
                     capless_overflow()
                 continue
             c = -c1 * c2 if (passed & m2).bit_count() & 1 else c1 * c2
@@ -506,7 +516,7 @@ def frobenius(x: AlgebraElement, j: int) -> AlgebraElement:
     terms: dict = {}
     for m, c in x.terms.items():
         if (m + bias) & guard:
-            if (m + bias) & wide:
+            if not (m + bias) & guard & ~wide:
                 capless_overflow()
             continue
         # m * q scales every field and keeps monomials apart; c^q = c mod p;

@@ -28,17 +28,21 @@ generator bound or degree cap is refused with a HopfError before anything is
 built.
 
 Every map given on generators (coproduct, antipode, assignment, convolution,
-the switch of tensor copies) is one `extend`.  Milnor's coproduct is built
-from p^j-th powers, and in characteristic p such a power is termwise, so
-`extend` takes y^e by the base-p digits of e, each y^(p^j) one `frobenius`
-step from the last, instead of e products.
+the switch of tensor copies) is one `extend`.  It builds the image of a
+monomial m with one product, image(m / piece) * image(piece), from the
+memoised image of its divisor.  The piece is g^(p^j) for m's last generator
+g and the lowest non-zero base-p digit j of its exponent; Milnor's coproduct
+is built from p^j-th powers, and in characteristic p such a power is
+termwise, so image(g^(p^j)) is one `frobenius` step from image(g^(p^(j-1))).
 
 `coproduct` and `antipode` sum c * image(m) over the terms c * m of x, where
-image(m) is the `extend` of one monomial with coefficient 1, computed once per
-presentation: `HopfPresentation._images` holds it under (map, m) for as long
-as the presentation lives, and the law defects read the same entries for the
-monomials of mu(x).  No Hopf law is assumed: every entry is an `extend` of
-the generator maps, so each defect is still computed from them alone.  The
+image(m) is built once per presentation: `HopfPresentation._images` is the
+memo of their `extend`s, under (map, m) for as long as the presentation
+lives, and the law defects read the same entries for the monomials of
+mu(x).  A map of one monomial with coefficient 1 hands out its entry's own
+terms.  Assignments, convolution and `switch` keep a memo for one call.  No
+Hopf law is assumed: every entry is a product of the generator maps'
+images, so each defect is still computed from them alone.  The
 defects sum without building a product or a term stream: each c * S(m1) * m2
 and c * m1 * S(m2) is one `mul_into`, and each mu(m1) (x) m2 and m1 (x) mu(m2)
 one `join`, into the defect's dict; `coproduct`, `antipode` and `extend` add
@@ -97,7 +101,8 @@ class HopfPresentation:
     algebra: AlgebraPresentation
     label: str
     # (`_coproduct` or `_antipode`, packed monomial) -> that map's image of
-    # the monomial, filled by `_image`; it lives as long as the presentation
+    # the monomial, filled by `extend` for each monomial it builds, pieces
+    # and divisors too; it lives as long as the presentation
     _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def gen_names(self) -> list[str]:
@@ -143,7 +148,7 @@ class HopfPresentation:
             terms += 2**n if is_tau else 2 ** (n - 1)
         return terms * ((self.algebra.width + 63) // 64)
 
-    @property
+    @functools.cached_property
     def degree_cap(self) -> int:
         # D, relaxed so that every generator itself is admissible (the top
         # exterior generator outweighs D = 2(p^N - 1) by one); `quotient`'s
@@ -305,18 +310,21 @@ def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
 def _image(hp: HopfPresentation, f: Callable, m: int) -> AlgebraElement:
     """f(hp, m) for the packed monomial m of hp, f `_coproduct` or `_antipode`,
     computed once per presentation and unchecked: callers admit m first."""
-    key = f, m
-    images = hp._images
-    if key not in images:
-        images[key] = f(hp, AlgebraElement(hp.algebra, {m: 1}))
-    return images[key]
+    y = hp._images.get((f, m))
+    return f(hp, AlgebraElement(hp.algebra, {m: 1})) if y is None else y
 
 
 def _linear(hp: HopfPresentation, f: Callable, x: HopfElement) -> dict:
     """The terms of sum c * f(hp, m) over x's terms c * m; an x above the
-    degree cap or of another presentation is refused before any lookup."""
+    degree cap or of another presentation is refused before any lookup.
+    For x a monomial with coefficient 1 they are its image's own terms, not
+    a copy: no caller changes a term dict it is handed."""
     _admit(hp, x)
     _check_pres(hp.algebra, x)
+    if len(x.terms) == 1:
+        ((m, c),) = x.terms.items()
+        if c == 1:
+            return _image(hp, f, m).terms
     terms: dict = {}
     for m, c in x.terms.items():
         _add_multiple(terms, c, _image(hp, f, m))
@@ -340,37 +348,73 @@ def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
 
 def _coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
     square = hp.algebra.power(2)
-    return extend(hp.algebra, x, functools.partial(coproduct_gen, hp), TensorElement(square, square.one().terms))
+    one = TensorElement(square, square.one().terms)
+    return extend(hp.algebra, x, functools.partial(coproduct_gen, hp), one, hp._images, _coproduct)
 
 
-def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement) -> AlgebraElement:
+def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement,
+           memo: Optional[dict] = None, tag=None) -> AlgebraElement:
     """The algebra map given on the generator names of alg by image, at x.
 
-    Each term c * g1^e1 ... gn^en of x goes to c * image(g1)^e1 ... image(gn)^en,
-    multiplied out from one in generator order; all are summed in one dict.
-    A power y^e is taken by the base-p digits of e = sum_j d_j p^j, as the
-    product of the frobenius(y, j)^(d_j): every presentation here, the
-    tensor square too, is graded-commutative of characteristic p with odd
-    elements squaring to zero, so y^(p^j) is frobenius(y, j).  The next
-    digit's power is frobenius(y^(p^j), 1), so a power below p takes none.
+    Each term c * m of x goes to c * image(m), all summed in one dict, where
+    image(m) is the product image(g1)^e1 ... image(gn)^en for
+    m = g1^e1 ... gn^en, from one.  memo holds image(m) under (tag, m) for
+    every monomial m built so far; a new dict serves one call when it is
+    None.  An image not in memo is built from its divisors by
+    `_build_image`, with one product for each divisor not in memo either.
     """
     _check_pres(alg, x)
-    p = one.pres.p
+    memo = {} if memo is None else memo
     terms: dict = {}
-    for mono, c in x.terms.items():
-        out = one
-        for g, e in zip(alg.generators, alg.exponents(mono)):
-            if e:
-                y = image(g.name)
-                while True:
-                    e, d = divmod(e, p)
-                    for _ in range(d):
-                        out = out * y
-                    if not e:
-                        break
-                    y = frobenius(y, 1)
-        _add_multiple(terms, c, out)
+    for m, c in x.terms.items():
+        y = memo.get((tag, m))
+        _add_multiple(terms, c, _build_image(alg, m, image, one, memo, tag) if y is None else y)
     return type(one)(one.pres, terms)
+
+
+def _build_image(alg: AlgebraPresentation, m: int, image, one: AlgebraElement, memo: dict, tag) -> AlgebraElement:
+    """image(m) for a packed monomial m of alg, put into memo with every
+    image built on the way, each under (tag, monomial); image(1) is one.
+
+    Let g be m's last generator, in generator order, with an exponent e != 0,
+    and p^j the lowest power in e's base-p digits: m's piece is g^(p^j), and
+    image(m) = image(m / piece) * image(piece).  No sign: g is m's last
+    factor, so m is m / piece times the piece, in that order.  A piece's
+    image is frobenius(image(g^(p^(j-1))), 1), and one * image(g.name) at
+    j = 0, which refuses a value of another presentation: every presentation
+    here, the tensor square too, is graded-commutative of characteristic p
+    with odd elements squaring to zero, so y^p is frobenius(y, 1).  Both walks
+    are loops down to the first image in memo (or to 1), so a monomial of
+    more pieces than the recursion limit is built too.
+    """
+    if not m:
+        memo[tag, 0] = one
+        return one
+    p, steps = alg.p, []
+    while m and (tag, m) not in memo:
+        for g, (shift, mask) in zip(reversed(alg.generators), reversed(alg.fields)):
+            e = m >> shift & mask
+            if e:
+                break
+        q = e & -e if p == 2 else 1  # at p = 2 the lowest digit at once
+        while e % (q * p) == 0:
+            q *= p
+        steps.append((m, g.name, shift, q))
+        m -= q << shift
+    y = memo[tag, m] if m else None
+    for m, name, shift, q in reversed(steps):
+        k = q  # image(g^q), up from the highest g^k in memo, or from image(g)
+        while k > 1 and (tag, k << shift) not in memo:
+            k //= p
+        z = memo.get((tag, k << shift))
+        if z is None:
+            z = memo[tag, 1 << shift] = one * image(name)
+        while k < q:
+            k *= p
+            z = memo[tag, k << shift] = frobenius(z, 1)
+        y = z if y is None else y * z
+        memo[tag, m] = y
+    return y
 
 
 @functools.lru_cache(maxsize=128)
@@ -402,7 +446,7 @@ def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
 
 
 def _antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
-    return extend(hp.algebra, x, functools.partial(antipode_gen, hp), hp.algebra.one())
+    return extend(hp.algebra, x, functools.partial(antipode_gen, hp), hp.algebra.one(), hp._images, _antipode)
 
 
 def counit(x: HopfElement) -> int:
@@ -560,10 +604,10 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
     hp, alg = phi.hopf, phi.hopf.algebra
     square = alg.power(2)
     image = _on_copies(square, lambda j, n: (psi, phi)[j].value(n))
-    values = {}
+    values, memo = {}, {}
     for g in alg.generators:
         mu = coproduct(hp, alg.gen(g.name))
-        v = extend(square, mu, image, phi.target.one())
+        v = extend(square, mu, image, phi.target.one(), memo)
         if not v.is_zero():
             values[g.name] = v
     return GeneratorAssignment(hp, phi.target, values)

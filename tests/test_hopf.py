@@ -1,11 +1,12 @@
 import hashlib
 import random
 import re
+import sys
 from contextlib import nullcontext
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steenrodgroup import hopf
@@ -1011,11 +1012,98 @@ def test_memoised_maps_match_the_references_cold_and_warm(make, top):
     for m, c in terms.items():
         mu, iota = mu + want[m][0].scale(c), iota + want[m][1].scale(c)
     assert coproduct(hp, x) == mu and antipode(hp, x) == iota
+    # a map of a monomial hands out its memoised image's own terms; the
+    # additive operations, switch and the defects act on them
+    for m in monos:
+        x = AlgebraElement(alg, {m: 1})
+        mu, iota = coproduct(hp, x), antipode(hp, x)
+        assert mu.terms is hopf._image(hp, hopf._coproduct, m).terms
+        assert iota.terms is hopf._image(hp, hopf._antipode, m).terms
+        for y in (mu, iota):
+            assert (y - y).is_zero() and y + y == y.scale(2) and (-y).scale(-1) == y
+        assert switch(switch(mu)) == mu
+        coassociativity_defect(hp, x), counit_defect(hp, x), antipode_defect(hp, x)
     # no caller changed an image it was handed
     fresh = make()
     assert fresh == hp and not fresh._images
     for (f, m), image in hp._images.items():
         assert image == f(fresh, AlgebraElement(fresh.algebra, {m: 1}))
+
+
+# -- images built from their memoised divisors ----------------------------------
+
+IMAGE_PRESETS = {
+    "A_dual": lambda p: dual_steenrod(p, N=2, D=6 * p**2),
+    "A_angle(1)": lambda p: level_algebra(p, 1, N=2),
+    "A_angle(2)": lambda p: level_algebra(p, 2, N=2),
+    "A_mod_J(1)": lambda p: dual_mod_J(p, 1, N=2),
+}
+
+# the most factors of a drawn monomial: the references multiply them out one
+# at a time
+FACTORS = 30
+
+
+@st.composite
+def basis_monomials(draw):
+    """A new preset, so its memo is cold, at p = 2, 3 or 5, and up to six
+    distinct basis monomials of it in drawn order.  Each exponent is drawn up
+    to its generator's cap - 1, as far as the degree cap and FACTORS allow,
+    so that powers have several non-zero base-p digits."""
+    hp = IMAGE_PRESETS[draw(st.sampled_from(sorted(IMAGE_PRESETS)))](draw(st.sampled_from([2, 3, 5])))
+    alg = hp.algebra
+    monos = []
+    for _ in range(draw(st.integers(1, 6))):
+        exps, degree, factors = [0] * alg.ngens, hp.degree_cap, FACTORS
+        for i in draw(st.permutations(range(alg.ngens))):
+            g = alg.generators[i]
+            exps[i] = draw(st.integers(0, min(g.cap - 1, degree // g.degree, factors)))
+            degree, factors = degree - exps[i] * g.degree, factors - exps[i]
+        m = alg.pack(exps)
+        if m not in monos:
+            monos.append(m)
+    return hp, monos
+
+
+def _packed(hp, *monos):
+    alg = hp.algebra
+    return hp, [alg.pack([exps.get(g.name, 0) for g in alg.generators]) for exps in monos]
+
+
+@given(basis_monomials(), st.integers(0, 10**6))
+# x1^24 = (44)_5, then x1^13 x2^6 and x1^11 x2^3 t0, which share divisors with it
+@example(_packed(dual_mod_J(5, 1, N=2), {"x1": 24}, {"x1": 13, "x2": 6}, {"t0": 1, "x1": 11, "x2": 3}), 0)
+# z1^6 z2^2 at shift 2, and x1^4 = (11)_3 at shift 1
+@example(_packed(level_algebra(2, 2, N=2), {"z1": 6, "z2": 2}, {"z1": 5}), 1)
+@example(_packed(level_algebra(3, 1, N=2), {"t0": 1, "x1": 4}, {"x1": 4}), 2)
+def test_images_built_from_divisors_match_the_factor_by_factor_products(case, seed):
+    hp, monos = case
+    alg = hp.algebra
+    one = TensorElement.of(alg.one(), alg.one())
+    want = {
+        m: (ref_extend_monomial(alg, m, lambda name: hopf.coproduct_gen(hp, name), one),
+            ref_extend_monomial(alg, m, lambda name: hopf.antipode_gen(hp, name), alg.one()))
+        for m in monos
+    }
+    for _ in range(2):  # the memo cold, then warm
+        for m in monos:
+            got = hopf._image(hp, hopf._coproduct, m), hopf._image(hp, hopf._antipode, m)
+            assert got == want[m], alg.exponents(m)
+    # an assignment's memo lives for one call, filled in the order of x's terms
+    phi = random_assignment(random.Random(seed), hp, alg)
+    x = AlgebraElement(alg, {m: 1 + i % (hp.p - 1) for i, m in enumerate(monos)})
+    assert phi.eval(x) == ref_eval(phi, x)
+
+
+def test_a_monomial_of_more_pieces_than_the_recursion_limit_is_built_by_a_loop():
+    # z1^(2^1500 - 1) has 1500 non-zero binary digits, so 1500 pieces, each
+    # one product from its divisor's image
+    hp = dual_steenrod(2, 1, 2**1600)
+    target = mk_algebra(2, [("z", 1, 2**1600)])
+    phi = GeneratorAssignment(hp, target, {"z1": target.gen("z")})
+    e = 2**1500 - 1
+    assert e.bit_count() > sys.getrecursionlimit()
+    assert phi.eval(hp.xi(1, e)) == target.gen("z", e)
 
 
 def test_equal_presentations_keep_separate_memos(monkeypatch):

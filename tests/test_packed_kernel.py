@@ -30,6 +30,7 @@ from steenrodgroup.algebra import (
 from steenrodgroup.hopf import TensorElement, dual_mod_J, dual_steenrod, milnor_quotient
 
 CAPLESS = adjoin_epsilon(mk_algebra(3, [("a", 2, None), ("t", 1, None), ("b", 4, 3)]))
+A_T = CAPLESS.gen("a", 2**31) * CAPLESS.gen("t")  # its square overflows a's field, and t's cap kills it
 EPS_FIRST = mk_algebra(3, [(EPSILON, -1, 2), ("t0", 1, 2), ("x1", 4, 9), ("t1", 5, 2)])
 
 PRESENTATIONS = {
@@ -254,6 +255,20 @@ def test_capless_overflow_raises():
     assert tuples(half * CAPLESS.gen("a", 2**31)) == {(2**32 - 1, 0, 0, 0): 1}
 
 
+def test_a_cap_kill_comes_before_a_capless_overflow():
+    # a^(2^32) outgrows a's field in each product below, but t's cap 2 (b's
+    # cap 3) kills the monomial, so the product is zero there and nothing raises
+    one = CAPLESS.one()
+    assert tuples((one + A_T) * (one + A_T)) == {(0, 0, 0, 0): 1, (2**31, 1, 0, 0): 2}
+    assert frobenius(CAPLESS.gen("a", 2**31) * CAPLESS.gen("b"), 1).is_zero()
+    assert TensorElement.of(A_T, one) * TensorElement.of(A_T, one) == TensorElement.of(CAPLESS.zero(), one)
+    # without the cap kill, both still raise
+    with pytest.raises(AlgebraError):
+        frobenius(CAPLESS.gen("a", 2**31) * CAPLESS.gen("b") + CAPLESS.gen("a", 2**31), 1)
+    with pytest.raises(AlgebraError):
+        (one + A_T) * (one + CAPLESS.gen("a", 2**31))
+
+
 # -- the multiply-accumulate kernels --------------------------------------------
 #
 # `mul_into` and `join` add into a normal-form dict in place.  The references
@@ -264,13 +279,14 @@ def test_capless_overflow_raises():
 
 def ref_mul_into(terms, x, y, scale):
     """scale * x * y added into terms.  An exponent that outgrows its capless
-    field raises, even where another factor's cap kills the product: the
-    packed product checks the fields before the caps."""
+    field raises, unless a cap kills the product monomial."""
     pres, x, y = x.pres, tuples(x), tuples(y)
-    capless = [g.cap is None for g in pres.generators]
     for m1 in x:
         for m2 in y:
-            if any(c and a + b >= 2**CAPLESS_BITS for a, b, c in zip(m1, m2, capless)):
+            merged = [a + b for a, b in zip(m1, m2)]
+            if not any(g.cap is not None and e >= g.cap for e, g in zip(merged, pres.generators)) and any(
+                g.cap is None and e >= 2**CAPLESS_BITS for e, g in zip(merged, pres.generators)
+            ):
                 raise AlgebraError("capless overflow")
     product = ref_mul(pres, x, y)
     return accumulate(dict(terms), ((pres.pack(m), scale * c) for m, c in product.items()), pres.p)
@@ -307,6 +323,8 @@ kernel_elements = st.one_of(
 @example((EPS_FIRST.gen("t1"), EPS_FIRST.gen("t0") + EPS_FIRST.gen("x1"), EPS_FIRST.gen("x1")), -1, "target")
 # a^(2^32) outgrows its field: raised at scale 0 too, as the product raises
 @example((CAPLESS.gen("a", 2**31), CAPLESS.gen("a", 2**31), CAPLESS.gen("t")), 0, "target")
+# a^(2^32) t^2 outgrows a's field, but t's cap 2 kills it: (1 + a^(2^31) t)^2
+@example((CAPLESS.one() + A_T, CAPLESS.one() + A_T, CAPLESS.gen("b")), 1, "target")
 def test_mul_into_matches_the_product_and_accumulate(xyz, scale, start):
     x, y, z = xyz
     pres = x.pres
