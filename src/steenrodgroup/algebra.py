@@ -191,11 +191,13 @@ class AlgebraPresentation:
     # -- packed monomials -----------------------------------------------------
 
     def pack(self, exponents: Iterable[int]) -> Optional[int]:
-        """The packed monomial of an exponent vector; None if a cap kills it."""
+        """The packed monomial of an exponent vector; None if a cap kills it.
+        A capless exponent that outgrows its field raises AlgebraError unless
+        a cap kills the monomial, so every cap is read first."""
         mono = tuple(exponents)
         if len(mono) != self.ngens:
             raise AlgebraError("exponent vector has wrong length")
-        m = 0
+        m, overflow = 0, False
         for e, g, (shift, mask) in zip(mono, self.generators, self.fields):
             if not e:  # no cap kills it, and OR-ing it in would copy m
                 continue
@@ -204,8 +206,11 @@ class AlgebraPresentation:
             if g.cap is not None and e >= g.cap:
                 return None
             if e > mask:
-                capless_overflow()
-            m |= e << shift
+                overflow = True
+            else:
+                m |= e << shift
+        if overflow:
+            capless_overflow()
         return m
 
     def exponents(self, m: int) -> tuple[int, ...]:

@@ -28,31 +28,32 @@ generator bound or degree cap is refused with a HopfError before anything is
 built.
 
 Every map given on generators (coproduct, antipode, assignment, convolution,
-the switch of tensor copies) is one `extend`.  It builds the image of a
-monomial m with one product, image(m / piece) * image(piece), from the
-memoised image of its divisor.  The piece is g^(p^j) for m's last generator
-g and the lowest non-zero base-p digit j of its exponent; Milnor's coproduct
-is built from p^j-th powers, and in characteristic p such a power is
-termwise, so image(g^(p^j)) is one `frobenius` step from image(g^(p^(j-1))).
+the switch of tensor copies) is one `extend` over an `Images`: a dict from
+packed monomials to their images that builds each missing image with one
+product, image(m / piece) * image(piece), from the image of its divisor.
+The piece is g^(p^j) for m's last generator g and the lowest non-zero base-p
+digit j of its exponent; Milnor's coproduct is built from p^j-th powers, and
+in characteristic p such a power is termwise, so image(g^(p^j)) is one
+`frobenius` step from image(g^(p^(j-1))).
 
-`coproduct` and `antipode` sum c * image(m) over the terms c * m of x, where
-image(m) is built once per presentation: `HopfPresentation._images` is the
-memo of their `extend`s, under (map, m) for as long as the presentation
-lives, and the law defects read the same entries for the monomials of
-mu(x).  A map of one monomial with coefficient 1 hands out its entry's own
-terms.  Assignments, convolution and `switch` keep a memo for one call.  No
-Hopf law is assumed: every entry is a product of the generator maps'
-images, so each defect is still computed from them alone.  The
-defects sum without building a product or a term stream: each c * S(m1) * m2
-and c * m1 * S(m2) is one `mul_into`, and each mu(m1) (x) m2 and m1 (x) mu(m2)
-one `join`, into the defect's dict; `coproduct`, `antipode` and `extend` add
-c * image(m) as it is at c = 1 and as the product with the scalar c else.
+`coproduct` and `antipode` admit x, then sum c * image(m) over the terms
+c * m of x, from the presentation's two `Images`, made on first use and kept
+for as long as it lives; the law defects and `check_hopf_ideal` index the
+same two for the monomials of mu(x).  A map of one monomial with
+coefficient 1 hands out the stored image itself.  Assignments, convolution
+and `switch` make an `Images` for one call.  No Hopf law is assumed: every
+image is a product of the generator maps' images, so each defect is still
+computed from them alone.  The defects sum without building a product or a
+term stream: each c * S(m1) * m2 and c * m1 * S(m2) is one `mul_into`, and
+each mu(m1) (x) m2 and m1 (x) mu(m2) one `join`, into the defect's dict;
+`extend` adds c * image(m) as it is at c = 1 and as the product with the
+scalar c else.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -100,10 +101,6 @@ class HopfPresentation:
     shift: int  # generators are the (p^shift)-th powers of the Milnor generators
     algebra: AlgebraPresentation
     label: str
-    # (`_coproduct` or `_antipode`, packed monomial) -> that map's image of
-    # the monomial, filled by `extend` for each monomial it builds, pieces
-    # and divisors too; it lives as long as the presentation
-    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def gen_names(self) -> list[str]:
         return [g.name for g in self.algebra.generators]
@@ -154,6 +151,18 @@ class HopfPresentation:
         # exterior generator outweighs D = 2(p^N - 1) by one); `quotient`'s
         # synthetic caps keep every monomial up to it
         return max([self.D] + [g.degree for g in self.algebra.generators])
+
+    # packed monomial -> its coproduct, and its antipode: made on first use
+    # and kept as long as the presentation; a miss reads the generator map
+    # `coproduct_gen` or `antipode_gen` of the module when it happens
+    @functools.cached_property
+    def _coproducts(self) -> "Images":
+        one = self.algebra.one()
+        return Images(self.algebra, lambda name: coproduct_gen(self, name), TensorElement.of(one, one))
+
+    @functools.cached_property
+    def _antipodes(self) -> "Images":
+        return Images(self.algebra, lambda name: antipode_gen(self, name), self.algebra.one())
 
 
 def default_degree_cap(p: int, N: int = 4) -> int:
@@ -275,7 +284,7 @@ def switch(t: TensorElement) -> TensorElement:
     """x(x)y -> (-1)^(|x||y|) y(x)x: the algebra map that swaps the copies, signed by the product."""
     square, base = t.pres, t.pres.factor
     image = _on_copies(square, lambda j, n: square.inject(base.gen(n), 1 - j))
-    return extend(square, t, image, TensorElement.of(base.one(), base.one()))
+    return extend(Images(square, image, TensorElement.of(base.one(), base.one())), t)
 
 
 # -- structure maps ------------------------------------------------------------
@@ -307,74 +316,10 @@ def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
         raise HopfError("element of another presentation")
 
 
-def _image(hp: HopfPresentation, f: Callable, m: int) -> AlgebraElement:
-    """f(hp, m) for the packed monomial m of hp, f `_coproduct` or `_antipode`,
-    computed once per presentation and unchecked: callers admit m first."""
-    y = hp._images.get((f, m))
-    return f(hp, AlgebraElement(hp.algebra, {m: 1})) if y is None else y
-
-
-def _linear(hp: HopfPresentation, f: Callable, x: HopfElement) -> dict:
-    """The terms of sum c * f(hp, m) over x's terms c * m; an x above the
-    degree cap or of another presentation is refused before any lookup.
-    For x a monomial with coefficient 1 they are its image's own terms, not
-    a copy: no caller changes a term dict it is handed."""
-    _admit(hp, x)
-    _check_pres(hp.algebra, x)
-    if len(x.terms) == 1:
-        ((m, c),) = x.terms.items()
-        if c == 1:
-            return _image(hp, f, m).terms
-    terms: dict = {}
-    for m, c in x.terms.items():
-        _add_multiple(terms, c, _image(hp, f, m))
-    return terms
-
-
-def _add_multiple(terms: dict, c: int, y: AlgebraElement) -> None:
-    """Add c * y into the normal-form dict terms: y's terms as they are at
-    c = 1, else the product of the scalar c with y."""
-    if c == 1:
-        accumulate(terms, y.terms.items(), y.pres.p)
-    else:
-        mul_into(terms, y.pres, {0: 1}, y.terms, c)
-
-
-def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
-    """Multiplicative extension of the generator coproducts, summed from the
-    images of x's monomials."""
-    return TensorElement(hp.algebra.power(2), _linear(hp, _coproduct, x))
-
-
-def _coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
-    square = hp.algebra.power(2)
-    one = TensorElement(square, square.one().terms)
-    return extend(hp.algebra, x, functools.partial(coproduct_gen, hp), one, hp._images, _coproduct)
-
-
-def extend(alg: AlgebraPresentation, x: AlgebraElement, image, one: AlgebraElement,
-           memo: Optional[dict] = None, tag=None) -> AlgebraElement:
-    """The algebra map given on the generator names of alg by image, at x.
-
-    Each term c * m of x goes to c * image(m), all summed in one dict, where
-    image(m) is the product image(g1)^e1 ... image(gn)^en for
-    m = g1^e1 ... gn^en, from one.  memo holds image(m) under (tag, m) for
-    every monomial m built so far; a new dict serves one call when it is
-    None.  An image not in memo is built from its divisors by
-    `_build_image`, with one product for each divisor not in memo either.
-    """
-    _check_pres(alg, x)
-    memo = {} if memo is None else memo
-    terms: dict = {}
-    for m, c in x.terms.items():
-        y = memo.get((tag, m))
-        _add_multiple(terms, c, _build_image(alg, m, image, one, memo, tag) if y is None else y)
-    return type(one)(one.pres, terms)
-
-
-def _build_image(alg: AlgebraPresentation, m: int, image, one: AlgebraElement, memo: dict, tag) -> AlgebraElement:
-    """image(m) for a packed monomial m of alg, put into memo with every
-    image built on the way, each under (tag, monomial); image(1) is one.
+class Images(dict):
+    """Packed monomial of alg -> its image under the algebra map given on the
+    generator names of alg by image; image(1) is one.  A missing image is
+    built, and stored with every image built on the way.
 
     Let g be m's last generator, in generator order, with an exponent e != 0,
     and p^j the lowest power in e's base-p digits: m's piece is g^(p^j), and
@@ -384,37 +329,70 @@ def _build_image(alg: AlgebraPresentation, m: int, image, one: AlgebraElement, m
     j = 0, which refuses a value of another presentation: every presentation
     here, the tensor square too, is graded-commutative of characteristic p
     with odd elements squaring to zero, so y^p is frobenius(y, 1).  Both walks
-    are loops down to the first image in memo (or to 1), so a monomial of
-    more pieces than the recursion limit is built too.
+    are loops down to the first stored image (or to 1), so a monomial of more
+    pieces than the recursion limit is built too.
     """
-    if not m:
-        memo[tag, 0] = one
-        return one
-    p, steps = alg.p, []
-    while m and (tag, m) not in memo:
-        for g, (shift, mask) in zip(reversed(alg.generators), reversed(alg.fields)):
-            e = m >> shift & mask
-            if e:
-                break
-        q = e & -e if p == 2 else 1  # at p = 2 the lowest digit at once
-        while e % (q * p) == 0:
-            q *= p
-        steps.append((m, g.name, shift, q))
-        m -= q << shift
-    y = memo[tag, m] if m else None
-    for m, name, shift, q in reversed(steps):
-        k = q  # image(g^q), up from the highest g^k in memo, or from image(g)
-        while k > 1 and (tag, k << shift) not in memo:
-            k //= p
-        z = memo.get((tag, k << shift))
-        if z is None:
-            z = memo[tag, 1 << shift] = one * image(name)
-        while k < q:
-            k *= p
-            z = memo[tag, k << shift] = frobenius(z, 1)
-        y = z if y is None else y * z
-        memo[tag, m] = y
-    return y
+
+    def __init__(self, alg: AlgebraPresentation, image: Callable, one: AlgebraElement):
+        super().__init__({0: one})
+        self.alg, self.image, self.one = alg, image, one
+
+    def __missing__(self, m: int) -> AlgebraElement:
+        p, steps = self.alg.p, []
+        while m and m not in self:
+            for g, (shift, mask) in zip(reversed(self.alg.generators), reversed(self.alg.fields)):
+                e = m >> shift & mask
+                if e:
+                    break
+            q = e & -e if p == 2 else 1  # at p = 2 the lowest digit at once
+            while e % (q * p) == 0:
+                q *= p
+            steps.append((m, g.name, shift, q))
+            m -= q << shift
+        y = self[m] if m else None
+        for m, name, shift, q in reversed(steps):
+            k = q  # image(g^q), up from the highest stored g^k, or from image(g)
+            while k > 1 and (k << shift) not in self:
+                k //= p
+            z = self.get(k << shift)
+            if z is None:
+                z = self[1 << shift] = self.one * self.image(name)
+            while k < q:
+                k *= p
+                z = self[k << shift] = frobenius(z, 1)
+            y = z if y is None else y * z
+            self[m] = y
+        return y
+
+
+def extend(images: Images, x: AlgebraElement) -> AlgebraElement:
+    """The algebra map of images at x: each term c * m of x goes to
+    c * images[m], all summed in one dict, as it is at c = 1 and as the
+    product with the scalar c else.  An x of another presentation than
+    images.alg is refused before any lookup.  For x a monomial with
+    coefficient 1 the stored image itself is handed out, not a copy: no
+    caller changes an element it is handed."""
+    _check_pres(images.alg, x)
+    if len(x.terms) == 1:
+        ((m, c),) = x.terms.items()
+        if c == 1:
+            return images[m]
+    pres = images.one.pres
+    terms: dict = {}
+    for m, c in x.terms.items():
+        y = images[m].terms
+        if c == 1:
+            accumulate(terms, y.items(), pres.p)
+        else:
+            mul_into(terms, pres, {0: 1}, y, c)
+    return type(images.one)(pres, terms)
+
+
+def coproduct(hp: HopfPresentation, x: HopfElement) -> TensorElement:
+    """Multiplicative extension of the generator coproducts, summed from the
+    images of x's monomials."""
+    _admit(hp, x)
+    return extend(hp._coproducts, x)
 
 
 @functools.lru_cache(maxsize=128)
@@ -442,11 +420,8 @@ def antipode_gen(hp: HopfPresentation, name: str) -> AlgebraElement:
 def antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
     """Multiplicative extension, summed from the images of x's monomials;
     legitimate because the algebra is graded-commutative."""
-    return AlgebraElement(hp.algebra, _linear(hp, _antipode, x))
-
-
-def _antipode(hp: HopfPresentation, x: HopfElement) -> HopfElement:
-    return extend(hp.algebra, x, functools.partial(antipode_gen, hp), hp.algebra.one(), hp._images, _antipode)
+    _admit(hp, x)
+    return extend(hp._antipodes, x)
 
 
 def counit(x: HopfElement) -> int:
@@ -461,10 +436,10 @@ def coassociativity_defect(hp: HopfPresentation, x: HopfElement) -> dict:
     alg = hp.algebra
     cube = alg.power(3)
     mu = coproduct(hp, x)  # no monomial of mu outweighs x
-    terms: dict = {}
+    coproducts, terms = hp._coproducts, {}
     for (m1, m2), c in mu.pairs():
-        cube.join(terms, _image(hp, _coproduct, m1).terms, {m2: c})
-        cube.join(terms, {m1: -c}, _image(hp, _coproduct, m2).terms, 2)
+        cube.join(terms, coproducts[m1].terms, {m2: c})
+        cube.join(terms, {m1: -c}, coproducts[m2].terms, 2)
     return terms
 
 
@@ -481,10 +456,10 @@ def antipode_defect(hp: HopfPresentation, x: HopfElement) -> tuple[AlgebraElemen
     """(m(iota (x) id) mu(x) - counit(x) 1,  m(id (x) iota) mu(x) - counit(x) 1)."""
     alg = hp.algebra
     mu = coproduct(hp, x)  # no monomial of mu outweighs x
-    left, right = {}, {}
+    antipodes, left, right = hp._antipodes, {}, {}
     for (m1, m2), c in mu.pairs():
-        mul_into(left, alg, _image(hp, _antipode, m1).terms, {m2: 1}, c)
-        mul_into(right, alg, {m1: 1}, _image(hp, _antipode, m2).terms, c)
+        mul_into(left, alg, antipodes[m1].terms, {m2: 1}, c)
+        mul_into(right, alg, {m1: 1}, antipodes[m2].terms, c)
     target = alg.scalar(counit(x))
     return AlgebraElement(alg, left) - target, AlgebraElement(alg, right) - target
 
@@ -556,10 +531,10 @@ def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d:
             continue
         if m == 0:  # the monomial 1, the only one of non-zero counit
             return False, (alg.exponents(m), "counit")
-        for (m1, m2), c in _image(hp, _coproduct, m).pairs():
+        for (m1, m2), c in hp._coproducts[m].pairs():
             if not in_ideal(m1) and not in_ideal(m2):
                 return False, (alg.exponents(m), "coproduct", (alg.exponents(m1), alg.exponents(m2), c))
-        for t in _image(hp, _antipode, m).terms:
+        for t in hp._antipodes[m].terms:
             if not in_ideal(t):
                 return False, (alg.exponents(m), "antipode", alg.exponents(t))
     return True, None
@@ -592,7 +567,7 @@ class GeneratorAssignment:
         return self.values.get(name, self.target.zero())
 
     def eval(self, x: HopfElement) -> AlgebraElement:
-        return extend(self.hopf.algebra, x, self.value, self.target.one())
+        return extend(Images(self.hopf.algebra, self.value, self.target.one()), x)
 
 
 def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> GeneratorAssignment:
@@ -603,11 +578,10 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
         raise HopfError("convolution needs matching presentations")
     hp, alg = phi.hopf, phi.hopf.algebra
     square = alg.power(2)
-    image = _on_copies(square, lambda j, n: (psi, phi)[j].value(n))
-    values, memo = {}, {}
+    images = Images(square, _on_copies(square, lambda j, n: (psi, phi)[j].value(n)), phi.target.one())
+    values = {}
     for g in alg.generators:
-        mu = coproduct(hp, alg.gen(g.name))
-        v = extend(square, mu, image, phi.target.one(), memo)
+        v = extend(images, coproduct(hp, alg.gen(g.name)))
         if not v.is_zero():
             values[g.name] = v
     return GeneratorAssignment(hp, phi.target, values)

@@ -262,7 +262,12 @@ def test_a_cap_kill_comes_before_a_capless_overflow():
     assert tuples((one + A_T) * (one + A_T)) == {(0, 0, 0, 0): 1, (2**31, 1, 0, 0): 2}
     assert frobenius(CAPLESS.gen("a", 2**31) * CAPLESS.gen("b"), 1).is_zero()
     assert TensorElement.of(A_T, one) * TensorElement.of(A_T, one) == TensorElement.of(CAPLESS.zero(), one)
-    # without the cap kill, both still raise
+    # a^(2^32) b^3 packs to nothing, b's field read after a's overflowed
+    assert CAPLESS.pack((2**32, 0, 3, 0)) is None
+    assert CAPLESS.monomial((2**32, 0, 3, 0)).is_zero()
+    # without the cap kill, all still raise
+    with pytest.raises(AlgebraError):
+        CAPLESS.pack((2**32, 0, 0, 0))
     with pytest.raises(AlgebraError):
         frobenius(CAPLESS.gen("a", 2**31) * CAPLESS.gen("b") + CAPLESS.gen("a", 2**31), 1)
     with pytest.raises(AlgebraError):
