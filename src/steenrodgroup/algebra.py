@@ -28,8 +28,10 @@ Exponent vectors go in through `AlgebraPresentation.monomial` (or `pack`) and
 come back out through `AlgebraPresentation.exponents` only where a monomial
 is handed out: `repr`, the wire format, `component_monomials` and the
 boundaries of `hopf` and `milnor`.  The wire format keeps what it packs and
-unpacks in two memos of the presentation, `wire_packs` and `wire_exponents`;
-`pack` and `exponents` themselves keep nothing.  `component(a, d)` is the
+unpacks in two `Memo`s of the presentation, `wire_packs` and `wire_exponents`;
+`pack` and `exponents` themselves keep nothing.  Every memo that lives as
+long as an object is a `Memo`, which keeps at most MEMO_LIMIT entries and
+builds again what it could not keep.  `component(a, d)` is the
 packed basis of a graded component, in the order of the exponent vectors, so
 every reader of a basis takes packed monomials from here and none packs one
 itself.  Its walk takes the generators of degree <= 0 first and then the
@@ -57,6 +59,7 @@ CAPLESS_BITS = 32  # value bits of a capless generator's field
 # the largest p admitted: `is_prime` divides by every d up to sqrt(p), about
 # 6 ms at this bound (2 vCPUs, Python 3.11), and 0.12 s already at 10^12
 MAX_PRIME = 2**31 - 1
+MEMO_LIMIT = 1 << 12  # the most entries a `Memo` keeps, read whenever it builds
 
 
 class SteenrodError(Exception):
@@ -70,6 +73,25 @@ class AlgebraError(SteenrodError):
 
 class EnumerationError(AlgebraError):
     """Raised when a graded component cannot be enumerated finitely."""
+
+
+class Memo(dict):
+    """A dict that builds a missing value as build(key).  `keep` stores a value
+    only while the memo holds fewer than MEMO_LIMIT entries, so a long-lived
+    process that meets ever new keys holds a bounded memo; items are kept
+    from the start.  A hit is the plain dict lookup: only a miss runs Python code."""
+
+    def __init__(self, build, items=()):
+        super().__init__(items)
+        self.build = build
+
+    def __missing__(self, key):
+        return self.keep(key, self.build(key))
+
+    def keep(self, key, value):
+        if len(self) < MEMO_LIMIT:
+            self[key] = value
+        return value
 
 
 def capless_overflow():
@@ -120,7 +142,7 @@ class AlgebraPresentation:
     # bit width of a monomial; the hash of (p, generators), which `__eq__`
     # compares, taken once, as every lru_cache lookup keyed on a
     # presentation hashes it; the factor and copies of a `power` (self and 1 if
-    # none); the wire format's memos, which only `serialize` fills
+    # none); the wire format's `Memo`s, which only `serialize` reads
     fields: tuple = _layout()
     bias: int = _layout()
     guard: int = _layout()
@@ -129,12 +151,12 @@ class AlgebraPresentation:
     eps: int = _layout()
     width: int = _layout()
     _hash: int = _layout()
-    _frobenius_bias: dict = _layout()  # q -> bias for exponents times q
+    _frobenius_bias: Memo = _layout()  # q -> bias for exponents times q
     factor: "AlgebraPresentation" = _layout()
     copies: int = _layout()
-    _powers: dict = _layout()  # c -> the c-th tensor power, once built (1 -> self)
-    wire_packs: dict = _layout()  # exponent tuple of exact ints -> pack(tuple)
-    wire_exponents: dict = _layout()  # packed monomial -> exponents(m)
+    _powers: Memo = _layout()  # c -> the c-th tensor power (1 -> self)
+    wire_packs: Memo = _layout()  # exponent tuple of exact ints -> pack(tuple)
+    wire_exponents: Memo = _layout()  # packed monomial -> exponents(m)
 
     def __post_init__(self):
         check_prime(self.p)
@@ -159,8 +181,8 @@ class AlgebraPresentation:
                 eps = ((1 << width) - 1) << shift
             fields.insert(0, (shift, (1 << width) - 1))
             shift += width + 1
-        layout = (tuple(fields), guard, wide, odd, eps, shift, hash((self.p, self.generators)), {}, self, 1,
-                  {1: self}, {}, {})
+        layout = (tuple(fields), guard, wide, odd, eps, shift, hash((self.p, self.generators)),
+                  Memo(self._bias), self, 1, Memo(self._power, {1: self}), Memo(self.pack), Memo(self.exponents))
         names = ("fields", "guard", "wide", "odd", "eps", "width", "_hash", "_frobenius_bias", "factor", "copies",
                  "_powers", "wire_packs", "wire_exponents")
         for name, value in zip(names, layout):
@@ -238,15 +260,16 @@ class AlgebraPresentation:
     def frobenius_bias(self, q: int) -> int:
         """The bias whose add sets a guard bit iff some exponent times q reaches
         its cap (2^CAPLESS_BITS for a capless generator)."""
-        if q not in self._frobenius_bias:
-            # per field: mask + 1 - ceil(cap / q) below a 0 guard bit, as the
-            # binary digits of the fields, top field first, read into one int
-            # at once: linear in the width, where a sum of shifted fields is not
-            self._frobenius_bias[q] = int("0" + "".join(
-                format(mask + 1 + -(g.cap or mask + 1) // q, f"0{mask.bit_length() + 1}b")
-                for g, (_, mask) in zip(self.generators, self.fields)
-            ), 2)
         return self._frobenius_bias[q]
+
+    def _bias(self, q: int) -> int:
+        # per field: mask + 1 - ceil(cap / q) below a 0 guard bit, as the
+        # binary digits of the fields, top field first, read into one int
+        # at once: linear in the width, where a sum of shifted fields is not
+        return int("0" + "".join(
+            format(mask + 1 + -(g.cap or mask + 1) // q, f"0{mask.bit_length() + 1}b")
+            for g, (_, mask) in zip(self.generators, self.fields)
+        ), 2)
 
     def divides(self, d: int, m: int) -> bool:
         """Whether d divides m: no field of m | guard borrows when d is subtracted."""
@@ -255,16 +278,18 @@ class AlgebraPresentation:
     # -- tensor powers --------------------------------------------------------
 
     def power(self, c: int) -> "AlgebraPresentation":
-        """A (x) ... (x) A with c factors, built once per c (power(1) is A):
+        """A (x) ... (x) A with c factors, kept once built (power(1) is A):
         copy j of each generator is named with j primes and takes the fields
         below copy j - 1.  Each copy keeps A's caps; the Koszul sign is the
         tensor sign, as a2 moves left past b1 in (a1 (x) b1)(a2 (x) b2)."""
-        if c not in self._powers:
-            gens = tuple(Generator(g.name + "'" * j, g.degree, g.cap) for j in range(c) for g in self.generators)
-            power = self._powers[c] = AlgebraPresentation(self.p, gens)
-            object.__setattr__(power, "factor", self)
-            object.__setattr__(power, "copies", c)
         return self._powers[c]
+
+    def _power(self, c: int) -> "AlgebraPresentation":
+        gens = tuple(Generator(g.name + "'" * j, g.degree, g.cap) for j in range(c) for g in self.generators)
+        power = AlgebraPresentation(self.p, gens)
+        object.__setattr__(power, "factor", self)
+        object.__setattr__(power, "copies", c)
+        return power
 
     def join(self, terms: dict, left: dict, right: dict, j: int = 1) -> dict:
         """Add c1 * c2 l (x) r for c1 l in left and c2 r in right, r over the

@@ -60,8 +60,8 @@ USAGE_ERROR = 2
 # hopf's generator bound N (n for A and A_ev): the antipode of xi_N alone
 # has 2^(N-1) terms, so no STEENROD_LIMIT a machine can meet admits more
 MAX_N = 64
-# verify's samples per suite, 200 times the default: about 17 s at p = 2,
-# k = 4 (2 vCPUs, Python 3.11)
+# verify's samples per suite, 200 times the default: at k = 4 it took 18 s
+# at p = 2 and 36-48 s at p = 3 (2 vCPUs, shared, Python 3.11)
 MAX_SAMPLES = 10_000
 
 

@@ -22,10 +22,10 @@ only for the pairs whose two factors are both non-zero, and [a, b] is
 partition-sum inverses make one walk of the composition tree: the child
 nu + (m) of a composition nu of n carries nu's product times alpha_m^(p^n),
 so each product costs one multiply, and a zero product cuts its subtree.
-Each Frobenius power is taken at most once per call, and a truncation k above
-`partitions.DEFAULT_MAX_N` is refused before any product.  `invert_split`
-carries the pair of a composition's even and eps terms down the tree and
-applies eps to the summed odd terms once per coefficient.
+Each Frobenius power is taken once per call (while its `algebra.Memo` has
+room), a truncation k above `partitions.DEFAULT_MAX_N` is refused before any
+product, and `invert_split` carries the pair of a composition's even and eps
+terms down the tree and applies eps to each coefficient's summed odd terms once.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraPresentation,
     EPSILON_RULE,
+    Memo,
     SteenrodError,
     accumulate,
     eps_part,
@@ -125,28 +126,16 @@ def check_head(a: GroupElement) -> GroupElement:
     return a
 
 
-class _Powers(dict):
-    """(m, s) -> coeffs[m]^(p^s), each Frobenius power taken on first use."""
-
-    def __init__(self, coeffs):
-        super().__init__()
-        self.coeffs = coeffs
-
-    def __missing__(self, key):
-        m, s = key
-        x = self[key] = frobenius(self.coeffs[m], s)
-        return x
-
-
-def _composition_sums(heads, powers: _Powers, k: int, p: int) -> list:
-    """sums[n][v] = sum_nu (-1)^l(nu) heads[nu(1)][v] prod_{j >= 2} powers[nu(j), sigma(nu)(j)]
+def _composition_sums(heads, bases, k: int, p: int) -> list:
+    """sums[n][v] = sum_nu (-1)^l(nu) heads[nu(1)][v] prod_{j >= 2} bases[nu(j)]^(p^sigma(nu)(j))
     over the compositions nu of n, as normal-form term dicts (1 <= n <= k).
 
     One walk of the composition tree: the child of nu that appends the part m
-    multiplies nu's values by powers[m, |nu|]; a zero factor or a node whose
-    values are all zero cuts the subtree below."""
+    multiplies nu's values by bases[m]^(p^|nu|), kept in a `Memo`; a zero
+    factor or a node whose values are all zero cuts the subtree below."""
     if k > DEFAULT_MAX_N:
         raise PartitionError(f"truncation k = {k} above the composition cap {DEFAULT_MAX_N}")
+    powers = Memo(lambda key: frobenius(bases[key[0]], key[1]))
     sums = [tuple({} for _ in heads[0]) for _ in range(k + 1)]
 
     def walk(n, values, sign):
@@ -228,7 +217,7 @@ def invert_closed(a: GroupElement) -> GroupElement:
     over the compositions nu of i."""
     check_head(a)
     alg, p = a.algebra, a.p
-    sums = _composition_sums([(c,) for c in a.coeffs], _Powers(a.coeffs), a.k, p)
+    sums = _composition_sums([(c,) for c in a.coeffs], a.coeffs, a.k, p)
     inv0 = alg.scalar(2) - a.coeffs[0]
     drop = a.level == 1
     betas = [inv0]
@@ -255,7 +244,7 @@ def invert_split(a: GroupElement) -> GroupElement:
     alg, p = a.algebra, a.p
     even = [eps_reduce(c) for c in a.coeffs]
     odd = [eps_part(c) for c in a.coeffs]
-    sums = _composition_sums(list(zip(even, odd)), _Powers(even), a.k, p)
+    sums = _composition_sums(list(zip(even, odd)), even, a.k, p)
     inv0 = alg.one() - times_eps(odd[0])  # (1 - alpha_{10} eps)
     betas = [inv0]
     for terms, odd_terms in sums[1:]:

@@ -28,7 +28,7 @@ generator bound or degree cap is refused with a HopfError before anything is
 built.
 
 Every map given on generators (coproduct, antipode, assignment, convolution,
-the switch of tensor copies) is one `extend` over an `Images`: a dict from
+the switch of tensor copies) is one `extend` over an `Images`: a `Memo` from
 packed monomials to their images that builds each missing image with one
 product, image(m / piece) * image(piece), from the image of its divisor.
 The piece is g^(p^j) for m's last generator g and the lowest non-zero base-p
@@ -61,6 +61,7 @@ from .algebra import (
     AlgebraPresentation,
     EnumerationError,
     Generator,
+    Memo,
     SteenrodError,
     accumulate,
     adjoin_epsilon,
@@ -316,10 +317,10 @@ def _check_pres(alg: AlgebraPresentation, x: AlgebraElement) -> None:
         raise HopfError("element of another presentation")
 
 
-class Images(dict):
+class Images(Memo):
     """Packed monomial of alg -> its image under the algebra map given on the
     generator names of alg by image; image(1) is one.  A missing image is
-    built, and stored with every image built on the way.
+    built, and `keep` stores it with every divisor and piece built on the way.
 
     Let g be m's last generator, in generator order, with an exponent e != 0,
     and p^j the lowest power in e's base-p digits: m's piece is g^(p^j), and
@@ -334,8 +335,8 @@ class Images(dict):
     """
 
     def __init__(self, alg: AlgebraPresentation, image: Callable, one: AlgebraElement):
-        super().__init__({0: one})
-        self.alg, self.image, self.one = alg, image, one
+        super().__init__(image, {0: one})  # build is the map on generator names
+        self.alg, self.one = alg, one
 
     def __missing__(self, m: int) -> AlgebraElement:
         p, steps = self.alg.p, []
@@ -356,12 +357,11 @@ class Images(dict):
                 k //= p
             z = self.get(k << shift)
             if z is None:
-                z = self[1 << shift] = self.one * self.image(name)
+                z = self.keep(1 << shift, self.one * self.build(name))
             while k < q:
                 k *= p
-                z = self[k << shift] = frobenius(z, 1)
-            y = z if y is None else y * z
-            self[m] = y
+                z = self.keep(k << shift, frobenius(z, 1))
+            y = self.keep(m, z if y is None else y * z)
         return y
 
 

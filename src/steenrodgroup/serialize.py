@@ -17,14 +17,15 @@ Its flavor is at most group.MAX_LEVEL, on the way in and on the way out, so
 
 Each distinct presentation is decoded once (a bounded cache), so the elements
 of one request share one `AlgebraPresentation` object.  That object also
-holds the codec's two memos, `wire_packs` (an exponent tuple to its packed
-monomial, or None if a cap kills it) and `wire_exponents` (a packed monomial
-to its exponent tuple), so each distinct monomial is packed and unpacked once
-for as long as the presentation lives, which is while the cache keeps it or a
-caller holds it.  The reader looks a term up only after its type checks, so
-an equal vector of bools or floats is still refused; an exponent vector that
-`pack` refuses is never stored.  Each memo stops growing at WIRE_MEMO_LIMIT
-entries.
+holds the codec's two `algebra.Memo`s, `wire_packs` (an exponent tuple to
+its packed monomial, or None if a cap kills it) and `wire_exponents` (a
+packed monomial to its exponent tuple), so each distinct monomial is packed
+and unpacked once for as long as the presentation lives, which is while the
+cache keeps it or a caller holds it, and the memo has room: each stops
+growing at algebra.MEMO_LIMIT entries.  The reader looks a term up only
+after its type checks, so an equal vector of bools or floats is still
+refused; an exponent vector that `pack` refuses raises before anything is
+stored.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class SerializeError(SteenrodError):
 # quadratic in k, and a commutator of two series with two non-zero
 # coefficients each took about 1 s at k = 1000 (2 vCPUs, Python 3.11)
 MAX_WIRE_K = 1000
-# the most monomials each wire memo of one presentation keeps, so that a
-# long-lived process reading ever new vectors holds a bounded memo
-WIRE_MEMO_LIMIT = 1 << 12
-_MISS = object()
 
 
 _PRESENTATION_KEYS = frozenset(("p", "generators"))
@@ -108,17 +105,8 @@ def presentation_from_obj(obj: dict) -> AlgebraPresentation:
 
 
 def element_to_obj(x: AlgebraElement) -> list:
-    pres = x.pres
-    memo = pres.wire_exponents
-    out = []
-    for m, c in sorted(x.terms.items()):
-        exponents = memo.get(m)
-        if exponents is None:
-            exponents = pres.exponents(m)
-            if len(memo) < WIRE_MEMO_LIMIT:
-                memo[m] = exponents
-        out.append({"coeff": c, "exponents": list(exponents)})
-    return out
+    memo = x.pres.wire_exponents
+    return [{"coeff": c, "exponents": list(memo[m])} for m, c in sorted(x.terms.items())]
 
 
 def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
@@ -131,12 +119,7 @@ def element_from_obj(pres: AlgebraPresentation, obj) -> AlgebraElement:
             exponents, coeff = term["exponents"], _int(term["coeff"], "coeff")
             if not set(map(type, exponents)) <= {int}:
                 raise SerializeError(f"exponents must be integers, not {exponents!r}")
-            key = tuple(exponents)  # exact ints only, so equal keys are equal inputs
-            m = memo.get(key, _MISS)
-            if m is _MISS:
-                m = pres.pack(key)
-                if len(memo) < WIRE_MEMO_LIMIT:
-                    memo[key] = m
+            m = memo[tuple(exponents)]  # exact ints only, so equal keys are equal inputs
             if m is not None:
                 pairs.append((m, coeff))
         return AlgebraElement(pres, accumulate({}, pairs, pres.p))

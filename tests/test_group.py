@@ -532,7 +532,7 @@ def ref_invert_recursive(a):
 
 def ref_invert_closed(a):
     alg, p = a.algebra, a.p
-    sums = group._composition_sums([(c,) for c in a.coeffs], group._Powers(a.coeffs), a.k, p)
+    sums = group._composition_sums([(c,) for c in a.coeffs], a.coeffs, a.k, p)
     inv0 = alg.scalar(2) - a.coeffs[0]
     drop = a.level == 1 and p != 2
     betas = [inv0]

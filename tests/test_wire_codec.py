@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrodgroup import serialize
+from steenrodgroup import algebra, serialize
 from steenrodgroup.algebra import AlgebraElement, AlgebraError, accumulate, adjoin_epsilon, mk_algebra
 from steenrodgroup.group import MAX_LEVEL, identity, rho
 from steenrodgroup.serialize import (
@@ -151,7 +151,7 @@ def test_the_reader_memo_keeps_packs_and_cap_kills_but_no_refusal():
 
 
 def test_the_memos_stop_growing_at_their_limit(monkeypatch):
-    monkeypatch.setattr(serialize, "WIRE_MEMO_LIMIT", 2)
+    monkeypatch.setattr(algebra, "MEMO_LIMIT", 2)
     a = mk_algebra(2, [("z1", 1, 8)])
     terms = [{"coeff": 1, "exponents": [e]} for e in range(5)]
     x = element_from_obj(a, terms)
