@@ -7,6 +7,9 @@ report, to --out or stdout, and turns the verdict into the exit code:
 2 usage error: an argparse error (bad arguments, a size above its bound) or
 a SteenrodError (malformed JSON, limit exceeded, an --out or a stdout that
 cannot be written, any refusal of the library).
+
+`lcs` builds its group with `grouptheory.finite_group`, and `sweep` prints
+the rows of `grouptheory.sweep`, each with the verdict the sweep script prints.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .group import (
 from .grouptheory import (
     LIMIT_ENV,
     SWEEP_GRID,
-    check_order,
-    enumerate_group,
     ev_subgroup_series,
+    finite_group,
     lower_central_series,
     size_limit,
+    sweep,
 )
 from .hopf import (
     axiom_counterexamples,
@@ -118,30 +121,18 @@ def cmd_partitions(args):
     return [list(c.parts) for c in comps], True
 
 
-def _lower_central(p: int, n: int):
-    """A(n), the finite group of order-n series over it, and that group's
-    lower central series, whose ok says the class is at most n + 1."""
-    check_order(p, n)  # layer i of A(n) holds xi_i, so the group has n generators or more
-    hp = milnor_quotient(p, n)
-    G = enumerate_group(hp.algebra, n, p)
-    return hp, G, lower_central_series(G)
+def _class(rep):
+    return {"sizes": rep.sizes, "class": rep.length, "bound": rep.bound, "ok": rep.ok}
 
 
 def cmd_lcs(args):
-    hp, G, rep = _lower_central(args.p, args.n)
-    report = {
-        "p": args.p,
-        "n": args.n,
-        "order": G.order,
-        "kind": rep.kind,
-        "sizes": rep.sizes,
-        "class": rep.length,
-        "bound": rep.bound,
-        "ok": rep.ok,
-    }
+    """The lower central series alone, and the eps-free one with --ev."""
+    hp, G = finite_group(args.p, args.n)
+    rep = lower_central_series(G)
+    report = {"p": args.p, "n": args.n, "order": G.order, "kind": rep.kind, **_class(rep)}
     if args.ev:
         ev = ev_subgroup_series(hp.algebra, args.n, args.p)
-        report["ev"] = {"sizes": ev.sizes, "class": ev.length, "bound": ev.bound, "ok": ev.ok}
+        report["ev"] = _class(ev)
         return report, rep.ok and ev.ok
     return report, rep.ok
 
@@ -150,13 +141,11 @@ def cmd_sweep(args):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "n", "algebra", "order", "class", "bound", "ok"])
-    ok = True
-    for p, n in SWEEP_GRID:
-        if args.p in (None, p):
-            hp, G, rep = _lower_central(p, n)
-            ok = ok and rep.ok
-            writer.writerow([p, n, hp.label, G.order, rep.length, rep.bound, rep.ok])
-    return buf.getvalue(), ok
+    rows = list(sweep(args.p))
+    for r in rows:
+        G, lcs = r.group, r.lower_central
+        writer.writerow([G.p, G.n, r.hopf.label, G.order, lcs.length, lcs.bound, r.ok])
+    return buf.getvalue(), all(r.ok for r in rows)
 
 
 PRESETS = {

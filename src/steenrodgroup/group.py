@@ -26,10 +26,14 @@ Each Frobenius power is taken once per call (while its `algebra.Memo` has
 room), a truncation k above `partitions.DEFAULT_MAX_N` is refused before any
 product, and `invert_split` carries the pair of a composition's even and eps
 terms down the tree and applies eps to each coefficient's summed odd terms once.
+
+`commutator_stage` states the paper's filtration bound once: d-fold
+commutators sit at stage d - 1/2 (d in G_p^ev), whence `class_bound`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,6 +378,18 @@ def filtration_level(a: GroupElement) -> Fraction:
             return m + Fraction(1, 2)
         return m
     return TOP
+
+
+def commutator_stage(d: int, eps_free: bool = False) -> Fraction:
+    """The filtration stage that every d-fold commutator reaches: d - 1/2,
+    and d in the eps-free subgroup G_p^ev."""
+    return Fraction(d) if eps_free else Fraction(2 * d - 1, 2)
+
+
+def class_bound(n: int, eps_free: bool = False) -> int:
+    """The least d >= 0 whose d-fold commutators reach stage n, the identity
+    among series of order n: n + 1, and n in the eps-free subgroup."""
+    return n - math.floor(commutator_stage(0, eps_free))
 
 
 def in_Gpn(a: GroupElement, n: int) -> bool:

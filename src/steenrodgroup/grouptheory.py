@@ -20,6 +20,9 @@ a normal closure in G, with G's generators.  The lower central and derived
 series are then normal closures of the commutators of pcgs elements (Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8), on
 O(r^2) commutators of the r generators instead of |G| r products.
+
+`finite_group` builds the group over A(n) once `check_order` admits it, and
+`sweep` judges each SWEEP_GRID row for the CLI and the sweep script alike.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     AlgebraElement,
@@ -42,14 +45,17 @@ from .algebra import (
 from .group import (
     GroupElement,
     _divide,
+    class_bound,
     coeff_degree,
     commutator,
+    commutator_stage,
     compose,
     filtration_level,
     identity,
     invert_recursive,
     is_identity,
 )
+from .hopf import HopfPresentation, milnor_quotient
 
 DEFAULT_LIMIT = 100_000
 LIMIT_ENV = "STEENROD_LIMIT"
@@ -63,17 +69,11 @@ class GroupTheoryError(SteenrodError):
 
 
 def size_limit() -> int:
-    raw = os.environ.get(LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_LIMIT
+    raw = os.environ.get(LIMIT_ENV, str(DEFAULT_LIMIT))
     try:
         return int(raw)
     except ValueError as exc:
         raise GroupTheoryError(f"bad {LIMIT_ENV} value {raw!r}") from exc
-
-
-def _over_limit(p: int, e: int, limit: int) -> GroupTheoryError:
-    return GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
 
 
 def check_order(p: int, gens: int) -> None:
@@ -85,7 +85,7 @@ def check_order(p: int, gens: int) -> None:
     while order <= limit and e < gens:
         e, order = e + 1, order * p
     if gens > 0 and order > limit:
-        raise _over_limit(p, e, limit)
+        raise GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
 
 
 @dataclass(eq=False)
@@ -161,10 +161,9 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     Layer 0 (odd p, with eps): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
     Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
     m^(p^(n-i+1)) = 0.  With eps_free, only the generators of the eps-free
-    subgroup: no layer 0 and no monomial containing eps.  Refused as soon as
-    the order p^(generators so far) exceeds STEENROD_LIMIT.
+    subgroup: no layer 0 and no monomial containing eps.  Refused by
+    `check_order` as soon as the generators so far exceed STEENROD_LIMIT.
     """
-    limit = size_limit()
     one, zero = galg.one(), galg.zero()
 
     def element(i, c):
@@ -185,8 +184,7 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     gens = []
     for g in layers():
         gens.append(g)
-        if p ** len(gens) > limit:
-            raise _over_limit(p, len(gens), limit)
+        check_order(p, len(gens))
     return gens
 
 
@@ -288,9 +286,11 @@ def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> Series
     """G = H_0 > H_1 = [G, G] > ..., H_{k+1} = [<X>, <Y>] for X the pcgs of H_k and Y = partners(X).
 
     [<X>, <Y>] is the normal closure of the [x, y] in <X, Y>; for both series
-    it is normal in G, so the closure is taken in G.  [G, G] is closed once
-    per group, for both series.
+    it is normal in G, so the closure is taken in G.  [G, G] and each series
+    are computed once per group.
     """
+    if kind in G.cache:
+        return G.cache[kind]
     if "commutator" not in G.cache:
         gens = list(G.rows.values())
         G.cache["commutator"] = _bracket(G, gens, gens)
@@ -303,34 +303,26 @@ def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> Series
         nxt = _bracket(G, X, partners(X))
     sizes = [G.p ** len(H) for H in chain]
     length = next((i for i, s in enumerate(sizes) if s == 1), None)
-    ok = None
-    if bound is not None:
-        ok = length is not None and length <= bound
+    ok = None if bound is None else length is not None and length <= bound
     terms = [tuple(H[d].element for d in sorted(H)) for H in chain]
-    return SeriesReport(kind, terms, sizes, length, bound, ok)
-
-
-def _cached(G: FiniteGroup, kind: str, partners, bound: Optional[int]) -> SeriesReport:
-    rep = G.cache.get(kind)
-    if rep is None:
-        rep = G.cache[kind] = _series(G, partners, kind, bound)
-    return rep
+    G.cache[kind] = SeriesReport(kind, terms, sizes, length, bound, ok)
+    return G.cache[kind]
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    return _cached(G, "lower_central", lambda X: list(G.rows.values()), G.n + 1)
+    return _series(G, lambda X: list(G.rows.values()), "lower_central", class_bound(G.n))
 
 
 def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _cached(G, "derived", lambda X: X, None)
+    return _series(G, lambda X: X, "derived", None)
 
 
 def check_filtration_bounds(G: FiniteGroup) -> bool:
     """Filtration bounds for both series.
 
-    Every element of Gamma_{k+1} must sit at filtration >= k + 1/2, every
+    Every element of Gamma_d must sit at filtration >= commutator_stage(d), every
     element of D_1 at >= 1/2, and of D_{k+1} (k >= 1) at >= 2k.  Each level
     set {g : filtration_level(g) >= s} is a subgroup, so it holds for a term
     exactly when it holds for the term's pcgs.
@@ -339,19 +331,46 @@ def check_filtration_bounds(G: FiniteGroup) -> bool:
     def holds(rep, need):
         return all(filtration_level(h) >= need(k) for k, H in enumerate(rep.chain[1:]) for h in H)
 
-    return holds(lower_central_series(G), lambda k: k + Fraction(1, 2)) and holds(
+    return holds(lower_central_series(G), lambda k: commutator_stage(k + 1)) and holds(
         derived_series(G), lambda k: Fraction(1, 2) if k == 0 else Fraction(2 * k)
     )
 
 
 def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
-    """Lower central series of the eps-free order-n truncated group.
-
-    Only the eps-free generators are closed, so STEENROD_LIMIT bounds this
-    subgroup.  The expected vanishing stage drops by one relative to the
-    full group.
-    """
+    """Lower central series of the eps-free order-n truncated group, of which
+    only the eps-free generators are closed, so STEENROD_LIMIT bounds it."""
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
     H = _build(A, n, p, eps_free=True)
-    return _series(H, lambda X: list(H.rows.values()), "ev_lower_central", n)
+    return _series(H, lambda X: list(H.rows.values()), "ev_lower_central", class_bound(n, eps_free=True))
+
+
+def finite_group(p: int, n: int) -> tuple[HopfPresentation, FiniteGroup]:
+    """A(n) and the group of order-n series over it; the group has n layer
+    generators or more (xi_i in layer i), so `check_order` comes first."""
+    check_order(p, n)
+    hp = milnor_quotient(p, n)
+    return hp, enumerate_group(hp.algebra, n, p)
+
+
+class SweepRow(NamedTuple):
+    """A SWEEP_GRID row: A(n), its group, the group's series and filtration
+    bounds, the eps-free series at odd p, and ok, whether all of them hold."""
+
+    hopf: HopfPresentation
+    group: FiniteGroup
+    lower_central: SeriesReport
+    derived: SeriesReport
+    bounds_ok: bool
+    ev: Optional[SeriesReport]
+    ok: bool
+
+
+def sweep(prime: Optional[int] = None):
+    """The SWEEP_GRID rows at prime, or at every prime for None, one at a time."""
+    for p, n in SWEEP_GRID:
+        if prime in (None, p):
+            hp, G = finite_group(p, n)
+            lcs, derived, bounds = lower_central_series(G), derived_series(G), check_filtration_bounds(G)
+            ev = ev_subgroup_series(hp.algebra, n, p) if p != 2 else None
+            yield SweepRow(hp, G, lcs, derived, bounds, ev, lcs.ok and bounds and (ev is None or ev.ok))

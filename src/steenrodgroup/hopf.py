@@ -154,16 +154,16 @@ class HopfPresentation:
         return max([self.D] + [g.degree for g in self.algebra.generators])
 
     # packed monomial -> its coproduct, and its antipode: made on first use
-    # and kept as long as the presentation; a miss reads the generator map
-    # `coproduct_gen` or `antipode_gen` of the module when it happens
+    # and kept as long as the presentation; each builds through a partial of
+    # `coproduct_gen` or `antipode_gen`, so a presentation pickles with them
     @functools.cached_property
     def _coproducts(self) -> "Images":
         one = self.algebra.one()
-        return Images(self.algebra, lambda name: coproduct_gen(self, name), TensorElement.of(one, one))
+        return Images(self.algebra, functools.partial(coproduct_gen, self), TensorElement.of(one, one))
 
     @functools.cached_property
     def _antipodes(self) -> "Images":
-        return Images(self.algebra, lambda name: antipode_gen(self, name), self.algebra.one())
+        return Images(self.algebra, functools.partial(antipode_gen, self), self.algebra.one())
 
 
 def default_degree_cap(p: int, N: int = 4) -> int:

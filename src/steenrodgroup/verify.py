@@ -21,6 +21,7 @@ from .group import (
     coeff_degree,
     commutator,
     commutator_leading,
+    commutator_stage,
     compose,
     filtration_level,
     identity,
@@ -198,27 +199,23 @@ def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) ->
 
 
 def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
-    """Lower-central bound: depth-(d+1) nested commutators sit above d + 1/2."""
+    """Lower-central bound: a depth-d nested commutator sits at stage
+    `group.commutator_stage(d)` or above, and at odd p an eps-free one at the
+    eps-free stage, each bound cut at the truncation k."""
     alg = group_test_algebra(p)
     k = max(k, 4)
     per = max(samples // 4, 1)
     for depth in range(1, 5):
         for _ in range(per):
-            acc = random_group_element(rng, p, k, alg)
-            for _ in range(depth):
-                acc = commutator(acc, random_group_element(rng, p, k, alg))
-            lvl = filtration_level(acc)
-            bound = min(Fraction(depth - 1) + Fraction(1, 2), Fraction(k))
-            if lvl < bound:
-                return _ce_group(depth=depth, result=acc, level=lvl, bound=bound)
-            if p != 2:
-                acc = pi_ev(random_group_element(rng, p, k, alg))
+            for ev in (False,) if p == 2 else (False, True):
+                cut = pi_ev if ev else (lambda g: g)
+                acc = cut(random_group_element(rng, p, k, alg))
                 for _ in range(depth):
-                    acc = commutator(acc, pi_ev(random_group_element(rng, p, k, alg)))
-                lvl = filtration_level(acc)
-                bound = min(Fraction(depth), Fraction(k))
+                    acc = commutator(acc, cut(random_group_element(rng, p, k, alg)))
+                lvl, bound = filtration_level(acc), min(commutator_stage(depth, ev), Fraction(k))
                 if lvl < bound:
-                    return _ce_group(depth=depth, variant="ev", result=acc, level=lvl, bound=bound)
+                    variant = {"variant": "ev"} if ev else {}
+                    return _ce_group(depth=depth, **variant, result=acc, level=lvl, bound=bound)
 
 
 def _element_of_Gpn(rng, p, k, alg, n: int) -> GroupElement:

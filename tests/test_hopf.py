@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import re
 import sys
@@ -947,6 +948,18 @@ def test_equal_presentations_hash_once_and_share_cache_entries():
     gens = list(a.algebra.generators)
     gens[-1] = Generator(gens[-1].name, gens[-1].degree, gens[-1].cap + 1)
     assert AlgebraPresentation(3, tuple(gens)) != a.algebra
+
+
+def test_presentation_pickles_after_its_maps_were_taken():
+    # the coproduct and antipode memos build through a module-level map, so
+    # the presentation pickles with them, and the copy's maps are the same
+    hp = dual_steenrod(3, 3)
+    x = hp.algebra.gen("x1") * hp.algebra.gen("x2")
+    maps = coproduct(hp, x), antipode(hp, x)
+    twin = pickle.loads(pickle.dumps(hp))
+    assert twin == hp and len(twin._coproducts) == len(hp._coproducts)
+    y = twin.algebra.gen("x1") * twin.algebra.gen("x2")
+    assert (coproduct(twin, y), antipode(twin, y)) == maps
 
 
 # -- the per-presentation memo of monomial images -------------------------------

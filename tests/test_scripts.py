@@ -1,12 +1,16 @@
 """The experiment scripts run from any working directory."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from steenrodgroup import cli, grouptheory
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,6 +41,31 @@ def test_sweep_script_limit_is_usage_error(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def _sweep_script():
+    spec = importlib.util.spec_from_file_location("sweep_finite_groups", SCRIPTS / "sweep_finite_groups.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a check of grouptheory forced to fail -> the CSV ok column of the grid rows
+BROKEN_ROW_CHECKS = {
+    "check_filtration_bounds": (lambda real: lambda G: False, ["False"] * 4),
+    "ev_subgroup_series": (lambda real: lambda *args: replace(real(*args), ok=False), ["True", "True", "False", "False"]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_ROW_CHECKS))
+def test_cli_sweep_and_script_share_the_row_verdict(monkeypatch, capsys, check):
+    breaker, column = BROKEN_ROW_CHECKS[check]
+    monkeypatch.setattr(grouptheory, check, breaker(getattr(grouptheory, check)))
+    assert cli.run(["sweep"]) == 1
+    assert [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]] == column
+    assert _sweep_script().run() == 1
+    # lcs judges its class alone, and the eps-free class only with --ev
+    assert cli.run(["lcs", "--p", "3", "--n", "1"]) == 0
 
 
 def test_cocommutativity_script_outside_repo(tmp_path):
