@@ -459,6 +459,9 @@ def sparse_scale(self, c: int):
     return type(self)(self.pres, {m: (v * c) % p for m, v in self.terms.items()})
 
 
+_UNIT = {0: 1}  # the terms of 1
+
+
 class AlgebraElement:
     """Sparse normal-form F_p-linear combination of monomials.
 
@@ -524,8 +527,14 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.pres is not other.pres:
             _check_same(self, other)
-        if not other.terms:
-            return other
+        # a zero factor or the unit on the left costs one test: a group law
+        # meets both, on each pair with a zero coefficient and on each
+        # alpha_0^(p^j) = 1.  Terms are in normal form and never change, so
+        # 1 * other shares other's terms
+        if not self.terms:
+            return self
+        if not other.terms or self.terms == _UNIT:
+            return other if type(other) is type(self) else type(self)(self.pres, other.terms)
         return type(self)(self.pres, mul_into({}, self.pres, self.terms, other.terms))
 
 
@@ -593,7 +602,7 @@ def times_eps(x: AlgebraElement) -> AlgebraElement:
     pres = x.pres
     if not pres.has_epsilon:
         return pres.zero()
-    return x * pres.gen(EPSILON)
+    return x * AlgebraElement(pres, {pres.eps & -pres.eps: 1})  # eps^1, the low bit of its field
 
 
 # -- graded component enumeration ---------------------------------------------

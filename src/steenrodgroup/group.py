@@ -15,10 +15,15 @@ it, so the eps operations ask the algebra, never p, and are identities at p = 2.
 Evaluation builds each output coefficient in one normal-form dict: the terms
 of every product are added into it with `algebra.accumulate`, so no partial
 sum is ever materialised as an element.  `compose` takes one Frobenius power
-and one product per (i, j) pair.  One triangular solve, `_divide(u, v)` =
+and one product per (i, j) pair, and a product with a zero factor or the unit
+on the left costs one test.  One triangular solve, `_divide(u, v)` =
 u^{-1} . v, serves `invert_recursive` (v = 1) and `commutator`: it takes them
-only for the pairs whose two factors are both non-zero, and [a, b] is
-`_divide(compose(b, a), compose(a, b))`, three series passes.  The two
+only for the pairs whose two factors are both non-zero, adds each negated
+product into its coefficient's dict with `algebra.mul_into`, and [a, b] is
+`_divide(compose(b, a), compose(a, b))`, three series passes.  A
+`GroupElement` is a slotted frozen dataclass that makes its five checks and
+sets its slots directly, and the head and identity tests read the term dicts
+of the coefficients instead of building elements to compare.  The two
 partition-sum inverses make one walk of the composition tree: the child
 nu + (m) of a composition nu of n carries nu's product times alpha_m^(p^n),
 so each product costs one multiply, and a zero product cuts its subtree.
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    _UNIT,
     AlgebraElement,
     AlgebraPresentation,
     EPSILON_RULE,
@@ -47,6 +53,7 @@ from .algebra import (
     eps_part,
     eps_reduce,
     frobenius,
+    mul_into,
     times_eps,
 )
 from .partitions import DEFAULT_MAX_N, PartitionError
@@ -70,7 +77,7 @@ def coeff_degree(p: int, level: int, i: int) -> int:
     return 2 * (p ** (i + level) - p**level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GroupElement:
     """sum_i alpha_i X^(p^i) at a level, over an algebra with eps iff p is odd."""
 
@@ -80,17 +87,22 @@ class GroupElement:
     algebra: AlgebraPresentation
     coeffs: tuple[AlgebraElement, ...]
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, p: int, k: int, level: int, algebra: AlgebraPresentation, coeffs):
+        if k < 0:
             raise GroupError("truncation k must be >= 0")
-        if len(self.coeffs) != self.k + 1:
+        if len(coeffs) != k + 1:
             raise GroupError("coefficient list must have length k+1")
-        if self.level < 0:
+        if level < 0:
             raise GroupError("level must be >= 0")
-        if self.p != self.algebra.p:
+        if p != algebra.p:
             raise GroupError("prime of algebra and element disagree")
-        if self.p != 2 and not self.algebra.has_epsilon:
+        if p != 2 and not algebra.has_epsilon:
             raise GroupError(EPSILON_RULE)
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_level(self, level)
+        _set_algebra(self, algebra)
+        _set_coeffs(self, coeffs)
 
     def coeff_degree(self, i: int) -> int:
         """Degree of the even part of alpha_i for this flavor."""
@@ -108,6 +120,13 @@ class GroupElement:
         return " + ".join(parts) if parts else "0"
 
 
+# the slot setters, which a frozen instance's __setattr__ would refuse; calling
+# them directly skips the attribute lookup object.__setattr__ makes each time
+_set_p, _set_k, _set_level, _set_algebra, _set_coeffs = (
+    GroupElement.__dict__[f].__set__ for f in ("p", "k", "level", "algebra", "coeffs")
+)
+
+
 def _check_compatible(a: GroupElement, b: GroupElement):
     if (a.p, a.k, a.level, a.algebra) != (b.p, b.k, b.level, b.algebra):
         raise GroupError("mismatched group element parameters")
@@ -119,13 +138,19 @@ def identity(p: int, k: int, algebra: AlgebraPresentation, level: int = 0) -> Gr
 
 
 def is_identity(a: GroupElement) -> bool:
-    return a.coeffs[0] == a.algebra.one() and all(c.is_zero() for c in a.coeffs[1:])
+    return a.coeffs[0].terms == _UNIT and not any(c.terms for c in a.coeffs[1:])
+
+
+def _unit_head(a: GroupElement) -> bool:
+    """Whether alpha_0 is 1 + b*eps: its one eps-free term is the constant 1."""
+    head, eps = a.coeffs[0].terms, a.algebra.eps
+    return head.get(0) == 1 and (len(head) == 1 or all(m & eps for m in head if m))
 
 
 def check_head(a: GroupElement) -> GroupElement:
     """a, if its head alpha_0 is 1 + b*eps, the unit head that every inverse
     needs; GroupError otherwise."""
-    if eps_reduce(a.coeffs[0]) != a.algebra.one():
+    if not _unit_head(a):
         raise GroupError("head alpha_0 is not of the form 1 + b*eps, so the series has no inverse")
     return a
 
@@ -166,8 +191,14 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     drop = a.level == 1
     for i in range(a.k + 1):
         terms: dict = {}
+        # one `frobenius` and one `*` per pair, the zero pairs too: perfbench's
+        # tracer test pins these counts (3 and 3 at k = 1), so a walk over the
+        # non-zero indices alone waits for a change of the benchmark itself.
+        # A zero factor, and the unit alpha_0^(p^j) = 1, make `*` return at once
         for j in range(i + 1):
-            accumulate(terms, (frobenius(a.coeffs[i - j], j) * b.coeffs[j]).terms.items(), p)
+            product = frobenius(a.coeffs[i - j], j) * b.coeffs[j]
+            if product.terms:
+                accumulate(terms, product.terms.items(), p)
         acc = AlgebraElement(alg, terms)
         if drop and i >= 1:
             acc = eps_reduce(acc)
@@ -183,19 +214,25 @@ def _divide(u: GroupElement, v: GroupElement | None = None) -> GroupElement:
     i >= 1, c_i = v_i - sum_{j<i} u_{i-j}^(p^j) c_j.  Both steps need
     u_0 = 1 + (square-zero): the public callers `check_head` their inputs,
     and a sift's rows all have such heads.  At level 1, c_i (i >= 1) is
-    eps-reduced as compose's coefficients are.  A pair with u_{i-j} = 0 or
-    c_j = 0 is skipped: it takes no Frobenius power and no product."""
+    eps-reduced as compose's coefficients are.  u_0^{-1} is written term by
+    term in normal form, and each -u_{i-j}^(p^j) c_j is added into c_i's dict
+    by `mul_into` at scale p - 1, so no product element is built and no sum
+    is negated.  A pair with u_{i-j} = 0 or c_j = 0 is skipped: it takes no
+    Frobenius power and no product."""
     alg, p = u.algebra, u.p
     drop = u.level == 1
-    inv0 = alg.scalar(2) - u.coeffs[0]
+    head = u.coeffs[0].terms
+    c0 = (2 - head.get(0, 0)) % p
+    terms = {0: c0} if c0 else {}
+    terms.update((m, p - c) for m, c in head.items() if m)
+    inv0 = AlgebraElement(alg, terms)
     out = [inv0 if v is None else inv0 * v.coeffs[0]]
     for i in range(1, u.k + 1):
         terms: dict = {}
         for j in range(i):
-            x, y = u.coeffs[i - j], out[j]
-            if x.terms and y.terms:
-                accumulate(terms, (frobenius(x, j) * y).terms.items(), p)
-        terms = {m: p - c for m, c in terms.items()}
+            x, y = u.coeffs[i - j], out[j].terms
+            if x.terms and y:
+                mul_into(terms, alg, frobenius(x, j).terms, y, p - 1)
         if v is not None:
             accumulate(terms, v.coeffs[i].terms.items(), p)
         acc = AlgebraElement(alg, terms)
@@ -368,13 +405,15 @@ def filtration_level(a: GroupElement) -> Fraction:
     """
     if a.level != 0:
         raise GroupError("filtration is defined for the base flavor")
-    if a.coeffs[0] != a.algebra.one():
+    if a.coeffs[0].terms != _UNIT:
         return BOTTOM
+    eps = a.algebra.eps
     for i in range(1, a.k + 1):
-        if a.coeffs[i].is_zero():
+        terms = a.coeffs[i].terms
+        if not terms:
             continue
         m = Fraction(i - 1)
-        if eps_reduce(a.coeffs[i]).is_zero():
+        if all(mono & eps for mono in terms):
             return m + Fraction(1, 2)
         return m
     return TOP
@@ -420,9 +459,8 @@ def pi_ev(a: GroupElement) -> GroupElement:
 
 def in_G_od(a: GroupElement) -> bool:
     """Kernel of pi^ev: all coefficients lie in (eps) after subtracting X."""
-    if eps_reduce(a.coeffs[0]) != a.algebra.one():
-        return False
-    return all(eps_reduce(c).is_zero() for c in a.coeffs[1:])
+    eps = a.algebra.eps
+    return _unit_head(a) and all(m & eps for c in a.coeffs[1:] for m in c.terms)
 
 
 def rho(a: GroupElement) -> GroupElement:

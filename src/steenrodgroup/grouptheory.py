@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import (
+    _UNIT,
     AlgebraElement,
     AlgebraPresentation,
     SteenrodError,
@@ -206,7 +207,7 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
     row clears; the layer map is additive, so h^-t g clears it as g h^-t does.
     A layer left non-zero after its coordinates are cleared means a product left G.
     """
-    p, one = G.p, G.algebra.one()
+    p = G.p
     for i, basis in enumerate(G.layers):
         for j, (mono, scale) in enumerate(basis):
             c = g.coeffs[i].terms.get(mono, 0) * scale % p
@@ -215,7 +216,7 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
                 if row is None:
                     return (i, j), pow(c, -1, p), g
                 g = _divide(row.powers[c * row.scale % p - 1], g)
-        if (g.coeffs[i] - one if i == 0 else g.coeffs[i]).terms:
+        if (g.coeffs[i].terms != _UNIT) if i == 0 else g.coeffs[i].terms:
             raise GroupTheoryError(f"a product left the group: its layer-{i} coefficient is not in the layer's span")
     return None
 

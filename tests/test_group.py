@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from steenrodgroup import group
 from steenrodgroup.algebra import (
     EPSILON,
+    EPSILON_RULE,
     AlgebraElement,
     accumulate,
     adjoin_epsilon,
@@ -16,6 +17,7 @@ from steenrodgroup.algebra import (
     eps_reduce,
     frobenius,
     mk_algebra,
+    mul_into,
     times_eps,
 )
 from steenrodgroup.group import (
@@ -43,7 +45,7 @@ from steenrodgroup.group import (
     star_product,
     zero_prefix_length,
 )
-from steenrodgroup.hopf import milnor_quotient
+from steenrodgroup.hopf import TensorElement, milnor_quotient
 from steenrodgroup.partitions import enumerate_compositions
 from steenrodgroup.sampling import random_group_element
 from steenrodgroup.verify import _sample_with_prefix, group_test_algebra
@@ -674,3 +676,108 @@ def test_divide_matches_the_old_inverse_and_commutator(seed, p, level, k, dense_
     assert calls == live_pairs(a, c)
     inv, calls = divide_counting(a)
     assert calls == live_pairs(a, inv)
+
+
+# -- the fixed costs of one group-law call --------------------------------------
+
+
+def factors(seed, p, level):
+    """The coefficients of a sampled element, whose head carries eps at odd
+    p, then 0 and 1 of its algebra."""
+    g = sample(seed, p, 3, level)
+    return list(g.coeffs) + [g.algebra.zero(), g.algebra.one()]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(0, 1))
+def test_a_zero_or_unit_factor_multiplies_as_the_kernel_does(seed, p, level):
+    # the early exits of `*` give mul_into's terms, in the left factor's class
+    xs = factors(seed, p, level)
+    square = xs[0].pres.power(2)
+    ts = [TensorElement.of(x, y) for x, y in zip(xs, reversed(xs))]
+    ts += [TensorElement(square, {}), TensorElement(square, {0: 1}), AlgebraElement(square, {0: 1})]
+    for elements in (xs, ts):
+        for x in elements:
+            for y in elements:
+                if x.terms and y.terms and x.terms != {0: 1}:
+                    continue
+                z = x * y
+                assert z.terms == mul_into({}, x.pres, x.terms, y.terms)
+                assert type(z) is type(x)
+
+
+def shaped_head(seed, p, level, k, zero_prefix, od, head):
+    """eps_shaped's element with alpha_0 replaced: the sampled 1 + b*eps, 1,
+    2, 1 plus an eps-free nilpotent, or 0."""
+    g = eps_shaped(seed, p, k, level, zero_prefix, od)
+    A = g.algebra
+    nilpotent = random_group_element(random.Random(seed), p, 1, A).coeffs[1]
+    heads = [g.coeffs[0], A.one(), A.scalar(2), A.one() + eps_reduce(nilpotent), A.zero()]
+    return GroupElement(p, k, level, A, (heads[head],) + g.coeffs[1:])
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 4),
+)
+def test_head_predicates_match_the_eps_reduce_restatement(seed, p, level, k, zero_prefix, od, head):
+    a = shaped_head(seed, p, level, k, zero_prefix, od, head)
+    one = a.algebra.one()
+    unit = eps_reduce(a.coeffs[0]) == one
+    try:
+        group.check_head(a)
+        refused = False
+    except GroupError:
+        refused = True
+    assert refused is not unit
+    assert in_G_od(a) == (unit and all(eps_reduce(c).is_zero() for c in a.coeffs[1:]))
+    assert is_identity(a) == (a.coeffs[0] == one and all(c.is_zero() for c in a.coeffs[1:]))
+    if level == 0:
+        assert filtration_level(a) == ref_filtration_level(a)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(0, 1), st.integers(0, 5), st.booleans())
+def test_divide_solves_compose(seed, p, level, k, inverse):
+    # u has an eps-carrying head at odd p, and so has v
+    u = eps_shaped(seed, p, k, level, 0, False)
+    if inverse:
+        assert is_identity(compose(u, group._divide(u)))
+    else:
+        v = eps_shaped(seed + 1, p, k, level, 0, False)
+        assert compose(u, group._divide(u, v)) == v
+
+
+FAULTS = (
+    "truncation k must be >= 0",
+    "coefficient list must have length k+1",
+    "level must be >= 0",
+    "prime of algebra and element disagree",
+    EPSILON_RULE,
+)
+
+
+def faulty(faults):
+    """GroupElement's arguments at p = 3, with the faults of the given indices into FAULTS."""
+    k = -1 if 0 in faults else 1
+    if 3 in faults:
+        A = milnor_quotient(5, 1).algebra if 4 in faults else group_test_algebra(5)
+    else:
+        A = milnor_quotient(3, 1).algebra if 4 in faults else group_test_algebra(3)
+    coeffs = (A.one(),) * (k + 1 + (1 in faults))
+    return 3, k, -1 if 2 in faults else 0, A, coeffs
+
+
+@pytest.mark.parametrize("first", range(len(FAULTS)))
+@pytest.mark.parametrize("alone", [True, False])
+def test_group_element_reports_its_first_fault(first, alone):
+    faults = {first} if alone else set(range(first, len(FAULTS)))
+    if first == 0:
+        faults.add(1)  # k = -1 leaves no coefficient list of length k + 1 >= 1
+    with pytest.raises(GroupError) as err:
+        GroupElement(*faulty(faults))
+    assert str(err.value) == FAULTS[first]
+    GroupElement(*faulty(set()))

@@ -189,6 +189,13 @@ def test_eps_operations_match_reference(x):
     assert tuples(times_eps(x)) == ref_times_eps(pres, ref)
 
 
+@given(presentations.flatmap(lambda a: element(a)))
+def test_times_eps_is_the_product_with_the_eps_generator(x):
+    # times_eps reads eps's monomial from the layout, not from the generator names
+    pres = x.pres
+    assert times_eps(x) == (x * pres.gen(EPSILON) if pres.has_epsilon else pres.zero())
+
+
 @given(presentations.flatmap(lambda a: st.tuples(st.just(a), tensor(a), tensor(a))))
 def test_tensor_products_match_reference(pst):
     pres, s, t = pst
