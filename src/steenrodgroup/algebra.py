@@ -518,8 +518,8 @@ class AlgebraElement:
                 for g, e in zip(self.pres.generators, self.pres.exponents(mono))
                 if e
             ]
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if c == 1 and factors else f"{c}*{body}")
+            body = "*".join(factors)
+            parts.append(f"{c}" if not body else body if c == 1 else f"{c}*{body}")
         return " + ".join(parts)
 
     # -- ring operations ------------------------------------------------------

@@ -98,6 +98,11 @@ class GroupElement:
             raise GroupError("prime of algebra and element disagree")
         if p != 2 and not algebra.has_epsilon:
             raise GroupError(EPSILON_RULE)
+        # the group law reads packed monomials in algebra's layout, so a
+        # coefficient of another presentation would be misread, not refused
+        for c in coeffs:
+            if c.pres is not algebra and c.pres != algebra:
+                raise GroupError("a coefficient belongs to another algebra")
         _set_p(self, p)
         _set_k(self, k)
         _set_level(self, level)

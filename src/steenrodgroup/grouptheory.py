@@ -11,13 +11,16 @@ sequence (pcgs) of G, and an element's coordinates on a layer are its
 coefficients at the layer's monomials.
 
 No element is enumerated.  A subgroup is an induced pcgs: rows in echelon
-form, one per depth (layer, monomial), each with its powers h .. h^(p-1).
-Sifting left-divides an element by the rows in depth order (`group._divide`);
-it reaches the identity exactly when the element lies in the subgroup, whose
-order is p^(rows).  A subgroup is closed by sifting the p-th power of each new
-row and its commutators (`group.commutator`) with the rows before it, and, for
-a normal closure in G, with G's generators.  The lower central and derived
-series are then normal closures of the commutators of pcgs elements (Holt,
+form, one per depth (layer, monomial), each with its powers h .. h^(p-1) and
+a memo of its commutators with other rows, so the closure of one series term
+reuses what the closure of the one before computed; a group is the pcgs of
+its generators' rows.  Sifting left-divides an element by the rows in depth
+order (`group._divide`); it reaches the identity exactly when the element
+lies in the subgroup, whose order is p^(rows).  A subgroup is closed by
+sifting the p-th power of each new row and its commutators
+(`group.commutator`) with the rows before it, and, for a normal closure in
+G, with G's generators.  The lower central and derived series are then
+normal closures of the commutators of pcgs elements (Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8), on
 O(r^2) commutators of the r generators instead of |G| r products.
 
@@ -31,12 +34,15 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .algebra import (
     _UNIT,
     AlgebraElement,
     AlgebraPresentation,
+    Memo,
     SteenrodError,
     adjoin_epsilon,
     component,
@@ -89,53 +95,59 @@ def check_order(p: int, gens: int) -> None:
         raise GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
 
 
+def _commutator(h: GroupElement, x: "_Row") -> GroupElement:
+    return commutator(h, x.element)
+
+
 @dataclass(eq=False)
 class _Row:
-    """One element h of an induced pcgs, at its depth (layer, position).
+    """One element h of an induced pcgs, at its depth (layer, monomial index).
 
     h^-t clears the coordinate c at the depth for t = c * scale mod p;
-    powers[t - 1] = h^t.  position is h's index in G's pcgs when h is one
-    of G's generators, and comms[j] memoizes [h, G.gens[j]].
+    powers[t - 1] = h^t.  comms maps a partner row x to [h, x], so a
+    commutator that one closure computed serves the next.  A row is equal
+    only to itself, which makes it the memo's key.
     """
 
     depth: tuple[int, int]
     element: GroupElement
     scale: int
-    powers: list[GroupElement]
-    position: Optional[int] = None
-    comms: dict = field(default_factory=dict)
+    powers: list[GroupElement] = field(init=False, repr=False)
+    comms: Memo = field(init=False, repr=False)
 
-
-def _row(depth, h: GroupElement, scale: int, position=None) -> _Row:
-    """The row of h, with its powers h .. h^(p-1)."""
-    powers = [h]
-    for _ in range(h.p - 2):
-        powers.append(compose(powers[-1], h))
-    return _Row(depth, h, scale, powers, position)
+    def __post_init__(self):
+        h = self.element
+        self.powers = list(accumulate([h] * (h.p - 1), compose))
+        # a partial of a module function, not a lambda, so a group pickles
+        self.comms = Memo(partial(_commutator, h))
 
 
 @dataclass
 class FiniteGroup:
     """A finite group of stunted series, held as its pcgs.
 
-    gens are the filtration-layer generators in depth order; layers[i] lists
-    layer i's monomials, each with the inverse of its generator's coefficient
+    rows are the filtration-layer generators as pcgs rows, keyed by depth
+    and in depth order; gens reads their elements.  layers[i] lists layer
+    i's monomials, each with the inverse of its generator's coefficient
     there, so an element of N_i has coordinate c * scale at the monomial it
-    carries with coefficient c in alpha_i.  rows are gens as pcgs rows, keyed
-    by depth; cache holds each series report and [G, G], each computed once.
+    carries with coefficient c in alpha_i.  cache holds each series report
+    and [G, G], each computed once.
     """
 
     p: int
     n: int
     algebra: AlgebraPresentation
-    gens: list[GroupElement]
     layers: list[list[tuple[int, int]]] = field(repr=False)
     rows: dict = field(repr=False, default_factory=dict)
     cache: dict = field(repr=False, default_factory=dict)
 
     @property
+    def gens(self) -> list[GroupElement]:
+        return [row.element for row in self.rows.values()]
+
+    @property
     def order(self) -> int:
-        return self.p ** len(self.gens)
+        return self.p ** len(self.rows)
 
 
 @dataclass
@@ -189,16 +201,6 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     return gens
 
 
-def _comm(h: _Row, x: _Row) -> GroupElement:
-    """[h, x], memoized on h when x is one of G's generators."""
-    c = h.comms.get(x.position)
-    if c is None:
-        c = commutator(h.element, x.element)
-        if x.position is not None:
-            h.comms[x.position] = c
-    return c
-
-
 def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
     """Left-divide g by the rows in depth order.
 
@@ -225,9 +227,9 @@ def _relations(G: FiniteGroup, h: _Row, earlier, normal: bool) -> list[GroupElem
     """h^p, [h, x] for the earlier rows x and, for a normal closure in G,
     [h, y] for G's generators y."""
     out = [compose(h.powers[-1], h.element)]
-    out += [_comm(h, x) for x in earlier]
+    out += [h.comms[x] for x in earlier]
     if normal:
-        out += [_comm(h, y) for y in G.rows.values()]
+        out += [h.comms[y] for y in G.rows.values()]
     return out
 
 
@@ -238,7 +240,7 @@ def _close(G: FiniteGroup, rows: dict, queue, normal: bool) -> dict:
         found = _sift(G, rows, queue.popleft())
         if found is not None:
             depth, scale, h = found
-            row = _row(depth, h, scale)
+            row = _Row(depth, h, scale)
             queue.extend(_relations(G, row, rows.values(), normal))
             rows[depth] = row
     return rows
@@ -251,7 +253,7 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
         raise GroupTheoryError("n must be >= 0")
     galg = A if A.has_epsilon else adjoin_epsilon(A)
     one = identity(p, n, galg)
-    G = FiniteGroup(p, n, galg, [], [[] for _ in range(n + 1)])
+    G = FiniteGroup(p, n, galg, [[] for _ in range(n + 1)])
     for i, g in _layer_generators(p, n, galg, eps_free):
         [(mono, c)] = (g.coeffs[i] - one.coeffs[i]).terms.items()
         inverse = invert_recursive(g)
@@ -260,14 +262,13 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
             raise GroupTheoryError("the group law breaks the identity or inverse law on a generator")
         depth = (i, len(G.layers[i]))
         G.layers[i].append((mono, pow(c, -1, p)))
-        G.rows[depth] = _row(depth, g, 1, len(G.gens))
-        G.gens.append(g)
-    # the generators are a pcgs of G exactly when closing them adds no row
+        G.rows[depth] = _Row(depth, g, 1)
+    # the generators are a pcgs of G when each relation sifts to the identity;
+    # every depth has a row, so _sift refuses any relation that leaves G
     rows = list(G.rows.values())
-    relations = [r for i, h in enumerate(rows) for r in _relations(G, h, rows[:i], normal=False)]
-    closed = len(_close(G, dict(G.rows), relations, normal=False))
-    if closed != len(G.gens):
-        raise GroupTheoryError(f"generators closed to {p}^{closed} elements, not {p}^{len(G.gens)}")
+    for i, h in enumerate(rows):
+        for r in _relations(G, h, rows[:i], normal=False):
+            _sift(G, G.rows, r)
     return G
 
 
@@ -279,7 +280,7 @@ def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
 def _bracket(G: FiniteGroup, X: list, Y: list) -> dict:
     """The pcgs of [<X>, <Y>], the normal closure in G of the [x, y] for x in
     X and y in Y (one per pair when Y is X), for <X> and <Y> normal in G."""
-    seeds = [_comm(x, y) for i, x in enumerate(X) for y in (X[:i] if Y is X else Y)]
+    seeds = [x.comms[y] for i, x in enumerate(X) for y in (X[:i] if Y is X else Y)]
     return _close(G, {}, seeds, normal=True)
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraPresentation, adjoin_epsilon, component, eps_part, frobenius, times_eps
 from .group import (
+    BOTTOM,
     GroupElement,
     coeff_degree,
     commutator,
@@ -184,14 +185,14 @@ def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) ->
         (Fraction(1) + H, Fraction(-1), Fraction(2) + H),
     ]
     per = max(samples // len(cases), 1)
+
+    def draw(m):
+        # a BOTTOM stage is the whole group, alpha_0 != 1 included
+        return random_group_element(rng, p, k, alg) if m == BOTTOM else _filtered_element(rng, p, k, alg, m)
+
     for ma, mb, bound in cases:
         for _ in range(per):
-            a = _filtered_element(rng, p, k, alg, max(ma, Fraction(0)))
-            b = _filtered_element(rng, p, k, alg, max(mb, Fraction(0)))
-            if ma == Fraction(-1):
-                a = random_group_element(rng, p, k, alg)
-            if mb == Fraction(-1):
-                b = random_group_element(rng, p, k, alg)
+            a, b = draw(ma), draw(mb)
             c = commutator(a, b)
             lvl = filtration_level(c)
             if lvl < min(bound, Fraction(k)):

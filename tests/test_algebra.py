@@ -22,6 +22,7 @@ from steenrodgroup.algebra import (
     mk_algebra,
     times_eps,
 )
+from steenrodgroup.group import identity
 from steenrodgroup.sampling import random_homogeneous
 from steenrodgroup.verify import theta_target
 
@@ -119,6 +120,15 @@ def test_unit_law():
     a = A22()
     x = a.gen("z1") + a.gen("z2")
     assert a.one() * x == x
+
+
+def test_repr_prints_a_constant_as_its_coefficient():
+    a = mk_algebra(3, [("x", 4, 9)])
+    one, x = a.one(), a.gen("x")
+    assert [repr(e) for e in (a.zero(), one, one + one, x, x + x, x * x + x + one)] == [
+        "0", "1", "2", "x", "2*x", "1 + x + x^2"
+    ]
+    assert repr(identity(3, 1, A3())) == "(1)X"
 
 
 @given(st.integers(0, 10**6), st.data())

@@ -8,6 +8,7 @@ import dataclasses
 import pickle
 import random
 
+from steenrodgroup.algebra import mk_algebra
 from steenrodgroup.group import GroupElement, GroupError, compose
 from steenrodgroup.sampling import random_group_element
 from steenrodgroup.verify import group_test_algebra
@@ -51,6 +52,24 @@ def test_group_element_builds_from_positional_arguments():
         b = GroupElement(a.p, a.k, a.level, a.algebra, compose(a, a).coeffs)
         assert b == compose(a, a)
         assert (b.p, b.k, b.level, b.algebra) == (a.p, a.k, a.level, a.algebra)
+
+
+def test_group_element_refuses_a_coefficient_of_another_algebra():
+    # compose would read w^2, packed in B's layout, as y^3 in A's
+    A = mk_algebra(2, [("x", 1, 4), ("y", 1, 4)])
+    B = mk_algebra(2, [("w", 4, 8)])
+    for coeffs in ((B.one(), B.gen("w"), B.zero()), (A.one(), A.gen("x"), B.zero())):
+        try:
+            GroupElement(2, 2, 0, A, coeffs)
+        except GroupError as err:
+            assert str(err) == "a coefficient belongs to another algebra"
+        else:
+            raise AssertionError("took a coefficient of another algebra")
+    # an equal presentation built apart is the same algebra
+    twin = mk_algebra(2, [("x", 1, 4), ("y", 1, 4)])
+    g = GroupElement(2, 2, 0, A, (twin.one(), twin.gen("y"), A.zero()))
+    h = GroupElement(2, 2, 0, A, (A.one(), A.gen("y"), A.zero()))
+    assert compose(g, g) == compose(h, h)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from steenrodgroup.group import (
     TOP,
     GroupElement,
     coeff_degree,
+    commutator,
     compose,
     filtration_level,
     identity,
@@ -319,6 +321,28 @@ def test_derived_series_first_term_matches_gamma_one():
 def test_filtration_bounds_hold():
     assert check_filtration_bounds(G22())
     assert check_filtration_bounds(G31())
+
+
+def test_a_group_pickles_after_its_series_were_taken():
+    # each row's commutator memo is keyed by rows and builds through a
+    # module-level function, so the rows and their memos make the round trip
+    G = G22()
+    reports = lower_central_series(G), derived_series(G)
+    twin = pickle.loads(pickle.dumps(G))
+    assert (twin.gens, twin.order) == (G.gens, G.order)
+    assert (lower_central_series(twin), derived_series(twin)) == reports
+    rows = list(twin.rows.values())
+    assert [len(h.comms) for h in rows] == [len(h.comms) for h in G.rows.values()]
+    assert all(h.comms[x] == commutator(h.element, x.element) for h in rows for x in rows)
+
+
+def test_build_refuses_a_relation_that_leaves_the_group(monkeypatch):
+    # b^4 != 0 keeps alpha_1 = b off layer 1, so this commutator is not in G
+    A = mk_algebra(2, [("a", 1, 2), ("b", 1, 8)])
+    outside = GroupElement(2, 2, 0, A, (A.one(), A.gen("b"), A.zero()))
+    monkeypatch.setattr(grouptheory, "commutator", lambda x, y: outside)
+    with pytest.raises(GroupTheoryError, match="a product left the group: its layer-1 coefficient"):
+        enumerate_group(A, 2, 2)
 
 
 def test_ev_subgroup_order_and_series():

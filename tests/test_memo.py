@@ -1,17 +1,26 @@
 """The bound of `algebra.Memo` changes what is kept, never a result.
 
-Every per-object memo of the package is a `Memo`.  Each result below is
-computed from fresh presentations at the default MEMO_LIMIT and again at the
-limits 0 and 1, where nearly nothing is kept and every image, power and
-packed monomial is built again on each use; the results must agree, and no
-memo may grow past the limit.
+Every per-object memo of the package is a `Memo`, a pcgs row's commutators
+included.  Each result below is computed from fresh presentations and groups
+at the default MEMO_LIMIT and again at the limits 0 and 1, where nearly
+nothing is kept and every image, power, packed monomial and commutator is
+built again on each use; the results must agree, and no memo may grow past
+the limit.
 """
 
 import pytest
 
-from steenrodgroup import algebra
+from steenrodgroup import algebra, grouptheory
 from steenrodgroup.algebra import Memo, mk_algebra
 from steenrodgroup.group import invert_closed, invert_split
+from steenrodgroup.grouptheory import (
+    SWEEP_GRID,
+    check_filtration_bounds,
+    derived_series,
+    ev_subgroup_series,
+    finite_group,
+    lower_central_series,
+)
 from steenrodgroup.hopf import axiom_counterexamples, check_hopf_ideal, cocommutativity_defect, dual_mod_J, dual_steenrod
 from steenrodgroup.serialize import element_from_obj, element_to_obj, group_from_obj, group_to_obj
 from steenrodgroup.verify import generic_points
@@ -37,6 +46,18 @@ def _results():
     terms = [{"coeff": 1, "exponents": [e % 9, e % 5]} for e in range(12)]
     x = element_from_obj(pres, terms)
     out += [x, element_to_obj(x), element_from_obj(pres, element_to_obj(x))]
+    return out + _group_results(SWEEP_GRID + ((2, 4),))
+
+
+def _group_results(grid):
+    """The series, with their chains, sizes and verdicts, and the filtration
+    bounds of each group of the grid, and at odd p its eps-free series."""
+    out = []
+    for p, n in grid:
+        hp, G = finite_group(p, n)
+        out += [G.order, lower_central_series(G), derived_series(G), check_filtration_bounds(G)]
+        if p != 2:
+            out.append(ev_subgroup_series(hp.algebra, n, p))
     return out
 
 
@@ -88,3 +109,16 @@ def test_a_miss_is_kept_only_below_the_limit(monkeypatch):
     with pytest.raises(TypeError):
         squares["x"]
     assert squares == {0: 0, 3: 9}
+
+
+def test_the_row_memos_reuse_commutators_across_series_terms(monkeypatch):
+    # a row keeps [h, x] for every partner row x, so the derived series'
+    # brackets reuse the commutators of the closure before them: 1295 calls
+    # where a memo of [h, generator] alone makes 1373
+    monkeypatch.setenv("STEENROD_LIMIT", str(10**50))
+    calls = []
+    real = grouptheory.commutator
+    monkeypatch.setattr(grouptheory, "commutator", lambda a, b: calls.append(1) or real(a, b))
+    (order, *_) = _group_results([(2, 5)])
+    assert order == 2**34
+    assert len(calls) <= 1295, len(calls)
