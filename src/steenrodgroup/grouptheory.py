@@ -11,18 +11,19 @@ sequence (pcgs) of G, and an element's coordinates on a layer are its
 coefficients at the layer's monomials.
 
 No element is enumerated.  A subgroup is an induced pcgs: rows in echelon
-form, one per depth (layer, monomial), each with its powers h .. h^(p-1) and
-a memo of its commutators with other rows, so the closure of one series term
-reuses what the closure of the one before computed; a group is the pcgs of
-its generators' rows.  Sifting left-divides an element by the rows in depth
-order (`group._divide`); it reaches the identity exactly when the element
-lies in the subgroup, whose order is p^(rows).  A subgroup is closed by
-sifting the p-th power of each new row and its commutators
+form, one per depth (layer, monomial), each with its powers h .. h^(p-1).
+Sifting left-divides an element by the rows in depth order
+(`group._divide`); it reaches the identity exactly when the element lies in
+the subgroup, whose order is p^(rows).  One procedure, `_close`, makes every
+pcgs: it sifts the p-th power of each new row and its commutators
 (`group.commutator`) with the rows before it, and, for a normal closure in
-G, with G's generators.  The lower central and derived series are then
-normal closures of the commutators of pcgs elements (Holt,
-Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8), on
-O(r^2) commutators of the r generators instead of |G| r products.
+G, with G's generators, and hands back the commutators it took.  G is the
+closure of its layer generators; [G, G] is the normal closure of the
+commutators that G's closure took, and each later term of the lower central
+or derived series the normal closure of the ones that the term before it
+took with G's generators or with its own rows (Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 8), on O(r^2) commutators
+of the r generators instead of |G| r products.
 
 `finite_group` builds the group over A(n) once `check_order` admits it, and
 `sweep` judges each SWEEP_GRID row for the CLI and the sweep script alike.
@@ -34,7 +35,6 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -42,7 +42,6 @@ from .algebra import (
     _UNIT,
     AlgebraElement,
     AlgebraPresentation,
-    Memo,
     SteenrodError,
     adjoin_epsilon,
     component,
@@ -95,31 +94,33 @@ def check_order(p: int, gens: int) -> None:
         raise GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
 
 
-def _commutator(h: GroupElement, x: "_Row") -> GroupElement:
-    return commutator(h, x.element)
-
-
 @dataclass(eq=False)
 class _Row:
     """One element h of an induced pcgs, at its depth (layer, monomial index).
 
     h^-t clears the coordinate c at the depth for t = c * scale mod p;
-    powers[t - 1] = h^t.  comms maps a partner row x to [h, x], so a
-    commutator that one closure computed serves the next.  A row is equal
-    only to itself, which makes it the memo's key.
+    powers[t - 1] = h^t.
     """
 
     depth: tuple[int, int]
     element: GroupElement
     scale: int
     powers: list[GroupElement] = field(init=False, repr=False)
-    comms: Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         h = self.element
         self.powers = list(accumulate([h] * (h.p - 1), compose))
-        # a partial of a module function, not a lambda, so a group pickles
-        self.comms = Memo(partial(_commutator, h))
+
+
+class _Term(NamedTuple):
+    """A closed subgroup's pcgs rows, keyed by depth in the order found, and
+    the commutators its closure took: inner, [h, x] for each row h and each
+    row x found before it; outer, [h, y] for each row h and each generator y
+    of G (normal closures only)."""
+
+    rows: dict
+    inner: list
+    outer: list
 
 
 @dataclass
@@ -130,8 +131,9 @@ class FiniteGroup:
     and in depth order; gens reads their elements.  layers[i] lists layer
     i's monomials, each with the inverse of its generator's coefficient
     there, so an element of N_i has coordinate c * scale at the monomial it
-    carries with coefficient c in alpha_i.  cache holds each series report
-    and [G, G], each computed once.
+    carries with coefficient c in alpha_i.  cache holds the commutators that
+    G's closure took until they seed [G, G], then the [G, G] term with its
+    two lists, and each series report, each computed once.
     """
 
     p: int
@@ -223,27 +225,25 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
     return None
 
 
-def _relations(G: FiniteGroup, h: _Row, earlier, normal: bool) -> list[GroupElement]:
-    """h^p, [h, x] for the earlier rows x and, for a normal closure in G,
-    [h, y] for G's generators y."""
-    out = [compose(h.powers[-1], h.element)]
-    out += [h.comms[x] for x in earlier]
-    if normal:
-        out += [h.comms[y] for y in G.rows.values()]
-    return out
-
-
-def _close(G: FiniteGroup, rows: dict, queue, normal: bool) -> dict:
-    """Sift the queue into rows, queueing each new row's relations, until it is empty."""
+def _close(G: FiniteGroup, queue, normal: bool) -> _Term:
+    """The pcgs of the subgroup generated by the queue, or of its normal
+    closure in G: sift the queue into rows, queueing each new row's p-th
+    power, its inner and, when normal, its outer commutators, until it is empty."""
+    rows, inner, outer = {}, [], []
     queue = deque(queue)
     while queue:
         found = _sift(G, rows, queue.popleft())
         if found is not None:
             depth, scale, h = found
             row = _Row(depth, h, scale)
-            queue.extend(_relations(G, row, rows.values(), normal))
+            new = [commutator(h, x.element) for x in rows.values()]
+            new_outer = [commutator(h, y.element) for y in G.rows.values()] if normal else []
+            queue.append(compose(row.powers[-1], h))
+            queue += new + new_outer
+            inner += new
+            outer += new_outer
             rows[depth] = row
-    return rows
+    return _Term(rows, inner, outer)
 
 
 def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGroup:
@@ -254,21 +254,19 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
     galg = A if A.has_epsilon else adjoin_epsilon(A)
     one = identity(p, n, galg)
     G = FiniteGroup(p, n, galg, [[] for _ in range(n + 1)])
+    gens = []
     for i, g in _layer_generators(p, n, galg, eps_free):
         [(mono, c)] = (g.coeffs[i] - one.coeffs[i]).terms.items()
         inverse = invert_recursive(g)
         if not (compose(one, g) == g == compose(g, one) and is_identity(compose(g, inverse))
                 and is_identity(compose(inverse, g))):
             raise GroupTheoryError("the group law breaks the identity or inverse law on a generator")
-        depth = (i, len(G.layers[i]))
         G.layers[i].append((mono, pow(c, -1, p)))
-        G.rows[depth] = _Row(depth, g, 1)
-    # the generators are a pcgs of G when each relation sifts to the identity;
-    # every depth has a row, so _sift refuses any relation that leaves G
-    rows = list(G.rows.values())
-    for i, h in enumerate(rows):
-        for r in _relations(G, h, rows[:i], normal=False):
-            _sift(G, G.rows, r)
+        gens.append(g)
+    # each generator sifts to a row at its own depth, ahead of every relation;
+    # with every depth filled, a relation sifts to the identity, which makes
+    # the generators a pcgs of G, or _sift refuses it as a product that left G
+    G.rows, G.cache["relations"], _ = _close(G, gens, normal=False)
     return G
 
 
@@ -277,32 +275,26 @@ def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
     return _build(A, n, p, eps_free=False)
 
 
-def _bracket(G: FiniteGroup, X: list, Y: list) -> dict:
-    """The pcgs of [<X>, <Y>], the normal closure in G of the [x, y] for x in
-    X and y in Y (one per pair when Y is X), for <X> and <Y> normal in G."""
-    seeds = [x.comms[y] for i, x in enumerate(X) for y in (X[:i] if Y is X else Y)]
-    return _close(G, {}, seeds, normal=True)
+def _series(G: FiniteGroup, kind: str, bound: Optional[int], outer: bool) -> SeriesReport:
+    """G = H_0 > H_1 = [G, G] > ..., H_{k+1} the normal closure in G of the
+    commutators that H_k's closure took: its outer list when outer, which
+    gives [H_k, G], and its inner list otherwise, which gives [H_k, H_k].
 
-
-def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> SeriesReport:
-    """G = H_0 > H_1 = [G, G] > ..., H_{k+1} = [<X>, <Y>] for X the pcgs of H_k and Y = partners(X).
-
-    [<X>, <Y>] is the normal closure of the [x, y] in <X, Y>; for both series
-    it is normal in G, so the closure is taken in G.  [G, G] and each series
-    are computed once per group.
+    For H and K normal in G, [H, K] is the normal closure of the [h, y] for
+    h in H's pcgs and y in K's, one per pair when K is H; so [G, G] reads the
+    commutators that G's own closure took.  [G, G] and each series are
+    computed once per group.
     """
     if kind in G.cache:
         return G.cache[kind]
     if "commutator" not in G.cache:
-        gens = list(G.rows.values())
-        G.cache["commutator"] = _bracket(G, gens, gens)
+        G.cache["commutator"] = _close(G, G.cache.pop("relations"), normal=True)
     chain, nxt = [G.rows], G.cache["commutator"]
-    while len(nxt) < len(chain[-1]):
-        chain.append(nxt)
-        if not nxt:
+    while len(nxt.rows) < len(chain[-1]):
+        chain.append(nxt.rows)
+        if not nxt.rows:
             break
-        X = list(nxt.values())
-        nxt = _bracket(G, X, partners(X))
+        nxt = _close(G, nxt.outer if outer else nxt.inner, normal=True)
     sizes = [G.p ** len(H) for H in chain]
     length = next((i for i, s in enumerate(sizes) if s == 1), None)
     ok = None if bound is None else length is not None and length <= bound
@@ -313,12 +305,12 @@ def _series(G: FiniteGroup, partners, kind: str, bound: Optional[int]) -> Series
 
 def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    return _series(G, lambda X: list(G.rows.values()), "lower_central", class_bound(G.n))
+    return _series(G, "lower_central", class_bound(G.n), outer=True)
 
 
 def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _series(G, lambda X: X, "derived", None)
+    return _series(G, "derived", None, outer=False)
 
 
 def check_filtration_bounds(G: FiniteGroup) -> bool:
@@ -344,7 +336,7 @@ def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
     H = _build(A, n, p, eps_free=True)
-    return _series(H, lambda X: list(H.rows.values()), "ev_lower_central", class_bound(n, eps_free=True))
+    return _series(H, "ev_lower_central", class_bound(n, eps_free=True), outer=True)
 
 
 def finite_group(p: int, n: int) -> tuple[HopfPresentation, FiniteGroup]:

@@ -199,24 +199,44 @@ def check_filtration_bounds(p: int, k: int, rng: random.Random, samples: int) ->
                 return _ce_group(stage_a=ma, stage_b=mb, bound=bound, a=a, b=b, commutator=c, level=lvl)
 
 
+def _nested_commutator(points, ev: bool) -> Optional[dict]:
+    """The left-normed commutator of the points, or at odd p of their pi_ev
+    images for ev, against the stage of its depth, cut at their truncation."""
+    cut = pi_ev if ev else (lambda g: g)
+    acc = cut(points[0])
+    for b in points[1:]:
+        acc = commutator(acc, cut(b))
+    depth = len(points) - 1
+    lvl, bound = filtration_level(acc), min(commutator_stage(depth, ev), Fraction(acc.k))
+    if lvl < bound:
+        variant = {"variant": "ev"} if ev else {}
+        return _ce_group(depth=depth, **variant, result=acc, level=lvl, bound=bound)
+
+
 def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     """Lower-central bound: a depth-d nested commutator sits at stage
     `group.commutator_stage(d)` or above, and at odd p an eps-free one at the
-    eps-free stage, each bound cut at the truncation k."""
+    eps-free stage, each bound cut at the truncation.
+
+    The sampled eps-free commutators come out as the identity up to the
+    truncation, so the loop ends at the universal points, where every level
+    at odd p below the truncation is exactly its bound."""
     alg = group_test_algebra(p)
     k = max(k, 4)
     per = max(samples // 4, 1)
+    variants = (False,) if p == 2 else (False, True)
     for depth in range(1, 5):
         for _ in range(per):
-            for ev in (False,) if p == 2 else (False, True):
-                cut = pi_ev if ev else (lambda g: g)
-                acc = cut(random_group_element(rng, p, k, alg))
-                for _ in range(depth):
-                    acc = commutator(acc, cut(random_group_element(rng, p, k, alg)))
-                lvl, bound = filtration_level(acc), min(commutator_stage(depth, ev), Fraction(k))
-                if lvl < bound:
-                    variant = {"variant": "ev"} if ev else {}
-                    return _ce_group(depth=depth, **variant, result=acc, level=lvl, bound=bound)
+            for ev in variants:
+                ce = _nested_commutator([random_group_element(rng, p, k, alg) for _ in range(depth + 1)], ev)
+                if ce is not None:
+                    return ce
+    for depth in range(1, 5):
+        points = generic_points(p, k, depth + 1)
+        for ev in variants:
+            ce = _nested_commutator(points, ev)
+            if ce is not None:
+                return ce
 
 
 def _element_of_Gpn(rng, p, k, alg, n: int) -> GroupElement:

@@ -1,11 +1,11 @@
 """The bound of `algebra.Memo` changes what is kept, never a result.
 
-Every per-object memo of the package is a `Memo`, a pcgs row's commutators
-included.  Each result below is computed from fresh presentations and groups
-at the default MEMO_LIMIT and again at the limits 0 and 1, where nearly
-nothing is kept and every image, power, packed monomial and commutator is
-built again on each use; the results must agree, and no memo may grow past
-the limit.
+Every per-object memo of the package is a `Memo`; the finite groups keep
+none, since each pcgs closure hands the next series term the commutators it
+took.  Each result below is computed from fresh presentations and groups at
+the default MEMO_LIMIT and again at the limits 0 and 1, where nearly nothing
+is kept and every image, power and packed monomial is built again on each
+use; the results must agree, and no memo may grow past the limit.
 """
 
 import pytest
@@ -112,9 +112,11 @@ def test_a_miss_is_kept_only_below_the_limit(monkeypatch):
 
 
 def test_the_row_memos_reuse_commutators_across_series_terms(monkeypatch):
-    # a row keeps [h, x] for every partner row x, so the derived series'
-    # brackets reuse the commutators of the closure before them: 1295 calls
-    # where a memo of [h, generator] alone makes 1373
+    # each closure hands the next series term the commutators it took, so
+    # [G, G] and the next bracket of either series take none again: 1295
+    # calls for both series at (2, 5), where a memo of [h, generator] alone
+    # made 1373; the lower central series alone makes 1295 at (2, 5) and 913
+    # at (3, 3)
     monkeypatch.setenv("STEENROD_LIMIT", str(10**50))
     calls = []
     real = grouptheory.commutator
@@ -122,3 +124,7 @@ def test_the_row_memos_reuse_commutators_across_series_terms(monkeypatch):
     (order, *_) = _group_results([(2, 5)])
     assert order == 2**34
     assert len(calls) <= 1295, len(calls)
+    for (p, n), most in (((2, 5), 1295), ((3, 3), 913)):
+        calls.clear()
+        lower_central_series(finite_group(p, n)[1])
+        assert len(calls) <= most, (p, n, len(calls))

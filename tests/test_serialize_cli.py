@@ -449,6 +449,17 @@ def test_inverse_oracles_see_a_dropped_top_coefficient(monkeypatch, p, law):
     assert ce["a"] == serialize.group_to_obj(verify.generic_points(p, 4, 1)[0])
 
 
+def test_nested_commutators_see_an_eps_free_stage_set_too_high(monkeypatch):
+    # every sampled eps-free commutator is the identity up to the truncation,
+    # so only the universal points' commutators see the eps-free stage
+    real = verify.commutator_stage
+    monkeypatch.setattr(verify, "commutator_stage", lambda d, eps_free=False: real(d, eps_free) + 10 * eps_free)
+    ce = verify.check_nested_commutators(3, 4, random.Random(0), 50)
+    assert ce is not None
+    assert (ce["depth"], ce["variant"]) == ("1", repr("ev"))
+    assert (ce["level"], ce["bound"]) == (repr(Fraction(1)), repr(Fraction(4)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_subgroup_closure_checks_samples_pairs_inside_the_subgroup(monkeypatch, p):
     # a pair drawn from the whole group at k = 4 is never inside G_{p,2}, so
