@@ -436,6 +436,12 @@ def class_bound(n: int, eps_free: bool = False) -> int:
     return n - math.floor(commutator_stage(0, eps_free))
 
 
+def in_Gpn_layer(alg: AlgebraPresentation, m: int, i: int, n: int) -> bool:
+    """Whether alpha_i (i >= 1) of G_{p,n} may carry the packed monomial m:
+    m^(p^(n-i+1)) = 0 for i <= n, and no monomial beyond."""
+    return i <= n and frobenius(AlgebraElement(alg, {m: 1}), n - i + 1).is_zero()
+
+
 def in_Gpn(a: GroupElement, n: int) -> bool:
     """Membership in G_{p,n}: alpha_i^(p^(n-i+1)) = 0 for i <= n, alpha_i = 0 beyond."""
     if a.level != 0:

@@ -11,19 +11,21 @@ sequence (pcgs) of G, and an element's coordinates on a layer are its
 coefficients at the layer's monomials.
 
 No element is enumerated.  A subgroup is an induced pcgs: rows in echelon
-form, one per depth (layer, monomial), each with its powers h .. h^(p-1).
-Sifting left-divides an element by the rows in depth order
-(`group._divide`); it reaches the identity exactly when the element lies in
-the subgroup, whose order is p^(rows).  One procedure, `_close`, makes every
-pcgs: it sifts the p-th power of each new row and its commutators
-(`group.commutator`) with the rows before it, and, for a normal closure in
-G, with G's generators, and hands back the commutators it took.  G is the
-closure of its layer generators; [G, G] is the normal closure of the
-commutators that G's closure took, and each later term of the lower central
-or derived series the normal closure of the ones that the term before it
-took with G's generators or with its own rows (Holt, Eick & O'Brien,
-Handbook of Computational Group Theory, 2005, ch. 8), on O(r^2) commutators
-of the r generators instead of |G| r products.
+form, one per depth (layer, monomial), each the list g, g^2, ..., g^(p-1) of
+an element g whose coordinate at the depth is 1, so that row[t - 1] has
+coordinate t there.  Sifting left-divides an element by the rows in depth
+order (`group._divide`), by row[c - 1] at a coordinate c; it reaches the
+identity exactly when the element lies in the subgroup, whose order is
+p^(rows).  One procedure, `_close`, makes every pcgs: it sifts the p-th
+power of each new row's g and its commutators (`group.commutator`) with the
+rows before it, and, for a normal closure in G, with G's generators, and
+hands back the commutators it took.  G is the closure of its layer
+generators; [G, G] is the normal closure of the commutators that G's
+closure took, and each later term of the lower central or derived series
+the normal closure of the ones that the term before it took with G's
+generators or with its own rows (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005, ch. 8), on O(r^2) commutators of the r
+generators instead of |G| r products.
 
 `finite_group` builds the group over A(n) once `check_order` admits it, and
 `sweep` judges each SWEEP_GRID row for the CLI and the sweep script alike.
@@ -45,7 +47,6 @@ from .algebra import (
     SteenrodError,
     adjoin_epsilon,
     component,
-    frobenius,
     times_eps,
 )
 from .group import (
@@ -58,6 +59,7 @@ from .group import (
     compose,
     filtration_level,
     identity,
+    in_Gpn_layer,
     invert_recursive,
     is_identity,
 )
@@ -94,58 +96,42 @@ def check_order(p: int, gens: int) -> None:
         raise GroupTheoryError(f"group order {p}^{e} or more is over the limit {limit} ({LIMIT_ENV})")
 
 
-@dataclass(eq=False)
-class _Row:
-    """One element h of an induced pcgs, at its depth (layer, monomial index).
-
-    h^-t clears the coordinate c at the depth for t = c * scale mod p;
-    powers[t - 1] = h^t.
-    """
-
-    depth: tuple[int, int]
-    element: GroupElement
-    scale: int
-    powers: list[GroupElement] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        h = self.element
-        self.powers = list(accumulate([h] * (h.p - 1), compose))
-
-
 class _Term(NamedTuple):
     """A closed subgroup's pcgs rows, keyed by depth in the order found, and
-    the commutators its closure took: inner, [h, x] for each row h and each
-    row x found before it; outer, [h, y] for each row h and each generator y
-    of G (normal closures only)."""
+    the commutators its closure took: inner, [g, x] for each row g and each
+    row x found before it; outer, [g, y] for each row g and each generator y
+    of G (normal closures only).  A row is the list g, g^2, ..., g^(p-1) of an
+    element g whose coordinate at the row's depth is 1, so row[t - 1] has
+    coordinate t there, and every coordinate at an earlier depth is 0."""
 
     rows: dict
-    inner: list
-    outer: list
+    inner: Optional[list]
+    outer: Optional[list]
 
 
 @dataclass
 class FiniteGroup:
     """A finite group of stunted series, held as its pcgs.
 
-    rows are the filtration-layer generators as pcgs rows, keyed by depth
-    and in depth order; gens reads their elements.  layers[i] lists layer
-    i's monomials, each with the inverse of its generator's coefficient
-    there, so an element of N_i has coordinate c * scale at the monomial it
-    carries with coefficient c in alpha_i.  cache holds the commutators that
-    G's closure took until they seed [G, G], then the [G, G] term with its
-    two lists, and each series report, each computed once.
+    rows are G's pcgs rows, one per filtration-layer generator, keyed by
+    depth and in depth order; gens reads the element g of each.  layers[i]
+    lists layer i's packed monomials, so an element of N_i has coordinate c
+    at a monomial it carries with coefficient c in alpha_i (alpha_0 - 1 for
+    layer 0).  cache holds the commutators that G's closure took until they
+    seed [G, G], then the [G, G] term with the commutator lists that a series
+    not yet taken will read, and each series report, each computed once.
     """
 
     p: int
     n: int
     algebra: AlgebraPresentation
-    layers: list[list[tuple[int, int]]] = field(repr=False)
+    layers: list[list[int]] = field(repr=False)
     rows: dict = field(repr=False, default_factory=dict)
     cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def gens(self) -> list[GroupElement]:
-        return [row.element for row in self.rows.values()]
+        return [row[0] for row in self.rows.values()]
 
     @property
     def order(self) -> int:
@@ -174,27 +160,26 @@ def _layer_generators(p: int, n: int, galg: AlgebraPresentation, eps_free: bool)
     """(layer, generator) for each basis monomial of each filtration layer.
 
     Layer 0 (odd p, with eps): alpha_0 = 1 + m*eps for each eps-free degree-1 monomial m.
-    Layer i >= 1: alpha_i = m for each degree-d_i monomial m with
-    m^(p^(n-i+1)) = 0.  With eps_free, only the generators of the eps-free
-    subgroup: no layer 0 and no monomial containing eps.  Refused by
-    `check_order` as soon as the generators so far exceed STEENROD_LIMIT.
+    Layer i >= 1: alpha_i = m for each degree-d_i monomial m that
+    `group.in_Gpn_layer` admits, m^(p^(n-i+1)) = 0.  With eps_free, only the
+    generators of the eps-free subgroup: no layer 0 and no monomial containing
+    eps.  Refused by `check_order` as soon as the generators so far exceed
+    STEENROD_LIMIT.
     """
     one, zero = galg.one(), galg.zero()
 
-    def element(i, c):
+    def element(i, m):
+        c = AlgebraElement(galg, {m: 1})
         coeffs = [one] + [zero] * n
-        coeffs[i] = c
+        coeffs[i] = one + times_eps(c) if i == 0 else c
         return i, GroupElement(p, n, 0, galg, tuple(coeffs))
-
-    def basis(d, only_eps_free):
-        return [AlgebraElement(galg, {m: 1}) for m in component(galg, d, only_eps_free)]
 
     def layers():
         if galg.has_epsilon and not eps_free:
-            yield from (element(0, one + times_eps(m)) for m in basis(1, True))
+            yield from (element(0, m) for m in component(galg, 1, True))
         for i in range(1, n + 1):
-            d = coeff_degree(p, 0, i)
-            yield from (element(i, m) for m in basis(d, eps_free) if frobenius(m, n - i + 1).is_zero())
+            monomials = component(galg, coeff_degree(p, 0, i), eps_free)
+            yield from (element(i, m) for m in monomials if in_Gpn_layer(galg, m, i, n))
 
     gens = []
     for g in layers():
@@ -207,19 +192,19 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
     """Left-divide g by the rows in depth order.
 
     None if g reaches the identity, which is when it lies in the rows'
-    subgroup; otherwise (depth, scale, residue) for the first coordinate no
-    row clears; the layer map is additive, so h^-t g clears it as g h^-t does.
-    A layer left non-zero after its coordinates are cleared means a product left G.
+    subgroup; otherwise (depth, c, residue) for the first coordinate c no row
+    clears; the layer map is additive, so row[c - 1]^-1 g clears it as
+    g row[c - 1]^-1 does.  A layer left non-zero after its coordinates are
+    cleared means a product left G.
     """
-    p = G.p
     for i, basis in enumerate(G.layers):
-        for j, (mono, scale) in enumerate(basis):
-            c = g.coeffs[i].terms.get(mono, 0) * scale % p
+        for j, mono in enumerate(basis):
+            c = g.coeffs[i].terms.get(mono)
             if c:
                 row = rows.get((i, j))
                 if row is None:
-                    return (i, j), pow(c, -1, p), g
-                g = _divide(row.powers[c * row.scale % p - 1], g)
+                    return (i, j), c, g
+                g = _divide(row[c - 1], g)
         if (g.coeffs[i].terms != _UNIT) if i == 0 else g.coeffs[i].terms:
             raise GroupTheoryError(f"a product left the group: its layer-{i} coefficient is not in the layer's span")
     return None
@@ -228,17 +213,21 @@ def _sift(G: FiniteGroup, rows: dict, g: GroupElement):
 def _close(G: FiniteGroup, queue, normal: bool) -> _Term:
     """The pcgs of the subgroup generated by the queue, or of its normal
     closure in G: sift the queue into rows, queueing each new row's p-th
-    power, its inner and, when normal, its outer commutators, until it is empty."""
-    rows, inner, outer = {}, [], []
+    power, its inner and, when normal, its outer commutators, until it is empty.
+
+    A residue h of coordinate c makes the row g^t = h^(t / c mod p), h's own
+    powers in another order."""
+    p, rows, inner, outer = G.p, {}, [], []
     queue = deque(queue)
     while queue:
         found = _sift(G, rows, queue.popleft())
         if found is not None:
-            depth, scale, h = found
-            row = _Row(depth, h, scale)
-            new = [commutator(h, x.element) for x in rows.values()]
-            new_outer = [commutator(h, y.element) for y in G.rows.values()] if normal else []
-            queue.append(compose(row.powers[-1], h))
+            depth, c, h = found
+            powers = list(accumulate([h] * (p - 1), compose))
+            row = [powers[t * pow(c, -1, p) % p - 1] for t in range(1, p)]
+            new = [commutator(row[0], x[0]) for x in rows.values()]
+            new_outer = [commutator(row[0], y[0]) for y in G.rows.values()] if normal else []
+            queue.append(compose(row[-1], row[0]))
             queue += new + new_outer
             inner += new
             outer += new_outer
@@ -256,12 +245,12 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
     G = FiniteGroup(p, n, galg, [[] for _ in range(n + 1)])
     gens = []
     for i, g in _layer_generators(p, n, galg, eps_free):
-        [(mono, c)] = (g.coeffs[i] - one.coeffs[i]).terms.items()
         inverse = invert_recursive(g)
         if not (compose(one, g) == g == compose(g, one) and is_identity(compose(g, inverse))
                 and is_identity(compose(inverse, g))):
             raise GroupTheoryError("the group law breaks the identity or inverse law on a generator")
-        G.layers[i].append((mono, pow(c, -1, p)))
+        [mono] = g.coeffs[i].terms.keys() - _UNIT.keys()
+        G.layers[i].append(mono)
         gens.append(g)
     # each generator sifts to a row at its own depth, ahead of every relation;
     # with every depth filled, a relation sifts to the identity, which makes
@@ -275,42 +264,44 @@ def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
     return _build(A, n, p, eps_free=False)
 
 
-def _series(G: FiniteGroup, kind: str, bound: Optional[int], outer: bool) -> SeriesReport:
+def _series(G: FiniteGroup, kind: str, bound: Optional[int], side: str) -> SeriesReport:
     """G = H_0 > H_1 = [G, G] > ..., H_{k+1} the normal closure in G of the
-    commutators that H_k's closure took: its outer list when outer, which
-    gives [H_k, G], and its inner list otherwise, which gives [H_k, H_k].
+    commutators that H_k's closure took: its outer list for side "outer",
+    which gives [H_k, G], and its inner list for "inner", which gives [H_k, H_k].
 
     For H and K normal in G, [H, K] is the normal closure of the [h, y] for
     h in H's pcgs and y in K's, one per pair when K is H; so [G, G] reads the
     commutators that G's own closure took.  [G, G] and each series are
-    computed once per group.
+    computed once per group, and the cached [G, G] term drops the list that
+    its series reads, so once both series are taken it keeps its rows alone.
     """
     if kind in G.cache:
         return G.cache[kind]
     if "commutator" not in G.cache:
         G.cache["commutator"] = _close(G, G.cache.pop("relations"), normal=True)
     chain, nxt = [G.rows], G.cache["commutator"]
+    G.cache["commutator"] = nxt._replace(**{side: None})
     while len(nxt.rows) < len(chain[-1]):
         chain.append(nxt.rows)
         if not nxt.rows:
             break
-        nxt = _close(G, nxt.outer if outer else nxt.inner, normal=True)
+        nxt = _close(G, getattr(nxt, side), normal=True)
     sizes = [G.p ** len(H) for H in chain]
     length = next((i for i, s in enumerate(sizes) if s == 1), None)
     ok = None if bound is None else length is not None and length <= bound
-    terms = [tuple(H[d].element for d in sorted(H)) for H in chain]
+    terms = [tuple(H[d][0] for d in sorted(H)) for H in chain]
     G.cache[kind] = SeriesReport(kind, terms, sizes, length, bound, ok)
     return G.cache[kind]
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    return _series(G, "lower_central", class_bound(G.n), outer=True)
+    return _series(G, "lower_central", class_bound(G.n), "outer")
 
 
 def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _series(G, "derived", None, outer=False)
+    return _series(G, "derived", None, "inner")
 
 
 def check_filtration_bounds(G: FiniteGroup) -> bool:
@@ -336,7 +327,7 @@ def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
     H = _build(A, n, p, eps_free=True)
-    return _series(H, "ev_lower_central", class_bound(n, eps_free=True), outer=True)
+    return _series(H, "ev_lower_central", class_bound(n, eps_free=True), "outer")
 
 
 def finite_group(p: int, n: int) -> tuple[HopfPresentation, FiniteGroup]:

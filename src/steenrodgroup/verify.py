@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, AlgebraPresentation, adjoin_epsilon, component, eps_part, frobenius, times_eps
+from .algebra import AlgebraElement, AlgebraPresentation, adjoin_epsilon, component, eps_part, times_eps
 from .group import (
     BOTTOM,
     GroupElement,
@@ -27,6 +27,7 @@ from .group import (
     filtration_level,
     identity,
     in_Gpn,
+    in_Gpn_layer,
     invert_closed,
     invert_recursive,
     invert_split,
@@ -240,14 +241,13 @@ def check_nested_commutators(p: int, k: int, rng: random.Random, samples: int) -
 
 
 def _element_of_Gpn(rng, p, k, alg, n: int) -> GroupElement:
-    """Random element of G_{p,n}: alpha_i for i <= n on the monomials m with
-    m^(p^(n-i+1)) = 0, the basis of `grouptheory._layer_generators`, and
-    alpha_i = 0 beyond."""
+    """Random element of G_{p,n}: alpha_i for i <= n on the monomials that
+    `group.in_Gpn_layer` admits, the basis of `grouptheory._layer_generators`,
+    and alpha_i = 0 beyond."""
     a = random_group_element(rng, p, n, alg)
     coeffs = [a.coeffs[0]]
     for i in range(1, n + 1):
-        q = n - i + 1
-        terms = {m: c for m, c in a.coeffs[i].terms.items() if frobenius(AlgebraElement(alg, {m: 1}), q).is_zero()}
+        terms = {m: c for m, c in a.coeffs[i].terms.items() if in_Gpn_layer(alg, m, i, n)}
         coeffs.append(AlgebraElement(alg, terms))
     return GroupElement(p, k, 0, alg, tuple(coeffs) + (alg.zero(),) * (k - n))
 

@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from steenrodgroup import grouptheory
-from steenrodgroup.algebra import eps_reduce, mk_algebra
+from steenrodgroup.algebra import AlgebraPresentation, Generator, eps_reduce, mk_algebra
 from steenrodgroup.group import (
     TOP,
     GroupElement,
@@ -174,12 +174,25 @@ def test_series_match_cayley_table_oracle(A, p, n, order):
 
 
 # every group up to order 2401: the sweep grid, the order-128 group, the
-# orders 625 and 2401, and the class-3 group
+# orders 625 and 2401, the class-3 group, and two groups at p = 3 whose eps
+# comes first, so that their generator 1 + t0*eps has eps-coordinate p - 1
+# and its row is another generator of the same subgroup
 DIFFERENTIAL_GROUPS = [
     pytest.param(milnor_quotient(p, n).algebra, p, n, id=f"p{p}-n{n}")
     for p, n in SWEEP_GRID + ((2, 3), (5, 1), (7, 1))
 ]
-DIFFERENTIAL_GROUPS.append(pytest.param(mk_algebra(2, [("a", 1, 2), ("b", 1, 8)]), 2, 3, id="p2-n3-class3"))
+DIFFERENTIAL_GROUPS += [
+    pytest.param(mk_algebra(2, [("a", 1, 2), ("b", 1, 8)]), 2, 3, id="p2-n3-class3"),
+    pytest.param(
+        AlgebraPresentation(3, (Generator("eps", -1, 2), Generator("t0", 1, 2), Generator("x1", 4, 3))),
+        3, 1, id="p3-n1-eps-first",
+    ),
+    pytest.param(
+        AlgebraPresentation(3, (Generator("eps", -1, 2), Generator("t0", 1, 2), Generator("t1", 5, 2),
+                                Generator("x1", 4, 3), Generator("x2", 16, 3))),
+        3, 2, id="p3-n2-eps-first",
+    ),
+]
 
 
 @pytest.mark.parametrize("A, p, n", DIFFERENTIAL_GROUPS)
@@ -200,7 +213,41 @@ def test_pcgs_closures_match_the_enumeration_oracle(A, p, n):
         for normal, members in ((False, subgroup_closure(O, indices)), (True, normal_closure(O, indices)[1])):
             rows = grouptheory._close(G, elements, normal).rows
             assert len(members) == p ** len(rows)
-            assert expand(O, [row.element for row in rows.values()]) == members, (seed, normal)
+            assert expand(O, [row[0] for row in rows.values()]) == members, (seed, normal)
+
+
+@pytest.mark.parametrize("A, p, n", DIFFERENTIAL_GROUPS)
+def test_every_row_is_indexed_by_its_coordinate(monkeypatch, A, p, n):
+    # row[t - 1] has coordinate t at the row's depth and 0 at every earlier
+    # depth, which `_sift` reads when it divides by row[c - 1]: on G's own
+    # rows and on every term of both series and of the eps-free series
+    closed = []
+
+    def close(G, queue, normal, real=grouptheory._close):
+        term = real(G, queue, normal)
+        closed.append((G, term.rows))
+        return term
+
+    monkeypatch.setattr(grouptheory, "_close", close)
+    G = enumerate_group(A, n, p)
+    lower_central_series(G)
+    derived_series(G)
+    if p != 2:
+        ev_subgroup_series(A, n, p)
+    assert len(closed) >= 2  # G and [G, G] at least
+    for H, rows in closed:
+        depths = [(i, j) for i, basis in enumerate(H.layers) for j in range(len(basis))]
+
+        def coordinate(g, depth):
+            i, j = depth
+            return g.coeffs[i].terms.get(H.layers[i][j], 0)
+
+        for depth, row in rows.items():
+            assert len(row) == p - 1
+            earlier = depths[: depths.index(depth)]
+            for t, g in enumerate(row, 1):
+                assert coordinate(g, depth) == t, (depth, t)
+                assert all(coordinate(g, e) == 0 for e in earlier), (depth, t)
 
 
 @pytest.mark.parametrize("A, p, n, order", ORACLE_GROUPS)
@@ -336,6 +383,19 @@ def test_a_group_pickles_after_its_series_were_taken():
     lower_central_series(G)
     twin = pickle.loads(pickle.dumps(G))
     assert derived_series(twin) == derived_series(G)
+
+
+def test_the_commutator_term_keeps_its_rows_alone_once_both_series_are_taken():
+    # each series drops the list of the cached [G, G] term that it reads:
+    # the outer list after the lower central series, the inner one after the
+    # derived series, so no commutator outlives the series that read it
+    G = G31()
+    lower_central_series(G)
+    term = G.cache["commutator"]
+    assert term.outer is None and term.inner is not None
+    derived_series(G)
+    term = G.cache["commutator"]
+    assert len(term.rows) == 1 and (term.inner, term.outer) == (None, None)
 
 
 def test_build_refuses_a_relation_that_leaves_the_group(monkeypatch):
