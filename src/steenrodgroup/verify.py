@@ -3,9 +3,18 @@
 Each suite checks one family of algebraic laws (group axioms, inverse-oracle
 agreement, commutator-coefficient predictions, filtration bounds, Hopf axioms,
 diagram compatibilities, basis complementarity) and returns its first
-counterexample, fully serialized so the failure can be replayed, or None when
-every sample passes.  `run_suites` turns these into the report's suite
-entries, sorted by suite name.
+counterexample, or None when every sample passes.  `run_suites` turns these
+into the report's suite entries, sorted by suite name.
+
+`group_axioms`, `inverse_oracles`, `commutator_leading`, `nested_commutators`
+and `homomorphisms` decide each input with one check of it, which returns the
+counterexample or None; the acceptance gate calls the first four's checks.
+The counterexamples of `group_axioms`, `inverse_oracles`, `commutator_leading`
+and `filtration_bounds` carry all of their inputs as wire objects: decoding
+them with `serialize.group_from_obj` and calling the check again replays the
+failure.  The others do not: `homomorphisms` omits its truncations,
+`nested_commutators` its points, `theta_convolution` its assignments, and
+`rho_diagram` and `hopf_ideals` report theirs as `repr` strings.
 """
 
 from __future__ import annotations
@@ -106,18 +115,24 @@ def check_group_axioms(p: int, k: int, rng: random.Random, samples: int) -> Opti
     return _unit_laws(*generic_points(p, k, 1)) or _associativity(*generic_points(p, k, 3))
 
 
+def _inverse_oracles(a: GroupElement) -> Optional[dict]:
+    r = invert_recursive(a)
+    c = invert_closed(a)
+    if r != c:
+        return _ce_group(law="closed", a=a, recursive=r, closed=c)
+    if a.p != 2:
+        s = invert_split(a)
+        if r != s:
+            return _ce_group(law="split", a=a, recursive=r, split=s)
+
+
 def check_inverse_oracles(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     alg = group_test_algebra(p)
     points = (random_group_element(rng, p, k, alg) for _ in range(samples))
     for a in itertools.chain(points, generic_points(p, k, 1)):
-        r = invert_recursive(a)
-        c = invert_closed(a)
-        if r != c:
-            return _ce_group(law="closed", a=a, recursive=r, closed=c)
-        if p != 2:
-            s = invert_split(a)
-            if r != s:
-                return _ce_group(law="split", a=a, recursive=r, split=s)
+        ce = _inverse_oracles(a)
+        if ce is not None:
+            return ce
 
 
 def _sample_with_prefix(rng, p, k, alg, want: int) -> GroupElement:
@@ -127,6 +142,24 @@ def _sample_with_prefix(rng, p, k, alg, want: int) -> GroupElement:
         if zero_prefix_length(a) == want:
             return a
     raise RuntimeError(f"could not sample element with zero prefix {want}")
+
+
+def _leading_pair(rng, p, k, alg, case: int, top: int) -> tuple[GroupElement, GroupElement]:
+    """A random pair of the shape that `group.commutator_leading`'s case
+    predicts, each zero prefix drawn from 1..top."""
+    if case == 1:
+        return random_group_element(rng, p, k, alg), random_group_element(rng, p, k, alg)
+    if case == 2:
+        return _sample_with_prefix(rng, p, k, alg, rng.randint(1, top)), _sample_with_prefix(rng, p, k, alg, 0)
+    ll = rng.randint(1, top)
+    return _sample_with_prefix(rng, p, k, alg, rng.randint(ll, top)), _sample_with_prefix(rng, p, k, alg, ll)
+
+
+def _leading_coefficients(a: GroupElement, b: GroupElement, case: int) -> Optional[dict]:
+    kk, c1, c2 = commutator_leading(a, b, case)
+    actual = commutator(a, b)
+    if actual.coeffs[kk + 1] != c1 or actual.coeffs[kk + 2] != c2:
+        return _ce_group(case=case, a=a, b=b, predicted_1=c1, predicted_2=c2, actual=actual)
 
 
 def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
@@ -140,22 +173,9 @@ def check_commutator_leading(p: int, k: int, rng: random.Random, samples: int) -
         top += 1
     for case in (1, 2, 3):
         for _ in range(per_case):
-            if case == 1:
-                a = random_group_element(rng, p, k, alg)
-                b = random_group_element(rng, p, k, alg)
-            elif case == 2:
-                kk = rng.randint(1, top)
-                a = _sample_with_prefix(rng, p, k, alg, kk)
-                b = _sample_with_prefix(rng, p, k, alg, 0)
-            else:
-                ll = rng.randint(1, top)
-                kk = rng.randint(ll, top)
-                a = _sample_with_prefix(rng, p, k, alg, kk)
-                b = _sample_with_prefix(rng, p, k, alg, ll)
-            kk, c1, c2 = commutator_leading(a, b, case)
-            actual = commutator(a, b)
-            if actual.coeffs[kk + 1] != c1 or actual.coeffs[kk + 2] != c2:
-                return _ce_group(case=case, a=a, b=b, predicted_1=c1, predicted_2=c2, actual=actual)
+            ce = _leading_coefficients(*_leading_pair(rng, p, k, alg, case, top), case)
+            if ce is not None:
+                return ce
 
 
 def _filtered_element(rng, p, k, alg, m: Fraction) -> GroupElement:
@@ -338,9 +358,9 @@ def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Optio
 
 
 def check_primitivity(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
-    for k in range(0, 3):
-        if not primitivity_check(level_mod_I(p, k, N=3)):
-            return {"preset": f"A_mod_I({k})"}
+    for level in range(0, 3):
+        if not primitivity_check(level_mod_I(p, level, N=3)):
+            return {"preset": f"A_mod_I({level})"}
     if not primitivity_check(dual_mod_J(p, 0, N=3)):
         return {"preset": "A_mod_J(0)"}
     if p != 2:
@@ -379,25 +399,27 @@ def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) ->
 def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     target = theta_target(p)
     per = max(samples // 3, 1)
-    for k in (0, 1, 2):
-        hp = level_algebra(p, k, N=3)
+    for level in (0, 1, 2):
+        hp = level_algebra(p, level, N=3)
         for _ in range(per):
             phi = random_assignment(rng, hp, target)
             if not rho_diagram_check(phi, 3):
-                return {"k": k, "values": {n: repr(v) for n, v in phi.values.items()}}
+                return {"k": level, "values": {n: repr(v) for n, v in phi.values.items()}}
 
 
 def check_milnor_complement(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
-    """J-basis membership and dual-span membership partition the monomial indices."""
-    for k in range(0, 3):
-        hi = min(p ** (k + 2), 30)
+    """J-basis membership and dual-span membership partition the monomial indices.
+
+    It runs a fixed (level, R, E) grid that reads neither `--k` nor `--samples`."""
+    for level in range(0, 3):
+        hi = min(p ** (level + 2), 30)
         for R in itertools.product(range(hi), repeat=3):
             e_choices = [()] if p == 2 else [(), (1,), (0, 1), (1, 1, 1)]
             for E in e_choices:
-                in_j = in_J_basis(E, R, k, p)
-                in_span = in_dual_span(DualSymbol(p, R, E), k)
+                in_j = in_J_basis(E, R, level, p)
+                in_span = in_dual_span(DualSymbol(p, R, E), level)
                 if in_j == in_span:
-                    return {"k": k, "E": list(E), "R": list(R), "in_J": in_j, "in_span": in_span}
+                    return {"k": level, "E": list(E), "R": list(R), "in_J": in_j, "in_span": in_span}
 
 
 def check_partition_bijection(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
@@ -405,8 +427,8 @@ def check_partition_bijection(p: int, k: int, rng: random.Random, samples: int) 
     for m in range(2, 11):
         image = set()
         total = 0
-        for k in range(1, m):
-            for nu in enumerate_compositions(k):
+        for n in range(1, m):
+            for nu in enumerate_compositions(n):
                 image.add(extend_F(nu, m).parts)
                 total += 1
         expected = {c.parts for c in enumerate_compositions(m) if c.length >= 2}

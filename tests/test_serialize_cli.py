@@ -365,6 +365,35 @@ def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# suite -> (the law of steenrodgroup.verify that is broken, its broken version
+# built from the real one, the truncation at which the suite sees it)
+REPLAYED = {
+    "group_axioms": ("compose", BROKEN_LAWS["compose"][0], 4),
+    "inverse_oracles": ("invert_closed", BROKEN_LAWS["invert_closed"][0], 4),
+    # at k = 4 the dropped alpha_4 lies past every predicted coefficient
+    "commutator_leading": ("commutator", _drop_top_coefficient, 3),
+}
+
+
+def _replay(suite: str, ce: dict) -> dict:
+    """The counterexample that suite's check of one input gives on ce's decoded inputs."""
+    g = {name: group_from_obj(obj) for name, obj in ce.items() if isinstance(obj, dict)}
+    if suite == "group_axioms":
+        return verify._associativity(g["a"], g["b"], g["c"]) if "c" in g else verify._unit_laws(g["a"])
+    if suite == "inverse_oracles":
+        return verify._inverse_oracles(g["a"])
+    return verify._leading_coefficients(g["a"], g["b"], int(ce["case"]))
+
+
+@pytest.mark.parametrize("suite", sorted(REPLAYED))
+def test_a_counterexample_replays_through_its_laws_check(monkeypatch, suite):
+    law, breaker, k = REPLAYED[suite]
+    monkeypatch.setattr(verify, law, breaker(getattr(verify, law)))
+    ce = verify.SUITES[suite](3, k, random.Random(f"0:{suite}"), 5)
+    assert ce is not None
+    assert _replay(suite, json.loads(json.dumps(ce))) == ce
+
+
 def test_generic_point_is_the_identity_assignment():
     a = verify.generic_points(3, 2, 1)[0]
     alg, eps = a.algebra, a.algebra.gen("eps")
