@@ -20,10 +20,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steenrodgroup.cli import positive, prime
+from steenrodgroup.cli import MAX_N, at_most, positive, prime
 from steenrodgroup.hopf import (
     HopfPresentation,
     cocommutativity_defect,
+    level_mod_I,
     primitivity_check,
     quotient,
 )
@@ -56,11 +57,10 @@ def run(p: int, N: int) -> int:
         print(f"kill {hp.xi_name('_i')}^{p} for i <= {upto} -> defects at {[n for n, _ in bad]}")
         assert bad, f"{hp.xi_name(upto + 1)}^{p} must be forced into the ideal"
         print(f"  first witness: mu - T mu at {bad[0][0]} = {bad[0][1]}")
-    final = partial_quotient(p, N, N, kill_t0=True)
+    final = level_mod_I(p, 0, N)  # A/I<0>
     bad = surviving_defects(final)
     print(f"full quotient            -> defects at {[n for n, _ in bad]}")
     assert not bad, "the full quotient must be cocommutative"
-    # the final quotient is A/I<0>, with the caps of level_mod_I(p, 0, N)
     assert primitivity_check(final), "generators must be primitive"
     print("chain complete: every smaller monomial ideal leaves a defect;")
     print("the full quotient is cocommutative with primitive generators.\n")
@@ -70,7 +70,7 @@ def run(p: int, N: int) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=prime, default=None, help="run one prime only")
-    ap.add_argument("--N", type=positive, default=3, help="generator index bound")
+    ap.add_argument("--N", type=at_most(MAX_N, positive), default=3, help=f"generator index bound, at most {MAX_N}")
     args = ap.parse_args()
     for p in [args.p] if args.p else [2, 3]:
         run(p, args.N)

@@ -448,13 +448,9 @@ def in_Gpn(a: GroupElement, n: int) -> bool:
         raise GroupError("G_{p,n} is defined inside the base group")
     if n < 0:
         raise GroupError("n must be >= 0")
-    for i in range(1, a.k + 1):
-        if i >= n + 1:
-            if not a.coeffs[i].is_zero():
-                return False
-        elif not frobenius(a.coeffs[i], n - i + 1).is_zero():
-            return False
-    return True
+    # termwise, and exact: frobenius maps distinct monomials to distinct ones,
+    # so it kills a coefficient exactly when it kills each of its terms
+    return all(in_Gpn_layer(a.algebra, m, i, n) for i in range(1, a.k + 1) for m in a.coeffs[i].terms)
 
 
 def pi_ev(a: GroupElement) -> GroupElement:

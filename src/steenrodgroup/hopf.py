@@ -4,8 +4,9 @@ A HopfPresentation wraps a finitely presented graded-commutative algebra whose
 generators are the Milnor generators (possibly Frobenius-shifted: the level-k
 subalgebras are generated by zeta_i^(2^k) resp. xi_i^(p^k)), together with a
 generator index bound N, a degree cap D and the Frobenius shift.  All
-quotients in play are by monomial ideals, so ideal membership is decided by
-the caps of the presentation.  `coproduct` and `antipode` are exact up to
+quotients in play are by monomial ideals: a preset's kernel is generated by
+the generators it lacks and the powers its caps kill, which is how
+`verify.check_hopf_ideals` reads it.  `coproduct` and `antipode` are exact up to
 `degree_cap`, and refuse an x above it, or of another presentation.
 
 Every preset is one call to `quotient`: the tau_i it lists, then xi_1 .. xi_N
@@ -47,7 +48,7 @@ computed from them alone.  The defects sum without building a product or a
 term stream: each c * S(m1) * m2 and c * m1 * S(m2) is one `mul_into`, and
 each mu(m1) (x) m2 and m1 (x) mu(m2) one `join`, into the defect's dict;
 `extend` adds c * image(m) as it is at c = 1 and as the product with the
-scalar c else.
+scalar c else.  `theta` truncates at the N of its assignment's presentation.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .algebra import (
     sparse_sub,
     times_eps,
 )
-from .group import GroupElement, GroupError, coeff_degree, rho
+from .group import GroupElement, coeff_degree, rho
 
 HopfElement = AlgebraElement
 
@@ -587,11 +588,10 @@ def convolution(phi: GeneratorAssignment, psi: GeneratorAssignment) -> Generator
     return GeneratorAssignment(hp, phi.target, values)
 
 
-def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
-    """The group element corresponding to an algebra homomorphism."""
+def theta(phi: GeneratorAssignment) -> GroupElement:
+    """The group element of an algebra homomorphism, truncated at the generator
+    bound N of its presentation; `group.project` cuts it lower."""
     hp = phi.hopf
-    if trunc > hp.N:
-        raise GroupError(f"truncation {trunc} exceeds generator bound N={hp.N}")
     # eps is adjoined for odd p; at p = 2 adjoin_epsilon returns the target,
     # and times_eps below is zero
     galg = phi.target if phi.target.has_epsilon else adjoin_epsilon(phi.target)
@@ -600,8 +600,8 @@ def theta(phi: GeneratorAssignment, trunc: int) -> GroupElement:
         return embed(phi.value(_name(hp.p, i, tau)), galg)
 
     # alpha_i = phi(xi_i) + phi(tau_i) eps, where xi_0 = 1
-    xi = [galg.one()] + [value(i, False) for i in range(1, trunc + 1)]
-    return GroupElement(hp.p, trunc, hp.shift, galg, tuple(x + times_eps(value(i, True)) for i, x in enumerate(xi)))
+    xi = [galg.one()] + [value(i, False) for i in range(1, hp.N + 1)]
+    return GroupElement(hp.p, hp.N, hp.shift, galg, tuple(x + times_eps(value(i, True)) for i, x in enumerate(xi)))
 
 
 def universal_points(hp: HopfPresentation, c: int) -> tuple[GroupElement, ...]:
@@ -612,7 +612,7 @@ def universal_points(hp: HopfPresentation, c: int) -> tuple[GroupElement, ...]:
     alg, power = hp.algebra, hp.algebra.power(c)
     target = adjoin_epsilon(power)  # once, so that the points share it
     copies = [{g: embed(power.inject(alg.gen(g), j), target) for g in hp.gen_names()} for j in range(c)]
-    return tuple(theta(GeneratorAssignment(hp, target, values), hp.N) for values in copies)
+    return tuple(theta(GeneratorAssignment(hp, target, values)) for values in copies)
 
 
 def restrict_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:
@@ -624,8 +624,6 @@ def restrict_assignment(phi: GeneratorAssignment) -> GeneratorAssignment:
     return GeneratorAssignment(next_hp, phi.target, {g: v for g, v in values.items() if not v.is_zero()})
 
 
-def rho_diagram_check(phi: GeneratorAssignment, trunc: int) -> bool:
+def rho_diagram_check(phi: GeneratorAssignment) -> bool:
     """rho(theta(phi)) must equal theta of the restricted assignment."""
-    lhs = rho(theta(phi, trunc))
-    rhs = theta(restrict_assignment(phi), trunc)
-    return lhs == rhs
+    return rho(theta(phi)) == theta(restrict_assignment(phi))

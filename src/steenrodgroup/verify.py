@@ -14,7 +14,8 @@ and `filtration_bounds` carry all of their inputs as wire objects: decoding
 them with `serialize.group_from_obj` and calling the check again replays the
 failure.  The others do not: `homomorphisms` omits its truncations,
 `nested_commutators` its points, `theta_convolution` its assignments, and
-`rho_diagram` and `hopf_ideals` report theirs as `repr` strings.
+`rho_diagram` and `hopf_ideals` report theirs as `repr` strings.  Each ideal
+of `hopf_ideals` is the kernel of a `hopf` preset, read off its caps.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .group import (
     zero_prefix_length,
 )
 from .hopf import (
+    HopfPresentation,
     TensorElement,
     antipode_gen,
     axiom_counterexamples,
@@ -332,27 +334,29 @@ def check_hopf_axioms(p: int, k: int, rng: random.Random, samples: int) -> Optio
             return {"law": "recursion", "generator": hp.xi_name(n)}
 
 
+def _kernel_generators(hp: HopfPresentation, q: HopfPresentation) -> list[AlgebraElement]:
+    """The monomial generators of the kernel of hp onto its quotient preset q:
+    each generator of hp that q lacks, and each power that q's cap kills and
+    hp's cap keeps."""
+    caps = {g.name: g.cap for g in q.algebra.generators}
+    alg = hp.algebra
+    return [alg.gen(g.name, caps.get(g.name, 1)) for g in alg.generators if caps.get(g.name, 1) < g.cap]
+
+
 def check_hopf_ideals(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
-    """The named quotient ideals satisfy the Hopf-ideal axioms up to a degree."""
+    """The kernels of the named quotient presets satisfy the Hopf-ideal axioms up to a degree."""
     d = 2 * p**2 if p != 2 else 15
     hp = dual_steenrod(p, N=3, D=max(d, default_degree_cap(p, 3)))
-    xi, tau = hp.xi, hp.tau
-    ideals = {}
     if p == 2:
-        ideals["I<0>"] = [xi(i, 2) for i in range(1, 4)]
-        ideals["I<1>"] = [xi(1, 4), xi(2, 4)]
-        ideals["I(2,n)"] = [xi(1, 4), xi(2, 2), xi(3)]
+        quotients = {"I<0>": level_mod_I(p, 0, 3), "I<1>": dual_mod_J(p, 1, 3), "I(2,n)": milnor_quotient(p, 2)}
     else:
-        ideals["J<0>"] = [tau(0)] + [xi(i, p) for i in range(1, 4)]
-        ideals["I(p,n)"] = [tau(2), tau(3), xi(1, p), xi(2), xi(3)]
-    for name, gens in ideals.items():
-        gens = [g for g in gens if not g.is_zero()]
-        ok, witness = check_hopf_ideal(hp, gens, d)
+        quotients = {"J<0>": dual_mod_J(p, 0, 3), "I(p,n)": milnor_quotient(p, 1)}
+    for name, q in quotients.items():
+        ok, witness = check_hopf_ideal(hp, _kernel_generators(hp, q), d)
         if not ok:
             return {"ideal": name, "witness": repr(witness)}
     # a non-Hopf ideal must be rejected
-    bad = [xi(2)]
-    ok, _ = check_hopf_ideal(hp, bad, d)
+    ok, _ = check_hopf_ideal(hp, [hp.xi(2)], d)
     if ok:
         return {"ideal": "principal-degree-counterexample", "witness": "accepted"}
 
@@ -386,12 +390,11 @@ def theta_target(p: int) -> AlgebraPresentation:
 def check_theta_convolution(p: int, k: int, rng: random.Random, samples: int) -> Optional[dict]:
     hp = dual_steenrod(p, N=3)
     target = theta_target(p)
-    trunc = 3
     for _ in range(samples):
         phi = random_assignment(rng, hp, target)
         psi = random_assignment(rng, hp, target)
-        lhs = theta(convolution(phi, psi), trunc)
-        rhs = compose(theta(psi, trunc), theta(phi, trunc))
+        lhs = theta(convolution(phi, psi))
+        rhs = compose(theta(psi), theta(phi))
         if lhs != rhs:
             return _ce_group(lhs=lhs, rhs=rhs)
 
@@ -403,7 +406,7 @@ def check_rho_diagram(p: int, k: int, rng: random.Random, samples: int) -> Optio
         hp = level_algebra(p, level, N=3)
         for _ in range(per):
             phi = random_assignment(rng, hp, target)
-            if not rho_diagram_check(phi, 3):
+            if not rho_diagram_check(phi):
                 return {"k": level, "values": {n: repr(v) for n, v in phi.values.items()}}
 
 

@@ -161,7 +161,7 @@ def test_criterion_7_rho_diagram():
             rng = random.Random(f"c7:{p}:{k}")
             for _ in range(per_cell):
                 phi = random_assignment(rng, hp, target)
-                if not rho_diagram_check(phi, 3):
+                if not rho_diagram_check(phi):
                     ok = False
     elapsed = time.monotonic() - start
     report(7, "level-raising square commutes on random assignments", ok,

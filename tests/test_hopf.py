@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steenrodgroup import hopf
+from steenrodgroup import hopf, verify
 from steenrodgroup.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -503,6 +503,73 @@ def test_hopf_ideal_check_refuses_a_generator_of_another_presentation():
     assert check_hopf_ideal(hp, [hp.algebra.gen("z2")], 15)[0] is False
 
 
+# -- the kernels of the quotient presets -----------------------------------------
+#
+# `verify._kernel_generators` reads a preset's ideal off its caps; the lists
+# below state the five ideals of `verify.check_hopf_ideals` as the paper does,
+# as an oracle for that reading.
+
+
+def _papers_ideals(hp):
+    p, xi, tau = hp.p, hp.xi, hp.tau
+    if p == 2:
+        return {"I<0>": [xi(i, 2) for i in range(1, 4)], "I<1>": [xi(1, 4), xi(2, 4)],
+                "I(2,n)": [xi(1, 4), xi(2, 2), xi(3)]}
+    return {"J<0>": [tau(0)] + [xi(i, p) for i in range(1, 4)], "I(p,n)": [tau(2), tau(3), xi(1, p), xi(2), xi(3)]}
+
+
+def _monomials(gens):
+    return {next(iter(g.terms)) for g in gens if not g.is_zero()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_suite_ideals_are_the_papers(monkeypatch, p):
+    seen = []
+    monkeypatch.setattr(verify, "check_hopf_ideal", lambda hp, gens, d: seen.append((hp, gens)) or (True, None))
+    verify.check_hopf_ideals(p, 4, random.Random(0), 1)
+    *ideals, (hp, principal) = seen  # the last call is the non-Hopf ideal (xi_2)
+    assert [_monomials(gens) for _, gens in ideals] == [_monomials(g) for g in _papers_ideals(hp).values()]
+    assert principal == [hp.xi(2)]
+
+
+def _quotient_presets(p):
+    """(ambient, preset) for each quotient preset over three generators."""
+    full = dual_steenrod(p, 3)
+    yield from ((level_algebra(p, k, 3), level_mod_I(p, k, 3)) for k in range(3))
+    yield from ((full, dual_mod_J(p, k, 3)) for k in range(3))
+    yield from ((full, milnor_quotient(p, n)) for n in (1, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_presets_are_hopf_quotients(p):
+    for hp, q in _quotient_presets(p):
+        assert check_hopf_ideal(hp, verify._kernel_generators(hp, q), hp.degree_cap) == (True, None), q.label
+
+
+def _misplaced_caps(p, n):
+    """A(n) with the caps p^i of xi_i in place of p^(n-i+1)."""
+    return hopf.quotient(p, n, 0, f"A({n})", lambda i: p**i, range(n + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_misplaced_milnor_caps_are_no_hopf_quotient(p):
+    # xi_2^p (x) xi_1 in mu(xi_3) leaves the kernel, whose xi_2 power is p^2
+    hp = dual_steenrod(p, 3)
+    ok, witness = check_hopf_ideal(hp, verify._kernel_generators(hp, _misplaced_caps(p, 2)), hp.degree_cap)
+
+    def exps(x):
+        return hp.algebra.exponents(next(iter(x.terms)))
+
+    assert not ok
+    assert witness == (exps(hp.xi(3)), "coproduct", (exps(hp.xi(2, p)), exps(hp.xi(1)), 1))
+
+
+def test_hopf_ideals_names_a_failing_ideal_as_the_paper_does(monkeypatch):
+    monkeypatch.setattr(verify, "milnor_quotient", _misplaced_caps)
+    ce = verify.check_hopf_ideals(2, 4, random.Random(0), 1)
+    assert ce["ideal"] == "I(2,n)"
+
+
 # -- assignments, convolution, theta -------------------------------------------
 
 
@@ -556,7 +623,7 @@ def test_theta_hand_example_p2():
     hp = dual_steenrod(2, N=2, D=6)
     target = milnor_quotient(2, 2).algebra
     phi = GeneratorAssignment(hp, target, {"z1": target.gen("z1")})
-    g = theta(phi, 2)
+    g = theta(phi)
     assert g.coeffs[0] == g.algebra.one()
     assert g.coeffs[1] == g.algebra.gen("z1")
     assert g.coeffs[2].is_zero()
@@ -566,7 +633,7 @@ def test_theta_odd_head_carries_t0():
     hp = dual_steenrod(3, N=2, D=20)
     target = milnor_quotient(3, 2).algebra
     phi = GeneratorAssignment(hp, target, {"t0": target.gen("t0")})
-    g = theta(phi, 2)
+    g = theta(phi)
     from steenrodgroup.algebra import eps_part, eps_reduce
 
     assert eps_reduce(g.coeffs[0]) == g.algebra.one()
@@ -580,7 +647,7 @@ def test_milnor_antipode_is_the_group_inverse(p, N):
     hp = dual_steenrod(p, N)
     (u,) = universal_points(hp, 1)
     S = GeneratorAssignment(hp, hp.algebra, {g: antipode_gen(hp, g) for g in hp.gen_names()})
-    inverse = theta(S, N)
+    inverse = theta(S)
     assert inverse == invert_recursive(u) == invert_closed(u)
     if p != 2:
         assert inverse == invert_split(u)
@@ -589,8 +656,8 @@ def test_milnor_antipode_is_the_group_inverse(p, N):
 @given(st.integers(0, 10**6), st.sampled_from([2, 3]))
 def test_theta_turns_convolution_into_composition(seed, p):
     phi, psi = mk_phi(seed, p), mk_phi(seed + 1, p)
-    lhs = theta(convolution(phi, psi), 3)
-    rhs = compose(theta(psi, 3), theta(phi, 3))
+    lhs = theta(convolution(phi, psi))
+    rhs = compose(theta(psi), theta(phi))
     assert lhs == rhs
 
 
@@ -633,8 +700,8 @@ def test_rho_diagram_hand_example():
     hp = dual_steenrod(2, N=2, D=6)
     target = milnor_quotient(2, 2).algebra
     phi = GeneratorAssignment(hp, target, {"z1": target.gen("z1")})
-    assert rho_diagram_check(phi, 2)
-    g = rho(theta(phi, 2))
+    assert rho_diagram_check(phi)
+    g = rho(theta(phi))
     assert g.level == 1
     assert g.coeffs[1] == frobenius(g.algebra.gen("z1"), 1)
 
@@ -643,7 +710,7 @@ def test_rho_diagram_hand_example():
 def test_rho_diagram_commutes(seed, p, k):
     hp = level_algebra(p, k, N=3)
     phi = random_assignment(random.Random(seed), hp, theta_target(p))
-    assert rho_diagram_check(phi, 3)
+    assert rho_diagram_check(phi)
 
 
 # -- the maps against their per-term sums ----------------------------------------

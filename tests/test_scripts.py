@@ -104,7 +104,7 @@ def test_cocommutativity_script_bytes(tmp_path, args):
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == FORCING_CHAIN[args]
 
 
-@pytest.mark.parametrize("args", [["--p", "4"], ["--p", "0"], ["--N", "0"], ["--N", "-1"]])
+@pytest.mark.parametrize("args", [["--p", "4"], ["--p", "0"], ["--N", "0"], ["--N", "-1"], ["--N", "65"]])
 def test_cocommutativity_script_bad_argument_is_usage_error(tmp_path, args):
     done = run_script("cocommutativity_minimality.py", *args, cwd=tmp_path)
     assert (done.returncode, done.stdout) == (2, "")
