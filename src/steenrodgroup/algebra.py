@@ -31,13 +31,13 @@ boundaries of `hopf` and `milnor`.  The wire format keeps what it packs and
 unpacks in two `Memo`s of the presentation, `wire_packs` and `wire_exponents`;
 `pack` and `exponents` themselves keep nothing.  Every memo that lives as
 long as an object is a `Memo`, which keeps at most MEMO_LIMIT entries and
-builds again what it could not keep.  `component(a, d)` is the
-packed basis of a graded component, in the order of the exponent vectors, so
-every reader of a basis takes packed monomials from here and none packs one
-itself.  Its walk takes the generators of degree <= 0 first and then the
-positive ones, largest degree first, so the small generators come last and
-fill in what the larger ones leave; each step starts at the first positive
-generator whose degree fits what is left.
+builds again what it could not keep.  `component(a, d)` is the packed basis
+of a graded component, in the order of the exponent vectors, so every reader
+of a basis (sampling, `verify`, the finite groups' layers) takes packed
+monomials from here.  Its walk takes the generators of degree <= 0 first and
+then the positive ones, largest degree first, so the small generators come
+last and fill in what the larger ones leave; each step starts at the first
+positive generator whose degree fits what is left.
 
 The exterior variable eps (degree -1, cap 2) is adjoined as an ordinary
 generator; for p = 2 it does not exist and every eps-operation is the

@@ -6,8 +6,10 @@ subalgebras are generated by zeta_i^(2^k) resp. xi_i^(p^k)), together with a
 generator index bound N, a degree cap D and the Frobenius shift.  All
 quotients in play are by monomial ideals: a preset's kernel is generated by
 the generators it lacks and the powers its caps kill, which is how
-`verify.check_hopf_ideals` reads it.  `coproduct` and `antipode` are exact up to
-`degree_cap`, and refuse an x above it, or of another presentation.
+`verify.check_hopf_ideals` reads it.  The coproduct and antipode are
+multiplicative, so `check_hopf_ideal` decides such an ideal on its generators.
+`coproduct` and `antipode` are exact up to `degree_cap`, and refuse an x above
+it, or of another presentation.
 
 Every preset is one call to `quotient`: the tau_i it lists, then xi_1 .. xi_N
 at its shift, xi_i of the degree of alpha_i, with one cap rule; the full
@@ -39,16 +41,17 @@ in characteristic p such a power is termwise, so image(g^(p^j)) is one
 
 `coproduct` and `antipode` admit x, then sum c * image(m) over the terms
 c * m of x, from the presentation's two `Images`, made on first use and kept
-for as long as it lives; the law defects and `check_hopf_ideal` index the
-same two for the monomials of mu(x).  A map of one monomial with
-coefficient 1 hands out the stored image itself.  Assignments, convolution
-and `switch` make an `Images` for one call.  No Hopf law is assumed: every
-image is a product of the generator maps' images, so each defect is still
-computed from them alone.  The defects sum without building a product or a
-term stream: each c * S(m1) * m2 and c * m1 * S(m2) is one `mul_into`, and
-each mu(m1) (x) m2 and m1 (x) mu(m2) one `join`, into the defect's dict;
-`extend` adds c * image(m) as it is at c = 1 and as the product with the
-scalar c else.  `theta` truncates at the N of its assignment's presentation.
+for as long as it lives; the law defects index the same two for the
+monomials of mu(x), and `check_hopf_ideal` for an ideal's generators.  A map
+of one monomial with coefficient 1 hands out the stored image itself.
+Assignments, convolution and `switch` make an `Images` for one call.  No Hopf
+law is assumed: every image is a product of the generator maps' images, so
+each defect is still computed from them alone.  The defects sum without
+building a product or a term stream: each c * S(m1) * m2 and c * m1 * S(m2)
+is one `mul_into`, and each mu(m1) (x) m2 and m1 (x) mu(m2) one `join`, into
+the defect's dict; `extend` adds c * image(m) as it is at c = 1 and as the
+product with the scalar c else.  `theta` truncates at the N of its
+assignment's presentation.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from .algebra import (
     SteenrodError,
     accumulate,
     adjoin_epsilon,
-    component,
     embed,
     frobenius,
     mul_into,
@@ -505,31 +507,31 @@ def primitivity_check(hp: HopfPresentation) -> bool:
 # -- monomial Hopf ideals ------------------------------------------------------
 
 
-def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement], d: int):
-    """Verify the Hopf-ideal axioms for a monomial ideal, up to degree d.
+def check_hopf_ideal(hp: HopfPresentation, ideal_gens: Iterable[HopfElement]):
+    """Verify the Hopf-ideal axioms for a monomial ideal on its generators.
 
     Returns (ok, first_violation) where the violation names the offending
-    monomial and axiom.  A d above hp's degree cap, or an ideal generator
-    of another presentation, is refused before any monomial is mapped.
+    generator and axiom.  Exact: mu and S are multiplicative, so a multiple
+    of a passing generator passes, and with positive degrees the first
+    failing ideal monomial in (degree, packed monomial) order is the first
+    failing generator in that order.  A generator above hp's degree cap, or
+    of another presentation, is refused before any image is built.
     """
-    if d > hp.degree_cap:
-        raise HopfError(f"degree bound {d} exceeds the degree cap {hp.degree_cap}")
     alg = hp.algebra
-    gen_monos = []
+    gen_monos = set()
     for g in ideal_gens:
         _check_pres(alg, g)
         if len(g.terms) != 1 or next(iter(g.terms.values())) != 1:
             raise HopfError("ideal generators must be single monomials")
-        gen_monos.append(next(iter(g.terms)))
+        _admit(hp, g)
+        gen_monos.add(next(iter(g.terms)))
 
     def in_ideal(m) -> bool:
         return any(alg.divides(gm, m) for gm in gen_monos)
 
     if any(g.degree <= 0 for g in alg.generators):
         raise EnumerationError("requires strictly positive generator degrees")
-    for m in (m for deg in range(d + 1) for m in component(alg, deg)):
-        if not in_ideal(m):
-            continue
+    for m in sorted(gen_monos, key=lambda m: (alg.mono_degree(m), m)):
         if m == 0:  # the monomial 1, the only one of non-zero counit
             return False, (alg.exponents(m), "counit")
         for (m1, m2), c in hp._coproducts[m].pairs():

@@ -34,8 +34,8 @@ def _results():
         out += [
             list(axiom_counterexamples(hp)),
             cocommutativity_defect(hp),
-            check_hopf_ideal(hp, augmentation, 20),
-            check_hopf_ideal(hp, [hp.xi(2)], 20),  # not a Hopf ideal: a witness
+            check_hopf_ideal(hp, augmentation),
+            check_hopf_ideal(hp, [hp.xi(2)]),  # not a Hopf ideal: a witness
         ]
     (a,) = generic_points(3, 4, 1)
     closed = invert_closed(a)

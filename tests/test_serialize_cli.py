@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from steenrodgroup import cli, group, serialize, verify
+from steenrodgroup import cli, group, hopf, serialize, verify
 from steenrodgroup.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -322,30 +322,35 @@ def _drop_top_term(antipode_gen):
     return broken
 
 
-# law of steenrodgroup.verify -> (its broken version built from the real one,
-# the suites that must fail, sha256 of the stdout of VERIFY_BROKEN)
+# law -> (the module it is patched in, its broken version built from the real
+# one, the suites that must fail, sha256 of the stdout of VERIFY_BROKEN)
 BROKEN_LAWS = {
     # at p = 3, k = 4 every sampled alpha_4 is zero, so group_axioms sees the
     # dropped top coefficient only at the generic point
     "compose": (
+        verify,
         _drop_top_coefficient,
         {"group_axioms", "homomorphisms", "theta_convolution"},
         "322edd1e5daac6bba66f74e96cf5ce9b8b6eeaf4970692405d68dd5b79470b1b",
     ),
     "invert_closed": (
+        verify,
         lambda real: lambda a: invert_recursive(identity(a.p, a.k, a.algebra, a.level)),
         {"inverse_oracles"},
         "a2c5351b2de925c669ebf75025da8b6e39f7a040934b1ae7993f0f52f30dc94d",
     ),
     "in_dual_span": (
+        verify,
         lambda real: lambda sym, k: in_J_basis(sym.E, sym.R, k, sym.p),
         {"milnor_complement"},
         "1650d7bde1bf40cf04c1e146208e7d45ad26d356adec94af58655661410b0d2f",
     ),
+    # the function each presentation's antipode images are built from
     "antipode_gen": (
+        hopf,
         _drop_top_term,
         {"hopf_axioms"},
-        "5ad719f6971fc1481ce992c480f09cfedc42172125c6f8068beefa6b536e32eb",
+        "c8763afd6f880ab5122f2c7ed785cdb1d459a00c07b05d5aa8a847c532eee7ea",
     ),
 }
 
@@ -354,8 +359,8 @@ VERIFY_BROKEN = "verify --p 3 --k 4 --seed 0 --samples 5"
 
 @pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
 def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
-    breaker, suites, digest = BROKEN_LAWS[law]
-    monkeypatch.setattr(verify, law, breaker(getattr(verify, law)))
+    module, breaker, suites, digest = BROKEN_LAWS[law]
+    monkeypatch.setattr(module, law, breaker(getattr(module, law)))
     code, out = run_cli(capsys, *VERIFY_BROKEN.split())
     payload = json.loads(out)
     assert code == 1 and payload["ok"] is False
@@ -368,8 +373,8 @@ def test_cli_verify_reports_a_broken_law(capsys, monkeypatch, law):
 # suite -> (the law of steenrodgroup.verify that is broken, its broken version
 # built from the real one, the truncation at which the suite sees it)
 REPLAYED = {
-    "group_axioms": ("compose", BROKEN_LAWS["compose"][0], 4),
-    "inverse_oracles": ("invert_closed", BROKEN_LAWS["invert_closed"][0], 4),
+    "group_axioms": ("compose", BROKEN_LAWS["compose"][1], 4),
+    "inverse_oracles": ("invert_closed", BROKEN_LAWS["invert_closed"][1], 4),
     # at k = 4 the dropped alpha_4 lies past every predicted coefficient
     "commutator_leading": ("commutator", _drop_top_coefficient, 3),
 }
@@ -567,8 +572,8 @@ def test_cli_stdout_on_dev_full_is_one_usage_error(unbuffered):
 
 
 def test_cli_failed_verify_writes_its_report_to_out(tmp_path, capsys, monkeypatch):
-    breaker, _, digest = BROKEN_LAWS["invert_closed"]
-    monkeypatch.setattr(verify, "invert_closed", breaker(verify.invert_closed))
+    module, breaker, _, digest = BROKEN_LAWS["invert_closed"]
+    monkeypatch.setattr(module, "invert_closed", breaker(module.invert_closed))
     dest = tmp_path / "verify.json"
     code, out = run_cli(capsys, *VERIFY_BROKEN.split(), "--out", str(dest))
     assert (code, out) == (1, "")
