@@ -25,7 +25,8 @@ closure took, and each later term of the lower central or derived series
 the normal closure of the ones that the term before it took with G's
 generators or with its own rows (Holt, Eick & O'Brien, Handbook of
 Computational Group Theory, 2005, ch. 8), on O(r^2) commutators of the r
-generators instead of |G| r products.
+generators instead of |G| r products.  `_build` takes [G, G] and both
+series once, so no commutator list outlives the build.
 
 `finite_group` builds the group over A(n) once `check_order` admits it, and
 `sweep` judges each SWEEP_GRID row for the CLI and the sweep script alike.
@@ -105,8 +106,8 @@ class _Term(NamedTuple):
     coordinate t there, and every coordinate at an earlier depth is 0."""
 
     rows: dict
-    inner: Optional[list]
-    outer: Optional[list]
+    inner: list
+    outer: list
 
 
 @dataclass
@@ -117,9 +118,8 @@ class FiniteGroup:
     depth and in depth order; gens reads the element g of each.  layers[i]
     lists layer i's packed monomials, so an element of N_i has coordinate c
     at a monomial it carries with coefficient c in alpha_i (alpha_0 - 1 for
-    layer 0).  cache holds the commutators that G's closure took until they
-    seed [G, G], then the [G, G] term with the commutator lists that a series
-    not yet taken will read, and each series report, each computed once.
+    layer 0).  lower_central and derived are G's two series, each taken once
+    when the group is built.
     """
 
     p: int
@@ -127,7 +127,8 @@ class FiniteGroup:
     algebra: AlgebraPresentation
     layers: list[list[int]] = field(repr=False)
     rows: dict = field(repr=False, default_factory=dict)
-    cache: dict = field(repr=False, default_factory=dict)
+    lower_central: Optional[SeriesReport] = field(repr=False, default=None)
+    derived: Optional[SeriesReport] = field(repr=False, default=None)
 
     @property
     def gens(self) -> list[GroupElement]:
@@ -255,7 +256,12 @@ def _build(A: AlgebraPresentation, n: int, p: int, eps_free: bool) -> FiniteGrou
     # each generator sifts to a row at its own depth, ahead of every relation;
     # with every depth filled, a relation sifts to the identity, which makes
     # the generators a pcgs of G, or _sift refuses it as a product that left G
-    G.rows, G.cache["relations"], _ = _close(G, gens, normal=False)
+    G.rows, relations, _ = _close(G, gens, normal=False)
+    commutator_term = _close(G, relations, normal=True)
+    del relations  # the build's largest list, freed before the series
+    kind = "ev_lower_central" if eps_free else "lower_central"
+    G.lower_central = _series(G, commutator_term, kind, class_bound(n, eps_free), "outer")
+    G.derived = _series(G, commutator_term, "derived", None, "inner")
     return G
 
 
@@ -264,23 +270,17 @@ def enumerate_group(A: AlgebraPresentation, n: int, p: int) -> FiniteGroup:
     return _build(A, n, p, eps_free=False)
 
 
-def _series(G: FiniteGroup, kind: str, bound: Optional[int], side: str) -> SeriesReport:
+def _series(G: FiniteGroup, term: _Term, kind: str, bound: Optional[int], side: str) -> SeriesReport:
     """G = H_0 > H_1 = [G, G] > ..., H_{k+1} the normal closure in G of the
     commutators that H_k's closure took: its outer list for side "outer",
     which gives [H_k, G], and its inner list for "inner", which gives [H_k, H_k].
 
     For H and K normal in G, [H, K] is the normal closure of the [h, y] for
     h in H's pcgs and y in K's, one per pair when K is H; so [G, G] reads the
-    commutators that G's own closure took.  [G, G] and each series are
-    computed once per group, and the cached [G, G] term drops the list that
-    its series reads, so once both series are taken it keeps its rows alone.
+    commutators that G's own closure took.  term is the [G, G] term, which
+    both series start from; neither it nor G is changed.
     """
-    if kind in G.cache:
-        return G.cache[kind]
-    if "commutator" not in G.cache:
-        G.cache["commutator"] = _close(G, G.cache.pop("relations"), normal=True)
-    chain, nxt = [G.rows], G.cache["commutator"]
-    G.cache["commutator"] = nxt._replace(**{side: None})
+    chain, nxt = [G.rows], term
     while len(nxt.rows) < len(chain[-1]):
         chain.append(nxt.rows)
         if not nxt.rows:
@@ -290,18 +290,17 @@ def _series(G: FiniteGroup, kind: str, bound: Optional[int], side: str) -> Serie
     length = next((i for i, s in enumerate(sizes) if s == 1), None)
     ok = None if bound is None else length is not None and length <= bound
     terms = [tuple(H[d][0] for d in sorted(H)) for H in chain]
-    G.cache[kind] = SeriesReport(kind, terms, sizes, length, bound, ok)
-    return G.cache[kind]
+    return SeriesReport(kind, terms, sizes, length, bound, ok)
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesReport:
     """Gamma_0 = G, Gamma_{k+1} = [Gamma_k, G]; nilpotency class = first trivial stage."""
-    return _series(G, "lower_central", class_bound(G.n), "outer")
+    return G.lower_central
 
 
 def derived_series(G: FiniteGroup) -> SeriesReport:
     """D_0 = G, D_{k+1} = [D_k, D_k]."""
-    return _series(G, "derived", None, "inner")
+    return G.derived
 
 
 def check_filtration_bounds(G: FiniteGroup) -> bool:
@@ -326,8 +325,7 @@ def ev_subgroup_series(A: AlgebraPresentation, n: int, p: int) -> SeriesReport:
     only the eps-free generators are closed, so STEENROD_LIMIT bounds it."""
     if p == 2:
         raise GroupTheoryError("requires an odd prime")
-    H = _build(A, n, p, eps_free=True)
-    return _series(H, "ev_lower_central", class_bound(n, eps_free=True), "outer")
+    return _build(A, n, p, eps_free=True).lower_central
 
 
 def finite_group(p: int, n: int) -> tuple[HopfPresentation, FiniteGroup]:

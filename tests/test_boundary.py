@@ -6,13 +6,32 @@ import inspect
 import json
 import pkgutil
 import random
+import re
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 import steenrodgroup
 from steenrodgroup import SteenrodError, cli
-from steenrodgroup.group import MAX_LEVEL
+from steenrodgroup.algebra import AlgebraError, AlgebraPresentation, Generator, frobenius
+from steenrodgroup.group import (
+    MAX_LEVEL,
+    GroupElement,
+    GroupError,
+    commutator_leading,
+    filtration_level,
+    identity,
+    in_Gpn,
+    invert_split,
+    pi_ev,
+    star_product,
+)
+from steenrodgroup.grouptheory import GroupTheoryError, enumerate_group
+from steenrodgroup.hopf import GeneratorAssignment, HopfError, convolution, dual_steenrod, milnor_quotient
+from steenrodgroup.milnor import DualSymbol, MilnorError, kronecker_pair
+from steenrodgroup.partitions import Composition, PartitionError
 from steenrodgroup.sampling import random_group_element
 from steenrodgroup.serialize import group_from_obj, group_to_obj
 from steenrodgroup.verify import group_test_algebra
@@ -32,6 +51,69 @@ def test_every_exception_class_is_a_steenrod_error():
     ]
     assert len(defined) >= 8  # the base and one class per refusing module
     assert [cls.__name__ for cls in defined if not issubclass(cls, SteenrodError)] == []
+
+
+def _base(k=2):
+    """The identity of G_3 at truncation k, over the sample algebra."""
+    return identity(3, k, group_test_algebra(3))
+
+
+def _flavor_one():
+    return identity(3, 2, group_test_algebra(3), level=1)
+
+
+def _with_alpha_1():
+    """An element of G_3 at truncation 4 whose alpha_1 is x1: no vanishing prefix."""
+    alg = group_test_algebra(3)
+    return GroupElement(3, 4, 0, alg, (alg.one(), alg.gen("x1")) + (alg.zero(),) * 3)
+
+
+def _eps_top():
+    """An element of G_3 at truncation 1 whose top coefficient is eps."""
+    alg = group_test_algebra(3)
+    return GroupElement(3, 1, 0, alg, (alg.one(), alg.gen("eps")))
+
+
+def _assignment(hp):
+    return GeneratorAssignment(hp, milnor_quotient(2, 3).algebra, {})
+
+
+# (the refused call, its refusal, its message); tier-1 reaches none of these
+# refusals otherwise
+REFUSALS = [
+    (lambda: GeneratorAssignment(dual_steenrod(2, 3), milnor_quotient(3, 1).algebra, {}),
+     HopfError, "target prime mismatch"),
+    (lambda: convolution(_assignment(dual_steenrod(2, 3)), _assignment(dual_steenrod(2, 2))),
+     HopfError, "convolution needs matching presentations"),
+    (lambda: invert_split(_flavor_one()), GroupError, "eps-split inverse is for the base flavor"),
+    (lambda: commutator_leading(_base(1), _base(1), 1), GroupError, "truncation too small for case-1 prediction"),
+    (lambda: commutator_leading(_base(4), _base(4), 2), GroupError,
+     "case 2 requires k >= 1 vanishing alpha_i and beta_1 != 0 allowed"),
+    (lambda: commutator_leading(_with_alpha_1(), _base(4), 3), GroupError, "case 3 requires k >= l >= 1"),
+    (lambda: commutator_leading(_base(4), _base(4), 3), GroupError, "truncation too small for case-3 prediction"),
+    (lambda: commutator_leading(_base(4), _base(4), 4), GroupError, "unknown case 4"),
+    (lambda: star_product(_eps_top(), _eps_top()), GroupError, "star product needs eps-free top coefficients"),
+    (lambda: filtration_level(_flavor_one()), GroupError, "filtration is defined for the base flavor"),
+    (lambda: in_Gpn(_flavor_one(), 2), GroupError, "G_{p,n} is defined inside the base group"),
+    (lambda: in_Gpn(_base(), -1), GroupError, "n must be >= 0"),
+    (lambda: pi_ev(identity(2, 1, group_test_algebra(2))), GroupError, "pi^ev is defined for odd p"),
+    (lambda: pi_ev(_flavor_one()), GroupError, "pi^ev is defined on the base group"),
+    (lambda: enumerate_group(milnor_quotient(2, 1).algebra, -1, 2), GroupTheoryError, "n must be >= 0"),
+    (lambda: AlgebraPresentation(3, (Generator("y", 1, 3),)), AlgebraError,
+     "odd generator y must have cap <= 2 (use mk_algebra)"),
+    (lambda: group_test_algebra(3).index("nope"), AlgebraError, "no generator named nope"),
+    (lambda: (group_test_algebra(3).gen("x1") + group_test_algebra(3).one()).degree(), AlgebraError,
+     "inhomogeneous element has no degree"),
+    (lambda: frobenius(group_test_algebra(3).gen("x1"), -1), AlgebraError, "negative Frobenius power"),
+    (lambda: kronecker_pair(DualSymbol(2, (1,)), (1,), (1,)), MilnorError, "p = 2 monomials carry no exterior part"),
+    (lambda: Composition((1, 2)).sigma(3), PartitionError, "position 3 out of range"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS, ids=[f"{error.__name__}: {message}" for _, error, message in REFUSALS])
+def test_a_precondition_is_refused_by_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- a fuzzer over the whole CLI ----------------------------------------------

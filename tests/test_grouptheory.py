@@ -370,32 +370,22 @@ def test_filtration_bounds_hold():
 
 
 def test_a_group_pickles_after_its_series_were_taken():
-    # the rows, the series reports and the [G, G] term with the commutators
-    # its closure took make the round trip
+    # the rows and the series reports make the round trip
     G = G22()
     reports = lower_central_series(G), derived_series(G)
     twin = pickle.loads(pickle.dumps(G))
     assert (twin.gens, twin.order) == (G.gens, G.order)
     assert (lower_central_series(twin), derived_series(twin)) == reports
-    # after the lower central series alone, the twin's derived series starts
-    # from the pickled [G, G] term and reads its inner commutators
-    G = G22()
-    lower_central_series(G)
-    twin = pickle.loads(pickle.dumps(G))
-    assert derived_series(twin) == derived_series(G)
 
 
-def test_the_commutator_term_keeps_its_rows_alone_once_both_series_are_taken():
-    # each series drops the list of the cached [G, G] term that it reads:
-    # the outer list after the lower central series, the inner one after the
-    # derived series, so no commutator outlives the series that read it
+def test_a_built_group_holds_its_layers_rows_and_two_reports_alone():
+    # [G, G] and the commutators that each closure took die with the build:
+    # no _Term and no commutator list is left on the group
     G = G31()
-    lower_central_series(G)
-    term = G.cache["commutator"]
-    assert term.outer is None and term.inner is not None
-    derived_series(G)
-    term = G.cache["commutator"]
-    assert len(term.rows) == 1 and (term.inner, term.outer) == (None, None)
+    assert set(vars(G)) == {"p", "n", "algebra", "layers", "rows", "lower_central", "derived"}
+    assert all(isinstance(m, int) for layer in G.layers for m in layer)
+    assert all(isinstance(g, GroupElement) for row in G.rows.values() for g in row)
+    assert (G.lower_central.kind, G.derived.kind) == ("lower_central", "derived")
 
 
 def test_build_refuses_a_relation_that_leaves_the_group(monkeypatch):

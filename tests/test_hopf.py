@@ -504,6 +504,24 @@ def test_hopf_ideal_check_refuses_a_generator_of_another_presentation():
     assert check_hopf_ideal(hp, [hp.algebra.gen("z2")])[0] is False
 
 
+def test_hopf_ideal_check_names_the_counit_witness():
+    # the unit ideal holds the monomial 1, whose counit is 1
+    hp = dual_steenrod(2, 3)
+    assert check_hopf_ideal(hp, [hp.algebra.one()]) == (False, ((0, 0, 0), "counit"))
+
+
+def test_hopf_ideal_check_names_the_antipode_witness(monkeypatch):
+    # Milnor's antipode keeps a coideal's kernel, so the antipode witness takes
+    # a broken one: sending z3 to 1, made before the fresh presentation's first
+    # antipode, leaves the I(2,n) kernel (z1^4, z2^2, z3) at z3, whose
+    # coproduct terms each keep an ideal factor
+    real = hopf.antipode_gen
+    monkeypatch.setattr(hopf, "antipode_gen", lambda hp, name: hp.algebra.one() if name == "z3" else real(hp, name))
+    hp = dual_steenrod(2, 3)
+    ideal = verify._kernel_generators(hp, milnor_quotient(2, 2))
+    assert check_hopf_ideal(hp, ideal) == (False, ((0, 0, 1), "antipode", (0, 0, 0)))
+
+
 def _walk_hopf_ideal(hp, ideal_gens):
     """The reference check: every ideal monomial up to hp's degree cap, in
     (degree, packed monomial) order, under the three checks of

@@ -115,8 +115,8 @@ def test_the_row_memos_reuse_commutators_across_series_terms(monkeypatch):
     # each closure hands the next series term the commutators it took, so
     # [G, G] and the next bracket of either series take none again: 1295
     # calls for both series at (2, 5), where a memo of [h, generator] alone
-    # made 1373; the lower central series alone makes 1295 at (2, 5) and 913
-    # at (3, 3)
+    # made 1373; a build and its lower central series make 1295 at (2, 5) and
+    # 913 at (3, 3)
     monkeypatch.setenv("STEENROD_LIMIT", str(10**50))
     calls = []
     real = grouptheory.commutator
